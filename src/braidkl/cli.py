@@ -24,31 +24,51 @@ CACHE_ENV = "KL_CACHE_DIR"
 CACHE_FILE = "kltable.json"
 
 
-def _load_cache():
+def _load_cache() -> dict | None:
+    """Load the persisted table, if any, and return the records the file held:
+    {} when there is no file, None when it is unreadable."""
     root = os.environ.get(CACHE_ENV)
     if not root:
-        return
+        return {}
     path = os.path.join(root, CACHE_FILE)
     try:
         with open(path) as fh:
-            klcore.kl_cache_import(json.load(fh))
+            records = json.load(fh)
+        if not isinstance(records, dict):
+            raise ValueError("not a JSON object")
+        klcore.kl_cache_import(records)
     except FileNotFoundError:
-        pass
-    except (OSError, ValueError) as exc:
+        return {}
+    except (OSError, TypeError, ValueError) as exc:
         print(f"warning: ignoring unreadable KL cache: {exc}", file=sys.stderr)
+        return None
+    return records
 
 
-def _save_cache():
+def _save_cache(on_disk: dict | None) -> None:
+    """Persist the graph table when it holds a row the file did not, or the
+    file was unreadable.  The file is replaced atomically, so a reader never
+    sees a partial write."""
     root = os.environ.get(CACHE_ENV)
     if not root:
         return
+    records = klcore.kl_cache_export()
+    if on_disk is not None and all(
+        on_disk.get(key) == coeffs for key, coeffs in records.items()
+    ):
+        return
+    path = os.path.join(root, CACHE_FILE)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(root, exist_ok=True)
-        path = os.path.join(root, CACHE_FILE)
-        with open(path, "w") as fh:
-            json.dump(klcore.kl_cache_export(), fh, sort_keys=True)
+        with open(tmp, "w") as fh:
+            json.dump(records, fh, sort_keys=True)
+        os.replace(tmp, path)
     except OSError as exc:
         print(f"warning: could not persist KL cache: {exc}", file=sys.stderr)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _emit(report: dict, timing: float | None):
@@ -256,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _load_cache()
+    on_disk = _load_cache()
     args._start = time.monotonic()
     try:
         code = args.func(args)
@@ -264,7 +284,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        _save_cache()
+        _save_cache(on_disk)
     return code
 
 

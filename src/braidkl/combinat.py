@@ -87,10 +87,11 @@ def partitions(n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> tuple:
+def stirling2_row(n: int) -> tuple:
+    """(S(n,0), ..., S(n,n)), Stirling numbers of the second kind."""
     if n == 0:
         return (1,)
-    prev = _stirling2_row(n - 1)
+    prev = stirling2_row(n - 1)
     row = [0] * (n + 1)
     for k in range(1, n + 1):
         row[k] = k * (prev[k] if k < n else 0) + prev[k - 1]
@@ -103,14 +104,15 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("indices must be nonnegative")
     if k > n:
         return 0
-    return _stirling2_row(n)[k]
+    return stirling2_row(n)[k]
 
 
 @lru_cache(maxsize=None)
-def _stirling1_row(n: int) -> tuple:
+def stirling1_row(n: int) -> tuple:
+    """(c(n,0), ..., c(n,n)), unsigned Stirling numbers of the first kind."""
     if n == 0:
         return (1,)
-    prev = _stirling1_row(n - 1)
+    prev = stirling1_row(n - 1)
     row = [0] * (n + 1)
     for k in range(1, n + 1):
         row[k] = (n - 1) * (prev[k] if k < n else 0) + prev[k - 1]
@@ -123,7 +125,7 @@ def stirling1_unsigned(n: int, k: int) -> int:
         raise ValueError("indices must be nonnegative")
     if k > n:
         return 0
-    return _stirling1_row(n)[k]
+    return stirling1_row(n)[k]
 
 
 def set_partition_count_by_type(lam: Partition) -> int:
@@ -204,4 +206,4 @@ def double_factorial_odd(m: int) -> int:
 
 def bell(n: int) -> int:
     """Number of set partitions of an n-set."""
-    return sum(_stirling2_row(n))
+    return sum(stirling2_row(n))

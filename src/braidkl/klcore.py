@@ -9,21 +9,23 @@ together with deg P < r/2 and P = 1 in rank 0, determines P uniquely: the
 coefficients of t^j on the right for j > r/2 are exactly the low-order
 coefficients of P, so they can be read off top-down once every proper
 contraction is known.  Flats of a graphic matroid are the vertex partitions
-with connected blocks; for the complete graph they can be grouped by
-block-size type, which collapses the Bell(n)-term sum to a p(n)-term sum.
+with connected blocks.  For the complete graph K_m the contraction at a flat
+with l blocks is K_l, and the flats with l blocks together contribute
+
+    B_{m,l}(t) = sum_k s(m,k) S(k,l) t^(k-l)
+
+(s signed Stirling numbers of the first kind, S of the second kind), by the
+exponential formula with sum_b chi(K_b) x^b / b! = ((1+x)^t - 1)/t.  So the
+braid row m is sum_{l<m} P(K_l) B_{m,l}, and the table up to n costs O(n^4)
+integer operations.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import lru_cache
 
-from .combinat import (
-    double_factorial_odd,
-    partitions,
-    set_partition_count_by_type,
-)
+from .combinat import double_factorial_odd, stirling1_row, stirling2_row
 from .graphmat import (
     CANON_BOUND,
     Graph,
@@ -47,25 +49,18 @@ def _pmul(a: list, b: list) -> list:
     return out
 
 
-def _padd_into(acc: list, b: list, scale: int = 1) -> None:
+def _padd_into(acc: list, b: list) -> None:
     for i, y in enumerate(b):
-        acc[i] += scale * y
+        acc[i] += y
 
 
-@lru_cache(maxsize=None)
-def _chi_complete(m: int) -> tuple:
-    # reduced characteristic polynomial of the braid matroid: (t-1)...(t-m+1)
-    out = [1]
-    for k in range(1, m):
-        out = _pmul(out, [-k, 1])
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _chi_product(lam: tuple) -> tuple:
-    if not lam:
-        return (1,)
-    return tuple(_pmul(list(_chi_product(lam[1:])), list(_chi_complete(lam[0]))))
+def _flat_sum(m: int, ell: int) -> list:
+    """B_{m,ell}: the sum, over the flats of K_m with ell blocks, of the
+    product of the blocks' reduced characteristic polynomials."""
+    c = stirling1_row(m)
+    return [
+        (-1) ** (m - k) * c[k] * stirling2_row(k)[ell] for k in range(ell, m + 1)
+    ]
 
 
 def _solve_functional_equation(rhs_proper: list, rank: int) -> tuple:
@@ -106,22 +101,17 @@ def _braid_coeffs(n: int) -> tuple:
         with _BRAID_LOCK:
             while len(_BRAID) <= n:
                 m = len(_BRAID)
-                rank = m - 1
-                rhs = [0] * (rank + 1)
-                for lam in partitions(m):
-                    ell = len(lam)
-                    if ell == m:
-                        continue  # finest flat carries the unknown P itself
-                    mult = set_partition_count_by_type(lam)
-                    term = _pmul(list(_chi_product(lam.parts)), list(_BRAID[ell]))
-                    _padd_into(rhs, term, mult)
-                _BRAID.append(_solve_functional_equation(rhs, rank))
+                rhs = [0] * m
+                # l = m is the finest flat, which carries the unknown P itself
+                for ell in range(1, m):
+                    _padd_into(rhs, _pmul(_BRAID[ell], _flat_sum(m, ell)))
+                _BRAID.append(_solve_functional_equation(rhs, m - 1))
     return _BRAID[n]
 
 
 def kl_braid(n: int) -> Poly:
     """Kazhdan-Lusztig polynomial of the braid matroid (complete graph on n
-    vertices), computed by the type-indexed recursion."""
+    vertices), computed by the Stirling closed form of the flat sum."""
     return Poly([Fraction(c) for c in _braid_coeffs(n)], "t")
 
 
@@ -235,30 +225,20 @@ def conjecture_top_check(i: int) -> dict:
 
 
 def kl_cache_export() -> dict:
-    """Snapshot the memo tables as JSON-safe records (hex graph keys and
-    braid:n keys mapping to decimal coefficient strings)."""
-    out = {}
-    for n in range(1, len(_BRAID)):
-        out[f"braid:{n}"] = [str(c) for c in _BRAID[n]]
-    for key, coeffs in _GRAPH_TABLE.items():
-        out["graph:" + key.hex()] = [str(c) for c in coeffs]
-    return out
+    """Snapshot the graph memo table as JSON-safe records (graph:<hex key>
+    mapping to decimal coefficient strings).  Braid rows are cheap to
+    recompute and are not persisted."""
+    return {
+        "graph:" + key.hex(): [str(c) for c in coeffs]
+        for key, coeffs in _GRAPH_TABLE.items()
+    }
 
 
 def kl_cache_import(records: dict) -> None:
-    with _BRAID_LOCK:
-        for key, coeffs in records.items():
+    """Load graph:<hex key> records into the graph memo table; rows already
+    known win, and any other record (such as a braid:<n> row written by an
+    older version) is ignored."""
+    for key, coeffs in records.items():
+        if key.startswith("graph:"):
             vals = tuple(int(c) for c in coeffs)
-            if key.startswith("braid:"):
-                n = int(key.split(":", 1)[1])
-                while len(_BRAID) <= n:
-                    _BRAID.append(None)
-                if _BRAID[n] is None:
-                    _BRAID[n] = vals
-            elif key.startswith("graph:"):
-                _GRAPH_TABLE.setdefault(bytes.fromhex(key.split(":", 1)[1]), vals)
-        # imported braid rows must leave no gaps; drop anything past one
-        for n in range(1, len(_BRAID)):
-            if _BRAID[n] is None:
-                del _BRAID[n:]
-                break
+            _GRAPH_TABLE.setdefault(bytes.fromhex(key.split(":", 1)[1]), vals)

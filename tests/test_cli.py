@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import braidkl.klcore as klcore
 from braidkl.cli import main
 
 
@@ -130,18 +131,92 @@ def test_verify_prints_pass_lines(capsys):
     assert out.count("PASS") == 3
 
 
+def _cone_query(tmp_path, cone=2):
+    graph = tmp_path / "p3.json"
+    graph.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    return ("kl", "--graph", str(graph), "--cone", str(cone))
+
+
 def test_cache_persistence(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    code, _ = run_cli(capsys, "kl", "--n", "5")
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    query = _cone_query(tmp_path)
+    code, out = run_cli(capsys, *query)
     assert code == 0
+    coeffs = json.loads(out)["outputs"]["coefficients"]
     cache_file = tmp_path / "kltable.json"
-    assert cache_file.exists()
     records = json.loads(cache_file.read_text())
-    assert records["braid:5"] == ["1", "5"]
-    # a fresh invocation reads the cache without error
+    assert records and all(key.startswith("graph:") for key in records)
+
+    # a braid query writes no braid row
+    code, out = run_cli(capsys, "kl", "--n", "5")
+    assert code == 0
+    assert json.loads(cache_file.read_text()) == records
+
+    # an empty memo table, as in a new process, is filled from the file
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    code, out = run_cli(capsys, *query)
+    assert code == 0
+    assert json.loads(out)["outputs"]["coefficients"] == coeffs
+    assert klcore.kl_cache_export() == records
+
+    # a file from an older version with braid rows, one of them wrong, loads;
+    # the braid rows are ignored and every answer stays the same
+    old = dict(records, **{"braid:4": ["1", "1"], "braid:5": ["1", "7"]})
+    cache_file.write_text(json.dumps(old))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
     code, out = run_cli(capsys, "kl", "--n", "5")
     assert code == 0
     assert json.loads(out)["outputs"]["coefficients"] == ["1", "5"]
+    code, out = run_cli(capsys, *query)
+    assert json.loads(out)["outputs"]["coefficients"] == coeffs
+
+
+def test_cache_untouched_when_nothing_added(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    query = _cone_query(tmp_path)
+    assert run_cli(capsys, *query)[0] == 0
+    cache_file = tmp_path / "kltable.json"
+    # braid rows from an older version: a rewrite would drop them
+    records = json.loads(cache_file.read_text())
+    cache_file.write_text(json.dumps(dict(records, **{"braid:5": ["1", "5"]})))
+    before = cache_file.read_bytes()
+    inode = cache_file.stat().st_ino
+    for argv in (("kl", "--n", "6"), query):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert cache_file.read_bytes() == before
+    assert cache_file.stat().st_ino == inode
+
+
+def test_cache_save_is_atomic(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    assert run_cli(capsys, *_cone_query(tmp_path, cone=1))[0] == 0
+    cache_file = tmp_path / "kltable.json"
+    before = cache_file.read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    # a new graph row triggers a save, which fails half-way through
+    assert main(list(_cone_query(tmp_path))) == 0
+    assert "could not persist" in capsys.readouterr().err
+    assert cache_file.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["kltable.json", "p3.json"]
+
+
+@pytest.mark.parametrize("content", ["[]", '{"graph:00": [null]}', "{"])
+def test_cache_unreadable_is_replaced(tmp_path, capsys, monkeypatch, content):
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    cache_file = tmp_path / "kltable.json"
+    cache_file.write_text(content)
+    assert main(["kl", "--n", "5"]) == 0
+    assert "ignoring unreadable KL cache" in capsys.readouterr().err
+    assert json.loads(cache_file.read_text()) == klcore.kl_cache_export()
 
 
 def test_timing_flag_adds_field(capsys):

@@ -14,7 +14,12 @@ from braidkl.combinat import (
     stirling2,
 )
 from braidkl.graphmat import Graph, cone_extend, connected_partitions, contract, localize, char_poly
+import braidkl.klcore as klcore
 from braidkl.klcore import (
+    _braid_coeffs,
+    _flat_sum,
+    _pmul,
+    _solve_functional_equation,
     c1_count,
     conjecture_top_check,
     d_coeff,
@@ -29,6 +34,50 @@ from braidkl.polyseries import Poly
 
 def complete(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def chi_complete(b):
+    # reduced characteristic polynomial of the braid matroid K_b
+    chi = Poly([1], "t")
+    for k in range(1, b):
+        chi = chi * Poly([-k, 1], "t")
+    return chi
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in set_partitions(rest):
+        yield [[first]] + p
+        for i in range(len(p)):
+            yield p[:i] + [[first] + p[i]] + p[i + 1 :]
+
+
+def type_indexed_table(n):
+    """Braid rows 1..n by the older sum over the p(m) block-size types of the
+    flats, each type weighted by its number of set partitions."""
+    chi = {b: [int(c) for c in chi_complete(b).coeffs] for b in range(1, n + 1)}
+    products = {(): [1]}
+
+    def chi_product(parts):
+        if parts not in products:
+            products[parts] = _pmul(chi_product(parts[1:]), chi[parts[0]])
+        return products[parts]
+
+    table = [None, (1,)]
+    for m in range(2, n + 1):
+        rhs = [0] * m
+        for lam in partitions(m):
+            if len(lam) == m:
+                continue
+            term = _pmul(chi_product(lam.parts), table[len(lam)])
+            mult = set_partition_count_by_type(lam)
+            for i, c in enumerate(term):
+                rhs[i] += mult * c
+        table.append(_solve_functional_equation(rhs, m - 1))
+    return table
 
 
 def d1_formula(n):
@@ -101,10 +150,28 @@ def test_braid_functional_equation_residual():
         for lam in partitions(n):
             chi = Poly([1], "t")
             for part in lam:
-                for k in range(1, part):
-                    chi = chi * Poly([-k, 1], "t")
+                chi = chi * chi_complete(part)
             rhs = rhs + set_partition_count_by_type(lam) * chi * kl_braid(len(lam))
         assert p.reflect(n - 1) == rhs
+
+
+def test_flat_sum_matches_set_partition_enumeration():
+    for m in range(1, 8):
+        by_blocks = {}
+        for blocks in set_partitions(list(range(m))):
+            term = Poly([1], "t")
+            for block in blocks:
+                term = term * chi_complete(len(block))
+            by_blocks[len(blocks)] = by_blocks.get(len(blocks), Poly([], "t")) + term
+        assert sorted(by_blocks) == list(range(1, m + 1))
+        for ell, want in by_blocks.items():
+            assert Poly(_flat_sum(m, ell), "t") == want
+
+
+def test_braid_rows_match_type_indexed_sum():
+    old = type_indexed_table(30)
+    for n in range(1, 31):
+        assert _braid_coeffs(n) == old[n]
 
 
 # --- graphic path -----------------------------------------------------------
@@ -215,14 +282,29 @@ def test_conjecture_checker_stable():
     assert conjecture_top_check(4) == conjecture_top_check(4)
 
 
+def test_conjecture_holds_through_i20():
+    for i in range(2, 21):
+        assert conjecture_top_check(i)["equal"], i
+
+
 # --- cache ----------------------------------------------------------------------
 
 
-def test_cache_roundtrip():
+def test_cache_roundtrip(monkeypatch):
     kl_braid(6)
     kl_graphic(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     records = kl_cache_export()
-    assert records["braid:6"] == ["1", "16", "15"]
-    assert any(key.startswith("graph:") for key in records)
+    assert records
+    assert all(key.startswith("graph:") for key in records)  # no braid rows
     kl_cache_import(records)  # idempotent
     assert kl_cache_export() == records
+    # the graph rows load into an empty table
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    kl_cache_import(records)
+    assert kl_cache_export() == records
+    # braid rows of an older file are ignored, even wrong ones
+    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
+    kl_cache_import(dict(records, **{"braid:6": ["1", "9", "9"], "braid:9": ["1"]}))
+    assert kl_cache_export() == records
+    assert klcore._BRAID == [None, (1,)]
+    assert kl_braid(6) == Poly([1, 16, 15], "t")
