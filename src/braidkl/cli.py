@@ -26,7 +26,8 @@ CACHE_FILE = "kltable.json"
 
 def _load_cache() -> dict | None:
     """Load the persisted table, if any, and return the records the file held:
-    {} when there is no file, None when it is unreadable."""
+    {} when there is no file, None when it is unreadable or holds a row that
+    fails the plausibility check (such rows are skipped)."""
     root = os.environ.get(CACHE_ENV)
     if not root:
         return {}
@@ -36,13 +37,15 @@ def _load_cache() -> dict | None:
             records = json.load(fh)
         if not isinstance(records, dict):
             raise ValueError("not a JSON object")
-        klcore.kl_cache_import(records)
+        skipped = klcore.kl_cache_import(records)
     except FileNotFoundError:
         return {}
     except (OSError, TypeError, ValueError) as exc:
         print(f"warning: ignoring unreadable KL cache: {exc}", file=sys.stderr)
         return None
-    return records
+    for key in skipped:
+        print(f"warning: skipping implausible KL cache row {key}", file=sys.stderr)
+    return None if skipped else records
 
 
 def _save_cache(on_disk: dict | None) -> None:
@@ -122,7 +125,8 @@ def cmd_eqkl(args) -> int:
             }
         )
         if i >= 1:
-            verdicts[f"row_bound_degree_{i}"] = eqkl.row_bound_check(i, args.n)
+            # the verdict of eqkl.row_bound_check(i, n), from this decomposition
+            verdicts[f"row_bound_degree_{i}"] = all(len(lam) <= 2 * i for lam in dec)
     if args.format == "csv":
         print("degree,partition,multiplicity")
         for row in degrees:

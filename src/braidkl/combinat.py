@@ -128,6 +128,23 @@ def stirling1_unsigned(n: int, k: int) -> int:
     return stirling1_row(n)[k]
 
 
+def mobius(n: int) -> int:
+    """Number-theoretic Mobius function: 0 if a square divides n, else
+    (-1)^(number of prime factors of n)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    sign = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
 def set_partition_count_by_type(lam: Partition) -> int:
     """Number of set partitions of [n] whose block-size multiset is lam."""
     if not lam.parts:

@@ -3,22 +3,30 @@ class functions of the symmetric group.
 
 Two independent computation paths are provided and cross-checked:
 
-* a plethystic path working with Frobenius characteristics in the power-sum
-  basis.  Flats of the braid matroid grouped by block-size type induce from
+* a plethystic path on integer class values.  A graded symmetric function
+  sum_mu c_mu(t) p_mu is held as chi_mu = z_mu c_mu, one integer polynomial
+  in t per partition.  The characteristic data of S_r come from Lehrer's
+  product formula for the graded trace on the Orlik-Solomon algebra: a
+  permutation with m_i cycles of length i has trace
+  (1/t) prod_i prod_{k < m_i} (E_i(t) - k i), E_i the necklace polynomial.
+  Flats of the braid matroid grouped by block-size type induce from
   wreath-product stabilizers, and induction of a product over blocks is
-  exactly plethysm into the generating symmetric function of the graded
-  characteristic data.  Each p_k carries t to t^k, which also accounts for
-  the Koszul signs picked up when equal-size blocks with odd cohomology are
-  permuted (the graded pieces are stored with their alternating signs, so
-  the substitution computes graded traces of cycled tensor factors).
+  plethysm into the sum of the characteristic data.  In class values a
+  product multiplies by binomials of cycle counts, p_k[g] sends chi_mu(t)
+  to k^len(mu) chi_mu(t^k), and f[g] for f of degree k is an integer sum
+  divided exactly by k!.  Carrying t to t^k also accounts for the Koszul
+  signs picked up when equal-size blocks with odd cohomology are permuted
+  (the graded pieces are stored with their alternating signs).
 
 * a brute-force path (small n) that enumerates honest set partitions,
   detects which are stabilized by a class representative, and multiplies
   graded traces over block cycles directly.
 
-Both solve the same functional equation as the non-equivariant recursion:
-the top t-coefficients of the proper-flat sum are the low coefficients of
-the unknown polynomial, read off degree by degree.
+The Fraction-valued SymFn, ch, ch_inv and plethysm are the rational API and
+a test oracle for the integer kernel.  Both paths solve the same functional
+equation as the non-equivariant recursion: the top t-coefficients of the
+proper-flat sum are the low coefficients of the unknown polynomial, read off
+degree by degree.
 """
 
 from __future__ import annotations
@@ -26,16 +34,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 
 from .combinat import (
     Partition,
     centralizer_order,
     class_size,
     mn_character,
+    mobius,
     partitions,
     stirling1_unsigned,
 )
+from .graphmat import _set_partition_blocks
 from .polyseries import Poly
 
 
@@ -46,13 +56,8 @@ class ClassFn:
 
     def __init__(self, n: int, values=None):
         self.n = n
-        vals = {}
-        for mu in partitions(n):
-            v = Fraction(0)
-            if values is not None and mu in values:
-                v = Fraction(values[mu])
-            vals[mu] = v
-        self.values = vals
+        values = values or {}
+        self.values = {mu: Fraction(values.get(mu, 0)) for mu in partitions(n)}
 
     @classmethod
     def trivial(cls, n: int):
@@ -72,14 +77,10 @@ class ClassFn:
         )
 
     def __sub__(self, other):
-        if not isinstance(other, ClassFn) or other.n != self.n:
-            return NotImplemented
-        return ClassFn(
-            self.n, {mu: v - other.values[mu] for mu, v in self.values.items()}
-        )
+        return self + -other
 
     def __neg__(self):
-        return ClassFn(self.n, {mu: -v for mu, v in self.values.items()})
+        return self.scale(-1)
 
     def scale(self, c):
         c = Fraction(c)
@@ -172,10 +173,7 @@ class SymFn:
         return SymFn(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for mu, c in other.terms.items():
-            out[mu] = out.get(mu, Poly([], "t")) - c
-        return SymFn(out)
+        return self + other.scale(-1)
 
     def scale(self, c):
         c = c if isinstance(c, Poly) else Poly([c], "t")
@@ -201,20 +199,13 @@ class SymFn:
             {mu: Poly([c.coeff(j)], "t") for mu, c in self.terms.items()}
         )
 
-    def max_t_degree(self) -> int:
-        return max((c.degree() for c in self.terms.values()), default=-1)
-
     def pleth_pk(self, k: int, cap: int | None = None) -> "SymFn":
         """p_k[self]: every p_j becomes p_{jk} and t becomes t^k."""
         out = {}
         for mu, c in self.terms.items():
             if cap is not None and k * sum(mu) > cap:
                 continue
-            key = tuple(k * p for p in mu)
-            spread = [Fraction(0)] * (k * c.degree() + 1) if c else []
-            for i, ci in enumerate(c.coeffs):
-                spread[k * i] = ci
-            out[key] = Poly(spread, "t")
+            out[tuple(k * p for p in mu)] = _subst_t_power(c, k)
         return SymFn(out)
 
     def __eq__(self, other):
@@ -291,21 +282,11 @@ _STRAIGHT_CACHE: dict = {}
 def _sort_edges(raw):
     """Sort wedge factors by (max, min); returns (sorted tuple, sign) or
     (None, 0) if an edge repeats."""
-    edges = list(raw)
-    sign = 1
-    for i in range(1, len(edges)):
-        j = i
-        while j > 0 and (edges[j - 1][1], edges[j - 1][0]) > (
-            edges[j][1],
-            edges[j][0],
-        ):
-            edges[j - 1], edges[j] = edges[j], edges[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(edges)):
-        if edges[i] == edges[i - 1]:
-            return None, 0
-    return tuple(edges), sign
+    keys = [(b, a) for a, b in raw]
+    if len(set(keys)) < len(keys):
+        return None, 0
+    inversions = sum(x > y for i, x in enumerate(keys) for y in keys[i + 1 :])
+    return tuple((a, b) for b, a in sorted(keys)), (-1) ** inversions
 
 
 def _straighten(mono):
@@ -408,123 +389,162 @@ def eq_char_poly(n: int) -> GradedClassFn:
 
 
 # ---------------------------------------------------------------------------
-# Plethystic path.
+# Plethystic path on integer class values: a dict from partition tuples to
+# integer polynomials in t (ascending coefficient tuples without trailing
+# zeros; zero is left out), or a list of such dicts indexed by degree.
 
-EQKL_BOUND = 9
-
-
-@lru_cache(maxsize=None)
-def _set_partitions_list(n: int) -> tuple:
-    return tuple(_all_set_partitions(n))
+EQKL_BOUND = 18
 
 
-def _mu_product(blocks: tuple, sigma: tuple):
-    """Fixed-subposet Mobius value mu(0, X) for a stabilized partition X:
-    the interval below X factors over block cycles, so the value is the
-    product of top Mobius values of the return maps.  None if X is not
-    stabilized by sigma."""
-    block_index = {frozenset(b): i for i, b in enumerate(blocks)}
-    img = []
-    for b in blocks:
-        j = block_index.get(frozenset(sigma[v - 1] for v in b))
-        if j is None:
-            return None
-        img.append(j)
-    prod = 1
-    seen = set()
-    for i in range(len(blocks)):
-        if i in seen:
-            continue
-        cyc = [i]
-        j = img[i]
-        while j != i:
-            cyc.append(j)
-            j = img[j]
-        seen.update(cyc)
-        rep = blocks[i]
-        ret = _perm_power_cycle_type(sigma, len(cyc), rep)
-        prod *= _mu_top(len(rep), ret.parts)
-    return prod
+def _pmul(a: tuple, b: tuple) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return tuple(out)
+
+
+def _add_into(acc: dict, key: tuple, poly, scale: int = 1) -> None:
+    cur = acc.setdefault(key, [])
+    cur.extend([0] * (len(poly) - len(cur)))
+    for i, c in enumerate(poly):
+        cur[i] += scale * c
+
+
+def _trimmed(acc: dict, divisor: int = 1) -> dict:
+    """Freeze accumulated lists into trimmed tuples, divided exactly."""
+    out = {}
+    for key, cs in acc.items():
+        while cs and not cs[-1]:
+            cs.pop()
+        if divisor > 1 and any(c % divisor for c in cs):
+            raise ArithmeticError(f"class values not divisible by {divisor}")
+        if cs:
+            out[key] = tuple(c // divisor for c in cs) if divisor > 1 else tuple(cs)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _fixed_flat_sums(n: int, tau: tuple) -> tuple:
-    """Entry [k]: sum of fixed-subposet Mobius values over the partitions
-    of [n] with k >= 2 blocks stabilized by a permutation of type tau."""
-    sigma = _class_rep_perm(Partition(tau))
-    identity = all(p == 1 for p in tau)
-    sums = [0] * (n + 1)
-    for blocks in _set_partitions_list(n):
-        if len(blocks) == 1:
-            continue
-        if identity:
-            v = 1
-            for b in blocks:
-                v *= _mu_top(len(b), (1,) * len(b))
-        else:
-            v = _mu_product(blocks, sigma)
-        if v is not None:
-            sums[len(blocks)] += v
-    return tuple(sums)
+def _char_values(n: int) -> dict:
+    """Class values of the graded characteristic data of S_n, by Lehrer's
+    product formula (1/t) prod_i prod_{k < m_i} (E_i(t) - k i), with the
+    necklace polynomial E_i(t) = sum_{d | i} mobius(i/d) t^d."""
+    out = {}
+    for mu in partitions(n):
+        prod = (1,)
+        for i, m in mu.multiplicities().items():
+            e = [mobius(i // d) if i % d == 0 else 0 for d in range(1, i + 1)]
+            for k in range(m):
+                prod = _pmul(prod, (-k * i, *e))
+        out[mu.parts] = prod[1:]
+    return out
 
 
 @lru_cache(maxsize=None)
-def _mu_top(b: int, tau: tuple) -> int:
-    """mu(bottom, top) of the tau-fixed subposet of the partition lattice."""
-    if b == 1:
-        return 1
-    return -sum(_fixed_flat_sums(b, tau))
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The partition a + b and the factor z_{a+b} / (z_a z_b)."""
+    key = tuple(sorted(a + b, reverse=True))
+    factor = 1
+    for part in set(b):
+        factor *= comb(key.count(part), b.count(part))
+    return key, factor
+
+
+def _class_mul(a: list, b: list, cap: int) -> list:
+    """Product of two degree-graded class-value functions up to degree cap."""
+    acc = [{} for _ in range(cap + 1)]
+    for da, terms_a in enumerate(a):
+        items_a = list(terms_a.items())
+        for db in range(1, min(len(b) - 1, cap - da) + 1):
+            out = acc[da + db]
+            for kb, vb in b[db].items():
+                for ka, va in items_a:
+                    key, factor = _merge(ka, kb)
+                    cur = out.setdefault(key, [])
+                    cur.extend([0] * (len(va) + len(vb) - 1 - len(cur)))
+                    for j, y in enumerate(vb):
+                        if y:  # p_k[g] has nonzero terms only at multiples of k
+                            fy = factor * y
+                            for i, x in enumerate(va, j):
+                                cur[i] += fy * x
+    return [_trimmed(terms) for terms in acc]
+
+
+def _class_pk(g: list, k: int, cap: int) -> list:
+    """p_k[g]: chi_{k mu}(t) = k^len(mu) chi_mu(t^k), up to degree cap."""
+    out = [{} for _ in range(cap + 1)]
+    for d in range(1, min(len(g) - 1, cap // k) + 1):
+        for mu, v in g[d].items():
+            spread = [0] * (k * (len(v) - 1) + 1)
+            spread[::k] = [k ** len(mu) * c for c in v]
+            out[k * d][tuple(k * p for p in mu)] = tuple(spread)
+    return out
+
+
+def _plethysm_part(fs: dict, g: list, n: int) -> dict:
+    """Class values of the degree-n part of sum_k f_k[g], where fs maps k to
+    the class values of a degree-k f_k (t in f_k does not transform) and g is
+    degree-graded with no degree-0 part.  f_k[g] is (1/k!) sum_mu chi_f(mu)
+    (k!/z_mu) prod_j p_{mu_j}[g]: the products are shared along a walk that
+    extends mu one part at a time, and each k! must divide its sum exactly."""
+    top = max(fs)
+    pk = [None] + [_class_pk(g, c, n) for c in range(1, top + 1)]
+    acc: dict = {k: {} for k in fs}
+
+    def walk(mu: tuple, prod: list, k: int, z: int) -> None:
+        if k in fs and mu in fs[k]:
+            for lam, v in prod[n].items():
+                _add_into(acc[k], lam, _pmul(fs[k][mu], v), factorial(k) // z)
+        # a new part is at least the largest one, so each mu is reached once
+        for c in range(mu[0] if mu else 1, top - k + 1):
+            z_next = z * c * (mu.count(c) + 1)
+            walk((c,) + mu, _class_mul(prod, pk[c], n), k + c, z_next)
+
+    walk((), [{(): (1,)}] + [{} for _ in range(n)], 0, 1)
+    total: dict = {}
+    for k, terms in acc.items():
+        for lam, v in _trimmed(terms, factorial(k)).items():
+            _add_into(total, lam, v)
+    return _trimmed(total)
 
 
 @lru_cache(maxsize=None)
 def char_poly_symfn(n: int) -> SymFn:
     """Frobenius characteristic of the graded characteristic data
-    sum_i (-1)^i [OS^i] t^(n-1-i), valid for any n.
-
-    Character values come from the fixed-point trace formula: the trace of
-    sigma on the alternating OS sum equals the sum over sigma-fixed flats X
-    of the Mobius value of X inside the fixed subposet, weighted by
-    t^(blocks(X) - 1).  Cross-checked against the straightening path."""
+    sum_i (-1)^i [OS^i] t^(n-1-i), valid for any n: the coefficient of p_mu
+    is the class value from Lehrer's product formula (1/t) prod_i
+    prod_{k < m_i} (E_i(t) - k i) divided by z_mu.  Cross-checked against
+    the straightening path."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return SymFn({(1,): Poly([1], "t")})
-    terms = {}
-    for mu in partitions(n):
-        sums = _fixed_flat_sums(n, mu.parts)
-        coeffs = [0] * n
-        coeffs[0] = _mu_top(n, mu.parts)
-        for k in range(2, n + 1):
-            coeffs[k - 1] += sums[k]
-        terms[mu.parts] = Poly(coeffs, "t") * Fraction(1, centralizer_order(mu))
-    return SymFn(terms)
+    return SymFn(
+        {
+            mu: Poly([Fraction(c, centralizer_order(Partition(mu))) for c in v], "t")
+            for mu, v in _char_values(n).items()
+        }
+    )
 
 
 @lru_cache(maxsize=None)
-def _eqkl_symfn(n: int) -> SymFn:
+def _eqkl_values(n: int) -> dict:
+    """Class values of the equivariant KL polynomial of the braid matroid."""
     if n == 1:
-        return SymFn({(1,): Poly([1], "t")})
-    cumulative = SymFn()
-    for r in range(1, n + 1):
-        cumulative = cumulative + char_poly_symfn(r)
-    flats = SymFn()
-    for k in range(1, n):
-        flats = flats + plethysm(_eqkl_symfn(k), cumulative, cap=n).homogeneous_part(n)
+        return {(1,): (1,)}
+    g = [{}] + [_char_values(r) for r in range(1, n + 1)]
+    flats = _plethysm_part({k: _eqkl_values(k) for k in range(1, n)}, g, n)
     rank = n - 1
-    dmax = (rank - 1) // 2 if rank >= 1 else 0
-    slices = [flats.t_coeff(rank - i) for i in range(dmax + 1)]
-    # built-in consistency: the low t-coefficients of the flat sum must be
-    # minus the unknown, and the middle band must vanish
-    for i in range(dmax + 1):
-        if not (flats.t_coeff(i) + slices[i]).is_zero():
+    dmax = (rank - 1) // 2
+    out = {}
+    for mu in partitions(n):
+        s = list(flats.get(mu.parts, ())) + [0] * (rank + 1)
+        # the low t-coefficients of the flat sum must be minus the unknown,
+        # and the middle band must vanish
+        if any(s[i] + s[rank - i] for i in range(dmax + 1)):
             raise ArithmeticError("equivariant recursion inconsistent (low read)")
-    for j in range(dmax + 1, rank - dmax):
-        if not flats.t_coeff(j).is_zero():
+        if any(s[j] for j in range(dmax + 1, rank - dmax)):
             raise ArithmeticError("equivariant recursion inconsistent (middle)")
-    out = SymFn()
-    for i, s in enumerate(slices):
-        out = out + s.scale(Poly([0] * i + [1], "t"))
-    return out
+        out[mu.parts] = [s[rank - i] for i in range(dmax + 1)]
+    return _trimmed(out)
 
 
 def eqkl_braid(n: int) -> GradedClassFn:
@@ -534,10 +554,11 @@ def eqkl_braid(n: int) -> GradedClassFn:
         raise ValueError("n must be positive")
     if n > EQKL_BOUND:
         raise ValueError(f"plethystic path bounded at n = {EQKL_BOUND}")
-    q = _eqkl_symfn(n)
-    dmax = max(q.max_t_degree(), 0)
+    q = _eqkl_values(n)
+    degrees = range(max(map(len, q.values()), default=1))
     return GradedClassFn(
-        n, [ch_inv(q.t_coeff(i).homogeneous_part(n), n) for i in range(dmax + 1)]
+        n,
+        [ClassFn(n, {mu: v[i] for mu, v in q.items() if i < len(v)}) for i in degrees],
     )
 
 
@@ -551,20 +572,30 @@ def _perm_power_cycle_type(sigma: tuple, power: int, block: tuple) -> Partition:
     tau = {v: v for v in block}
     for _ in range(power):
         tau = {v: sigma[tau[v] - 1] for v in block}
-    lengths = []
-    seen = set()
-    for v in block:
-        if v in seen:
-            continue
-        length = 1
-        w = tau[v]
-        seen.add(v)
-        while w != v:
+    return Partition(sorted((length for _, length in _cycles(tau)), reverse=True))
+
+
+def _cycles(img: dict) -> list:
+    """(first element, length) of each cycle of the permutation img."""
+    out, seen = [], set()
+    for v in img:
+        w, length = v, 0
+        while w not in seen:
             seen.add(w)
-            w = tau[w]
-            length += 1
-        lengths.append(length)
-    return Partition(sorted(lengths, reverse=True))
+            w, length = img[w], length + 1
+        if length:
+            out.append((v, length))
+    return out
+
+
+def _block_cycles(blocks: tuple, sigma: tuple):
+    """(one block, length) of each cycle in which sigma permutes the blocks;
+    None if sigma does not stabilize the partition."""
+    index = {frozenset(b): i for i, b in enumerate(blocks)}
+    img = [index.get(frozenset(sigma[v - 1] for v in b)) for b in blocks]
+    if None in img:
+        return None
+    return [(blocks[i], length) for i, length in _cycles(dict(enumerate(img)))]
 
 
 def _subst_t_power(p: Poly, k: int) -> Poly:
@@ -576,22 +607,9 @@ def _subst_t_power(p: Poly, k: int) -> Poly:
     return Poly(spread, "t")
 
 
-def _all_set_partitions(n: int):
-    blocks: list = []
-
-    def rec(v):
-        if v > n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(v)
-            yield from rec(v + 1)
-            b.pop()
-        blocks.append([v])
-        yield from rec(v + 1)
-        blocks.pop()
-
-    yield from rec(1)
+def _all_set_partitions(n: int) -> list:
+    """Set partitions of {1, ..., n} as tuples of 1-based blocks."""
+    return [tuple(tuple(v + 1 for v in b) for b in p) for p in _set_partition_blocks(n)]
 
 
 @lru_cache(maxsize=None)
@@ -613,36 +631,16 @@ def eqkl_braid_bruteforce(n: int) -> GradedClassFn:
         sigma = _class_rep_perm(mu)
         total = Poly([], "t")
         for blocks in all_parts:
-            block_index = {frozenset(b): idx for idx, b in enumerate(blocks)}
-            img = []
-            stabilized = True
-            for b in blocks:
-                j = block_index.get(frozenset(sigma[v - 1] for v in b))
-                if j is None:
-                    stabilized = False
-                    break
-                img.append(j)
-            if not stabilized:
+            cycles = _block_cycles(blocks, sigma)
+            if cycles is None:
                 continue
             loc = Poly([1], "t")
-            seen = set()
-            cycle_lengths = []
-            for idx in range(len(blocks)):
-                if idx in seen:
-                    continue
-                cyc = [idx]
-                j = img[idx]
-                while j != idx:
-                    cyc.append(j)
-                    j = img[j]
-                seen.update(cyc)
-                cycle_lengths.append(len(cyc))
-                rep = blocks[idx]
-                ret_type = _perm_power_cycle_type(sigma, len(cyc), rep)
+            for rep, length in cycles:
+                ret_type = _perm_power_cycle_type(sigma, length, rep)
                 loc = loc * _subst_t_power(
-                    chardata[len(rep)].value_poly(ret_type), len(cyc)
+                    chardata[len(rep)].value_poly(ret_type), length
                 )
-            ghat = Partition(sorted(cycle_lengths, reverse=True))
+            ghat = Partition(sorted((length for _, length in cycles), reverse=True))
             contr = eqkl_braid_bruteforce(len(blocks)).value_poly(ghat)
             total = total + loc * contr
         flat_sum[mu] = total
@@ -667,15 +665,14 @@ def eqkl_braid_bruteforce(n: int) -> GradedClassFn:
 
 def specht_decompose(f: ClassFn) -> dict:
     """Multiplicities <f, chi^lam> for every irreducible; zeros dropped."""
+    # sum in integers over the common denominator of the values
+    den = lcm(*(v.denominator for v in f.values.values()))
+    weights = [(mu, int(class_size(mu) * v * den)) for mu, v in f.values.items() if v]
     out = {}
     for lam in partitions(f.n):
-        tot = Fraction(0)
-        for mu, v in f.values.items():
-            if v:
-                tot += class_size(mu) * v * mn_character(lam, mu)
-        m = tot / factorial(f.n)
-        if m:
-            out[lam] = m
+        tot = sum(w * mn_character(lam, mu) for mu, w in weights)
+        if tot:
+            out[lam] = Fraction(tot, factorial(f.n) * den)
     return out
 
 

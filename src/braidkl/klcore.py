@@ -234,11 +234,29 @@ def kl_cache_export() -> dict:
     }
 
 
-def kl_cache_import(records: dict) -> None:
+def _row_plausible(key: bytes, coeffs: tuple) -> bool:
+    """Cheap invariants of a KL row: constant term 1, no negative
+    coefficient, degree below rank/2.  The rank is the vertex count minus
+    one, and a canonical key holds the vertex count in its second byte."""
+    if len(key) < 2 or not coeffs:
+        return False
+    rank = key[1] - 1
+    dmax = (rank - 1) // 2 if rank >= 1 else 0
+    return coeffs[0] == 1 and min(coeffs) >= 0 and len(coeffs) - 1 <= dmax
+
+
+def kl_cache_import(records: dict) -> list:
     """Load graph:<hex key> records into the graph memo table; rows already
     known win, and any other record (such as a braid:<n> row written by an
-    older version) is ignored."""
+    older version) is ignored.  A graph row that fails _row_plausible is
+    skipped, and the keys of the skipped rows are returned."""
+    skipped = []
     for key, coeffs in records.items():
         if key.startswith("graph:"):
+            raw = bytes.fromhex(key.split(":", 1)[1])
             vals = tuple(int(c) for c in coeffs)
-            _GRAPH_TABLE.setdefault(bytes.fromhex(key.split(":", 1)[1]), vals)
+            if _row_plausible(raw, vals):
+                _GRAPH_TABLE.setdefault(raw, vals)
+            else:
+                skipped.append(key)
+    return skipped

@@ -219,6 +219,27 @@ def test_cache_unreadable_is_replaced(tmp_path, capsys, monkeypatch, content):
     assert json.loads(cache_file.read_text()) == klcore.kl_cache_export()
 
 
+@pytest.mark.parametrize("poison", [["2", "1"], ["1", "-1"], ["1", "1", "1", "1"], []])
+def test_cache_implausible_row_is_skipped(tmp_path, capsys, monkeypatch, poison):
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    query = _cone_query(tmp_path)
+    code, out = run_cli(capsys, *query)
+    assert code == 0
+    coeffs = json.loads(out)["outputs"]["coefficients"]
+    cache_file = tmp_path / "kltable.json"
+    records = json.loads(cache_file.read_text())
+    # every row of the file breaks an invariant of KL polynomials
+    cache_file.write_text(json.dumps({key: poison for key in records}))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    code = main(list(query))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["outputs"]["coefficients"] == coeffs
+    assert captured.err.count("skipping implausible KL cache row") == len(records)
+    assert json.loads(cache_file.read_text()) == records
+
+
 def test_timing_flag_adds_field(capsys):
     _, out = run_cli(capsys, "kl", "--n", "4", "--timing")
     assert "timing_seconds" in json.loads(out)

@@ -13,6 +13,7 @@ from braidkl.combinat import (
     class_size,
     double_factorial_odd,
     mn_character,
+    mobius,
     partitions,
     set_partition_count_by_type,
     stirling1_unsigned,
@@ -293,3 +294,14 @@ def test_double_factorial():
 def test_bell_from_stirling_rows():
     for n in range(13):
         assert bell(n) == sum(stirling2(n, k) for k in range(n + 1))
+
+
+def test_mobius_values_and_divisor_sums():
+    first = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    assert [mobius(n) for n in range(1, 13)] == first
+    assert mobius(30) == -1 and mobius(49) == 0 and mobius(97) == -1
+    # sum over the divisors d of n of mobius(d) is 1 for n = 1 and 0 otherwise
+    for n in range(1, 300):
+        assert sum(mobius(d) for d in range(1, n + 1) if n % d == 0) == (n == 1)
+    with pytest.raises(ValueError):
+        mobius(0)

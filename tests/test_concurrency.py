@@ -1,25 +1,51 @@
 """Caches fill under get-or-compute; concurrent use must match sequential."""
 
 import concurrent.futures
+import sys
 from math import comb
 
+import braidkl.eqkl as eqkl
 import braidkl.klcore as klcore
 from braidkl.graphmat import Graph
 from braidkl.klcore import d_coeff, kl_braid, kl_graphic
 
 
-def test_braid_table_concurrent_fill():
-    # rows beyond anything other tests touch, hit from several threads at once
-    targets = [33, 36, 34, 31, 35, 32] * 4
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(kl_braid, targets))
+def test_braid_table_concurrent_fill(monkeypatch):
+    # rows 2..90 built from an empty table, with threads switching every
+    # microsecond, so that table extensions overlap unless they are serialized
+    targets = [83, 90, 86, 81, 88, 85] * 4
+    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
+    expected = {n: kl_braid(n) for n in targets}
+    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(kl_braid, targets, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     for n, poly in zip(targets, results):
-        assert poly == kl_braid(n)
+        assert poly == expected[n]
         assert poly.coeff(1) == 2 ** (n - 1) - 1 - comb(n, 2)
     table = klcore._BRAID
-    assert len(table) >= 37
-    assert all(table[n] is not None for n in range(1, 37))
-    assert d_coeff(2, 36) == table[36][2]
+    assert len(table) == 91  # a lost or doubled append shifts every later row
+    assert d_coeff(2, 90) == table[90][2]
+
+
+def test_eqkl_memo_concurrent_fill():
+    targets = [8, 5, 7, 2, 6, 8, 4, 7, 3, 6] * 3
+    expected = {n: eqkl.eqkl_braid(n) for n in targets}
+    for memo in (eqkl._eqkl_values, eqkl._char_values, eqkl._merge):
+        memo.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(eqkl.eqkl_braid, targets, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for n, graded in zip(targets, results):
+        assert graded == expected[n]
 
 
 def test_graph_table_concurrent_fill():

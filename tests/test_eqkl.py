@@ -4,8 +4,11 @@ characters, the two recursion paths, Specht decompositions, row bounds."""
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+
+import braidkl.eqkl as eqkl
 
 from braidkl.combinat import (
     Partition,
@@ -16,6 +19,7 @@ from braidkl.combinat import (
     stirling1_unsigned,
 )
 from braidkl.eqkl import (
+    EQKL_BOUND,
     ClassFn,
     GradedClassFn,
     SymFn,
@@ -194,6 +198,118 @@ def test_char_poly_symfn_matches_straightening():
             assert ch(graded.coeffs[k]) == sym.t_coeff(k)
 
 
+# The fixed-point trace formula, enumerated over all set partitions: the trace
+# of sigma on the alternating OS sum is the sum, over the sigma-stable
+# partitions X, of mu(bottom, X) in the sigma-fixed subposet weighted by
+# t^(blocks(X) - 1).  The interval below X factors over the cycles in which
+# sigma permutes the blocks of X.
+
+
+def _mu_product(blocks, sigma):
+    cycles = eqkl._block_cycles(blocks, sigma)
+    if cycles is None:
+        return None
+    prod = 1
+    for block, length in cycles:
+        ret = eqkl._perm_power_cycle_type(sigma, length, block)
+        prod *= _mu_top(len(block), ret.parts)
+    return prod
+
+
+@lru_cache(maxsize=None)
+def _fixed_flat_sums(n, tau):
+    """Entry [k]: sum of fixed-subposet Mobius values over the partitions of
+    [n] with k >= 2 blocks stabilized by a permutation of type tau."""
+    sigma = eqkl._class_rep_perm(Partition(tau))
+    sums = [0] * (n + 1)
+    for blocks in eqkl._all_set_partitions(n):
+        v = _mu_product(blocks, sigma) if len(blocks) > 1 else None
+        if v is not None:
+            sums[len(blocks)] += v
+    return tuple(sums)
+
+
+@lru_cache(maxsize=None)
+def _mu_top(b, tau):
+    """mu(bottom, top) of the tau-fixed subposet of the partition lattice."""
+    return 1 if b == 1 else -sum(_fixed_flat_sums(b, tau))
+
+
+def fixed_flat_class_value(mu):
+    n = mu.n
+    coeffs = [0] * n
+    coeffs[0] = _mu_top(n, mu.parts)
+    for k, s in enumerate(_fixed_flat_sums(n, mu.parts)[2:], start=2):
+        coeffs[k - 1] += s
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def test_product_formula_matches_fixed_flat_enumeration():
+    for n in range(1, 9):
+        values = eqkl._char_values(n)
+        for mu in partitions(n):
+            assert values[mu.parts] == fixed_flat_class_value(mu), (n, mu)
+
+
+def test_char_values_identity_and_free_action():
+    # beyond the oracles' range: the identity column is the reduced
+    # characteristic polynomial, and every class value vanishes at t = 1
+    for n in range(2, 21):
+        values = eqkl._char_values(n)
+        expect = Poly([1], "t")
+        for k in range(1, n):
+            expect = expect * Poly([-k, 1], "t")
+        assert Poly(values[(1,) * n], "t") == expect
+        assert all(sum(v) == 0 for v in values.values())
+
+
+# --- the integer class-value kernel against the Fraction API ----------------
+
+
+def class_values(sym):
+    """z_mu [p_mu] of a SymFn, as integer coefficient tuples."""
+    out = {}
+    for mu, c in sym.terms.items():
+        z = centralizer_order(Partition(mu))
+        vals = [v * z for v in c.coeffs]
+        assert all(v.denominator == 1 for v in vals)
+        out[mu] = tuple(int(v) for v in vals)
+    return out
+
+
+def test_integer_plethysm_matches_fraction_plethysm():
+    g_sym = SymFn()
+    for r in range(1, 7):
+        g_sym = g_sym + char_poly_symfn(r)
+    g = [{}] + [eqkl._char_values(r) for r in range(1, 7)]
+    for k in range(1, 5):
+        fs = [h_sym(k)] + [char_poly_symfn(k).t_coeff(j) for j in range(k)]
+        for f in fs:
+            for cap in range(1, 8):
+                want = class_values(plethysm(f, g_sym, cap).homogeneous_part(cap))
+                got = eqkl._plethysm_part({k: class_values(f)}, g, cap)
+                assert got == want, (k, cap)
+
+
+def test_integer_plethysm_sums_over_degrees():
+    g_sym = char_poly_symfn(1) + char_poly_symfn(2) + char_poly_symfn(3)
+    g = [{}] + [eqkl._char_values(r) for r in range(1, 4)]
+    fs = {k: class_values(h_sym(k)) for k in range(1, 4)}
+    for n in range(1, 7):
+        want = SymFn()
+        for k in fs:
+            want = want + plethysm(h_sym(k), g_sym, n).homogeneous_part(n)
+        assert eqkl._plethysm_part(fs, g, n) == class_values(want)
+
+
+def test_inexact_class_value_division_raises():
+    with pytest.raises(ArithmeticError):
+        eqkl._trimmed({(2,): [4, 3]}, 2)
+    assert eqkl._trimmed({(2,): [4, 6, 0]}, 2) == {(2,): (2, 3)}
+
+
 # --- the equivariant KL polynomial ------------------------------------------
 
 
@@ -213,8 +329,8 @@ def test_eqkl_degree_one_at_four():
 
 
 def test_eqkl_dimensions_match_kl():
-    for n in range(1, 8):
-        assert eqkl_braid(n).at_identity() == kl_braid(n)
+    for n in range(1, EQKL_BOUND + 1):
+        assert eqkl_braid(n).at_identity() == kl_braid(n), n
 
 
 def test_eqkl_six_dimensions():
@@ -237,8 +353,9 @@ def test_eqkl_two_paths_agree():
 
 
 def test_eqkl_bounds():
+    assert EQKL_BOUND == 18
     with pytest.raises(ValueError):
-        eqkl_braid(10)
+        eqkl_braid(19)
     with pytest.raises(ValueError):
         eqkl_braid_bruteforce(7)
 
