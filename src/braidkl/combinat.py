@@ -210,6 +210,14 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     return _mn(lam.parts, mu.parts)
 
 
+@lru_cache(maxsize=None)
+def character_table(n: int) -> tuple:
+    """The irreducible characters of S_n: entry [a][b] is chi^lam(mu) for
+    lam = partitions(n)[a] and mu = partitions(n)[b]."""
+    parts = [p.parts for p in partitions(n)]
+    return tuple(tuple(_mn(lam, mu) for mu in parts) for lam in parts)
+
+
 def double_factorial_odd(m: int) -> int:
     """m!! for odd m >= -1, with (-1)!! = 1 (empty product)."""
     if m < -1 or m % 2 == 0:

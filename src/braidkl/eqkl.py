@@ -39,8 +39,8 @@ from math import comb, factorial, lcm
 from .combinat import (
     Partition,
     centralizer_order,
+    character_table,
     class_size,
-    mn_character,
     mobius,
     partitions,
     stirling1_unsigned,
@@ -667,10 +667,15 @@ def specht_decompose(f: ClassFn) -> dict:
     """Multiplicities <f, chi^lam> for every irreducible; zeros dropped."""
     # sum in integers over the common denominator of the values
     den = lcm(*(v.denominator for v in f.values.values()))
-    weights = [(mu, int(class_size(mu) * v * den)) for mu, v in f.values.items() if v]
+    parts = partitions(f.n)
+    weights = [
+        (b, int(class_size(mu) * f.values[mu] * den))
+        for b, mu in enumerate(parts)
+        if f.values[mu]
+    ]
     out = {}
-    for lam in partitions(f.n):
-        tot = sum(w * mn_character(lam, mu) for mu, w in weights)
+    for lam, row in zip(parts, character_table(f.n)):
+        tot = sum(w * row[b] for b, w in weights)
         if tot:
             out[lam] = Fraction(tot, factorial(f.n) * den)
     return out

@@ -39,6 +39,13 @@ class Graph:
             masks[v] |= 1 << u
         return masks
 
+    @classmethod
+    def from_masks(cls, adj: list) -> "Graph":
+        """The graph on len(adj) vertices whose vertex v has neighbour set
+        adj[v], a bit mask."""
+        n = len(adj)
+        return cls(n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1])
+
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -178,40 +185,86 @@ def _set_partition_blocks(n: int):
         yield from rec(0)
 
 
+def flat_masks(adj: list, mask: int):
+    """The connected partitions of the subgraph induced on the vertex set
+    `mask` (adjacency masks `adj`), each a list of block masks in order of
+    their lowest vertex.  Each block is a connected sub-mask holding the
+    lowest vertex not yet covered; the connectivity of a candidate block is
+    tested once per call."""
+    connected: dict = {}
+    blocks: list = []
+
+    def rec(rest):
+        if not rest:
+            yield list(blocks)
+            return
+        low = rest & -rest
+        others = rest ^ low
+        sub = others
+        while True:
+            b = sub | low
+            ok = connected.get(b)
+            if ok is None:
+                ok = connected[b] = _mask_connected(b, adj)
+            if ok:
+                blocks.append(b)
+                yield from rec(rest ^ b)
+                blocks.pop()
+            if not sub:
+                return
+            sub = (sub - 1) & others
+
+    yield from rec(mask)
+
+
+def _mask_vertices(mask: int) -> list:
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def quotient_masks(adj: list, blocks: list) -> list:
+    """Adjacency masks of the simple quotient graph whose vertices are the
+    given disjoint blocks (bit masks), in the order given."""
+    reach = []
+    for b in blocks:
+        r = 0
+        for v in _mask_vertices(b):
+            r |= adj[v]
+        reach.append(r)
+    return [
+        sum(1 << j for j, b in enumerate(blocks) if j != i and r & b)
+        for i, r in enumerate(reach)
+    ]
+
+
 def connected_partitions(gamma: Graph, num_blocks: int | None = None) -> list:
     """Vertex partitions of gamma whose blocks induce connected subgraphs
     (the flats of the graphic matroid), optionally filtered by block count."""
-    adj = gamma.adjacency_masks()
-    out = []
-    for blocks in _set_partition_blocks(gamma.n):
-        if num_blocks is not None and len(blocks) != num_blocks:
-            continue
-        ok = True
-        for b in blocks:
-            mask = 0
-            for v in b:
-                mask |= 1 << v
-            if not _mask_connected(mask, adj):
-                ok = False
-                break
-        if ok:
-            out.append(SetPartition(blocks))
-    return out
+    return [
+        SetPartition(_mask_vertices(b) for b in blocks)
+        for blocks in flat_masks(gamma.adjacency_masks(), (1 << gamma.n) - 1)
+        if num_blocks is None or len(blocks) == num_blocks
+    ]
+
+
+def induced_subgraph(gamma: Graph, vertices) -> Graph:
+    """The subgraph induced on the given vertices, relabeled 0..k-1 in the
+    order given."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return Graph(
+        len(index),
+        [(index[u], index[v]) for u, v in gamma.edges if u in index and v in index],
+    )
 
 
 def localize(gamma: Graph, pi: SetPartition) -> list:
     """Induced subgraphs on the blocks of pi, each relabeled 0..|B|-1."""
     out = []
     for b in pi.blocks:
-        index = {v: i for i, v in enumerate(b)}
-        sub = Graph(
-            len(b),
-            [
-                (index[u], index[v])
-                for u, v in gamma.edges
-                if u in index and v in index
-            ],
-        )
+        sub = induced_subgraph(gamma, b)
         if not is_connected(sub):
             raise ValueError(f"block {list(b)} is not connected: not a flat")
         out.append(sub)
@@ -220,19 +273,14 @@ def localize(gamma: Graph, pi: SetPartition) -> list:
 
 def contract(gamma: Graph, pi: SetPartition) -> Graph:
     """Simple quotient graph on the blocks of pi (canonical block order)."""
-    localize(gamma, pi)  # validates connectivity of every block
-    owner = {}
-    for i, b in enumerate(pi.blocks):
-        for v in b:
-            owner[v] = i
-    if len(owner) != gamma.n:
+    if pi.support() != set(range(gamma.n)):
         raise ValueError("partition does not cover the vertex set")
-    edges = set()
-    for u, v in gamma.edges:
-        bu, bv = owner[u], owner[v]
-        if bu != bv:
-            edges.add((min(bu, bv), max(bu, bv)))
-    return Graph(pi.num_blocks, edges)
+    adj = gamma.adjacency_masks()
+    masks = [sum(1 << v for v in b) for b in pi.blocks]
+    for b, mask in zip(pi.blocks, masks):
+        if not _mask_connected(mask, adj):
+            raise ValueError(f"block {list(b)} is not connected: not a flat")
+    return Graph.from_masks(quotient_masks(adj, masks))
 
 
 def _perm_bits(gamma: Graph, perm: list) -> list:
@@ -245,11 +293,24 @@ def _perm_bits(gamma: Graph, perm: list) -> list:
     return bits
 
 
+KEY_VERTEX_LIMIT = 255
+
+
+def _count_byte(n: int) -> bytes:
+    """The vertex count as the one byte it takes in a memo key."""
+    if n > KEY_VERTEX_LIMIT:
+        raise ValueError(
+            f"graph on {n} vertices is out of reach: memo keys hold the vertex "
+            f"count in one byte (at most {KEY_VERTEX_LIMIT})"
+        )
+    return bytes([n])
+
+
 def _pack_key(tag: bytes, n: int, bits: list) -> bytes:
     acc = 1  # sentinel high bit keeps leading zeros
     for b in bits:
         acc = acc << 1 | b
-    return tag + bytes([n]) + acc.to_bytes((acc.bit_length() + 7) // 8, "big")
+    return tag + _count_byte(n) + acc.to_bytes((acc.bit_length() + 7) // 8, "big")
 
 
 def _twin_ids(gamma: Graph) -> list:
@@ -396,38 +457,45 @@ def _chromatic_connected(g: Graph) -> tuple:
 
 
 def _chromatic(g: Graph) -> tuple:
+    """Chromatic polynomial as ascending integer coefficients: the product
+    over the connected components."""
     comps = components(g)
     if len(comps) == 1:
         return _chromatic_connected(g)
     acc = [1]
     for comp in comps:
-        index = {v: i for i, v in enumerate(comp)}
-        sub = Graph(
-            len(comp),
-            [
-                (index[u], index[v])
-                for u, v in g.edges
-                if u in index and v in index
-            ],
-        )
+        sub = induced_subgraph(g, comp)
         acc = _poly_mul_int(acc, list(_chromatic_connected(sub)))
     return tuple(acc)
+
+
+def reduced_chromatic(gamma: Graph) -> tuple:
+    """Reduced characteristic polynomial of the graphic matroid as ascending
+    integer coefficients: the chromatic polynomial divided by
+    t^(number of components).  Its degree equals the matroid rank."""
+    chrom = _chromatic(gamma)
+    ncomp = len(components(gamma))
+    if any(chrom[:ncomp]):
+        raise ArithmeticError("chromatic polynomial not divisible by t^components")
+    return chrom[ncomp:]
 
 
 def char_poly(gamma: Graph) -> Poly:
     """Reduced characteristic polynomial of the graphic matroid: the
     chromatic polynomial divided by t^(number of components).  Its degree
     equals the matroid rank."""
-    if gamma.n == 0:
-        return Poly([1], "t")
-    chrom = _chromatic(gamma)
-    ncomp = len(components(gamma))
-    assert all(c == 0 for c in chrom[:ncomp]), "chromatic not divisible by t^c"
-    return Poly([Fraction(c) for c in chrom[ncomp:]], "t")
+    return Poly([Fraction(c) for c in reduced_chromatic(gamma)], "t")
 
 
 def matroid_rank(gamma: Graph) -> int:
     return gamma.n - len(components(gamma))
+
+
+def betti_numbers(gamma: Graph) -> list:
+    """(dim H^0, ..., dim H^rank) of the configuration space of gamma: the
+    unsigned Whitney numbers, read off one reduced characteristic
+    polynomial from the top."""
+    return [abs(c) for c in reversed(reduced_chromatic(gamma))]
 
 
 def conf_betti(gamma: Graph, i: int) -> int:
@@ -435,13 +503,8 @@ def conf_betti(gamma: Graph, i: int) -> int:
     number |[t^(rank-i)] char_poly|."""
     if i < 0:
         raise ValueError("i must be nonnegative")
-    rank = matroid_rank(gamma)
-    if i > rank:
-        return 0
-    cp = char_poly(gamma)
-    c = cp.coeff(rank - i)
-    assert c.denominator == 1
-    return abs(c.numerator)
+    betti = betti_numbers(gamma)
+    return betti[i] if i < len(betti) else 0
 
 
 def load_graph(path: str) -> Graph:

@@ -18,24 +18,52 @@ with l blocks is K_l, and the flats with l blocks together contribute
 exponential formula with sum_b chi(K_b) x^b / b! = ((1+x)^t - 1)/t.  So the
 braid row m is sum_{l<m} P(K_l) B_{m,l}, and the table up to n costs O(n^4)
 integer operations.
+
+Every other graph goes through one recursion on pairs (H, k).  A connected
+graph G is cone(H, k): k counts its universal vertices (adjacent to all
+others) and H, the rest, has none.  A flat of cone(H, k) is made of
+
+  * a set S of H-vertices that go into blocks with cone vertices,
+  * a flat pi' of H[V - S], whose blocks B localize to H[B], and
+  * a partition of S and the k cone vertices into k' blocks that each hold a
+    cone vertex; a block (T, c) localizes to cone(H[T], c), whose reduced
+    characteristic polynomial is (t)_c chi_{H[T]}(t - c) / t.
+
+Its contraction is cone(H[V - S]/pi', k'), so only quotients of induced
+subgraphs of H recur, and the work is exponential in |H| and polynomial in
+k.  The cone-block weights W_S(k, k'), the sums over the third part of the
+blocks' characteristic polynomials, come from an integer recurrence that
+places the cone vertices one at a time.  Writing chi_{H[T]} in the
+falling-factorial basis, sum_l a_l(T) (t)_l with a_l(T) the partitions of T
+into l independent sets, a block (T, c) weighs sum_l a_l(T) (t)_(c+l) / t:
+a cone vertex that joins a block of level c + l multiplies its weight by
+t - (c + l), so over all blocks the factor depends only on the block count
+and the total level.  With H empty this is the recurrence of B_{j,k'}, the
+rows are the braid rows, and with k = 0 only S = {} remains: the step is the
+plain sum over the flats of H.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinat import double_factorial_odd, stirling1_row, stirling2_row
 from .graphmat import (
     CANON_BOUND,
     Graph,
+    _chromatic,
+    _count_byte,
+    _falling_factorial_int,
+    _mask_connected,
+    _mask_vertices,
     canonical_key,
-    char_poly,
     cone_extend,
-    connected_partitions,
-    contract,
+    flat_masks,
+    induced_subgraph,
     is_connected,
-    localize,
+    quotient_masks,
 )
 from .polyseries import Poly
 
@@ -115,7 +143,190 @@ def kl_braid(n: int) -> Poly:
     return Poly([Fraction(c) for c in _braid_coeffs(n)], "t")
 
 
-_GRAPH_TABLE: dict = {}
+# Row key of cone(H, k): _ROW_TAG, then the vertex count |H| + k in one byte,
+# then canonical_key(H) without its tag (|H| in one byte, then H's canonical
+# adjacency bits).
+_ROW_TAG = b"K"
+_GRAPH_TABLE: dict = {}  # row key of (H, k) -> KL coefficients of cone(H, k)
+_BASES: dict = {}  # canonical key of H -> _ConeBase of H
+
+
+@lru_cache(maxsize=None)
+def _ff_reduced(m: int) -> tuple:
+    """(t)_m / t = (t-1)(t-2)...(t-m+1) for m >= 1: the reduced
+    characteristic polynomial of K_m."""
+    return tuple(_falling_factorial_int(m)[1:])
+
+
+def _split_cone(adj: list) -> tuple:
+    """Write the graph with adjacency masks adj as cone(H, k): k counts its
+    universal vertices and H, the rest, has none.  Returns (H, k)."""
+    full = (1 << len(adj)) - 1
+    rest = [v for v, m in enumerate(adj) if m | 1 << v != full]
+    return induced_subgraph(Graph.from_masks(adj), rest), len(adj) - len(rest)
+
+
+class _ConeBase:
+    """What the cones over one graph H (without a universal vertex) share,
+    for every number of cone vertices: chromatic polynomials of induced
+    subgraphs, the flats of the induced subgraphs grouped by contraction,
+    and the cone-block weights."""
+
+    def __init__(self, h: Graph):
+        self.graph = h
+        self.adj = h.adjacency_masks()
+        self.full = (1 << h.n) - 1
+        self._chrom: dict = {}
+        self._classes: dict = {}
+        self._flats: dict = {}
+        self._step = _NO_CONE_VERTEX
+        self._step_lock = threading.Lock()  # steps must not interleave
+
+    def chromatic(self, a: int) -> tuple:
+        """Chromatic polynomial of H[a], ascending integer coefficients."""
+        hit = self._chrom.get(a)
+        if hit is None:
+            hit = _chromatic(induced_subgraph(self.graph, _mask_vertices(a)))
+            self._chrom[a] = hit
+        return hit
+
+    def classes(self, a: int) -> tuple:
+        """Entry l counts the partitions of a into l independent sets of H:
+        the chromatic polynomial of H[a] in the falling-factorial basis."""
+        hit = self._classes.get(a)
+        if hit is None:
+            chrom = self.chromatic(a)
+            hit = tuple(
+                sum(c * stirling2_row(m)[ell] for m, c in enumerate(chrom) if m >= ell)
+                for ell in range(len(chrom))
+            )
+            self._classes[a] = hit
+        return hit
+
+    def flats(self, r: int) -> list:
+        """The flats of H[r] grouped by contraction: one entry (canonical key
+        of Q, Q, u, chi) per contraction cone(Q, u), where Q has no universal
+        vertex and chi sums the flats' products of reduced characteristic
+        polynomials of the blocks."""
+        hit = self._flats.get(r)
+        if hit is not None:
+            return hit
+        by_quotient: dict = {}
+        for blocks in flat_masks(self.adj, r):
+            chi = [1]
+            for b in blocks:
+                chi = _pmul(chi, self.chromatic(b)[1:])
+            q = tuple(quotient_masks(self.adj, blocks))
+            acc = by_quotient.get(q)
+            if acc is None:
+                by_quotient[q] = chi
+            else:
+                _padd_into(acc, chi)
+        grouped: dict = {}
+        for q, chi in by_quotient.items():
+            h, u = _split_cone(list(q))
+            key = (canonical_key(h), u)
+            if key in grouped:
+                _padd_into(grouped[key][3], chi)
+            else:
+                grouped[key] = [key[0], h, u, chi]
+        hit = self._flats[r] = list(grouped.values())
+        return hit
+
+    def _next_step(self, j: int, states: dict) -> dict:
+        """Place cone vertex j + 1.  A block whose S-part is split into l
+        independent sets and that holds c cone vertices weighs (t)_(c+l) / t,
+        so a cone vertex that joins a block of level m = c + l multiplies its
+        weight by (t - m).  Summed over the kk blocks that can take it, the
+        factor is kk*t - M, with M = j + L the total level.  Otherwise the
+        vertex opens a block, alone (weight 1) or with a part a of the unused
+        H-vertices split into l independent sets (weight (t)_(1+l) / t)."""
+        out: dict = {}
+
+        def add(key, poly):
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = [0] * (key[0].bit_count() + j + 2 - key[1])
+            _padd_into(acc, poly)
+
+        for (u, kk, ell), v in states.items():
+            if kk:
+                add((u, kk, ell), _pmul([-(j + ell), kk], v))
+            add((u, kk + 1, ell), v)
+            free = self.full ^ u
+            sub = free
+            while sub:
+                for l2, x in enumerate(self.classes(sub)):
+                    if x:
+                        w = _pmul([x * y for y in _ff_reduced(1 + l2)], v)
+                        add((u | sub, kk + 1, ell + l2), w)
+                sub = (sub - 1) & free
+        return out
+
+    def cone_blocks(self, s: int, j: int) -> list:
+        """Entry k' is the sum, over the partitions of s plus j labelled cone
+        vertices into k' blocks that each hold a cone vertex, of the product
+        of the blocks' reduced characteristic polynomials.  The cone vertices
+        are placed one at a time (_next_step), keeping only the states after
+        the last one placed: (used H-vertices, blocks, independent sets of
+        the used H-vertices) -> polynomial.  Rows are built in increasing j,
+        so an earlier j, needed only when the row table was emptied, starts
+        over."""
+        with self._step_lock:
+            if self._step[0] > j:
+                self._step = _NO_CONE_VERTEX
+            while self._step[0] < j:
+                m, states, _ = self._step
+                states = self._next_step(m, states)
+                by_used: dict = {}
+                for (u, kk, _), v in states.items():
+                    row = by_used.setdefault(u, [[] for _ in range(m + 2)])
+                    if row[kk]:
+                        _padd_into(row[kk], v)
+                    else:
+                        row[kk] = list(v)
+                self._step = (m + 1, states, by_used)
+            return self._step[2].get(s, [])
+
+
+# (cone vertices placed, states, their sums by used H-vertices) before any
+_NO_CONE_VERTEX = (0, {(0, 0, 0): [1]}, {0: [[1]]})
+
+
+def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
+    """KL coefficients of cone(H, k), with hkey the canonical key of H.
+
+    A flat of cone(H, k) puts a set s of H-vertices into the k' blocks that
+    hold cone vertices and splits the rest r by a flat of H[r]; its
+    contraction is cone(H[r]/flat, k').  So the right side of the functional
+    equation sums, over r and the flats of H[r] grouped by contraction, the
+    flats' characteristic polynomials times cone_blocks(s, k)[k'] times the
+    KL polynomial of the contraction.  With k = 0 only r = V(H) remains."""
+    n = h.n + k
+    if n == 1:
+        return (1,)  # rank 0: the equation is vacuous, P = 1 by definition
+    key = _ROW_TAG + _count_byte(n) + hkey[1:]
+    hit = _GRAPH_TABLE.get(key)
+    if hit is not None:
+        return hit
+    base = _BASES.get(hkey)
+    if base is None:
+        base = _BASES.setdefault(hkey, _ConeBase(h))
+    # rows with fewer cone vertices first, which bounds the recursion depth
+    for j in range(1, k):
+        _cone_row(hkey, base.graph, j)
+    rhs = [0] * n
+    for r in range(base.full + 1) if k else (base.full,):
+        blocks = base.cone_blocks(base.full ^ r, k)
+        for qkey, q, u, chi in base.flats(r):
+            for kk, f in enumerate(blocks):
+                if q.n + u + kk == n or not any(f):
+                    continue  # the finest flat carries the unknown P itself
+                contr = _cone_row(qkey, q, kk + u)
+                _padd_into(rhs, _pmul(_pmul(chi, f), list(contr)))
+    coeffs = _solve_functional_equation(rhs, n - 1)
+    _GRAPH_TABLE[key] = coeffs
+    return coeffs
 
 
 def _kl_graphic_coeffs(gamma: Graph) -> tuple:
@@ -126,31 +337,19 @@ def _kl_graphic_coeffs(gamma: Graph) -> tuple:
             "disconnected graph: KL polynomials multiply over components, "
             "compute each component separately"
         )
-    if gamma.n == 1:
-        return (1,)  # rank 0: the equation is vacuous, P = 1 by definition
-    key = canonical_key(gamma) if gamma.n <= CANON_BOUND else None
-    if key is not None and key in _GRAPH_TABLE:
-        return _GRAPH_TABLE[key]
-    rank = gamma.n - 1
-    rhs = [0] * (rank + 1)
-    for pi in connected_partitions(gamma):
-        if pi.num_blocks == gamma.n:
-            continue
-        chi = [1]
-        for block in localize(gamma, pi):
-            cp = char_poly(block)
-            chi = _pmul(chi, [int(c) for c in cp.coeffs])
-        contr = _kl_graphic_coeffs(contract(gamma, pi))
-        _padd_into(rhs, _pmul(chi, list(contr)))
-    coeffs = _solve_functional_equation(rhs, rank)
-    if key is not None:
-        _GRAPH_TABLE[key] = coeffs
-    return coeffs
+    h, k = _split_cone(gamma.adjacency_masks())
+    if h.n > CANON_BOUND:
+        raise ValueError(
+            f"graph is out of reach: after removing its {k} universal "
+            f"vertices, {h.n} remain (the recursion handles <= {CANON_BOUND})"
+        )
+    return _cone_row(canonical_key(h), h, k)
 
 
 def kl_graphic(gamma: Graph) -> Poly:
     """Kazhdan-Lusztig polynomial of the graphic matroid of a connected
-    graph, by direct recursion over connected partitions."""
+    graph, by the recursion on cone(H, k) described in the module
+    docstring."""
     return Poly([Fraction(c) for c in _kl_graphic_coeffs(gamma)], "t")
 
 
@@ -164,25 +363,15 @@ def d_coeff(i: int, n: int) -> int:
 
 def d_coeff_graph(gamma: Graph, i: int, n: int) -> int:
     """t^i coefficient of the KL polynomial of the cone graph on gamma with
-    n new universal vertices."""
-    cone = cone_extend(gamma, n)
-    if cone.is_complete():
-        return d_coeff(i, cone.n)
-    if cone.n <= CANON_BOUND:
-        cs = _kl_graphic_coeffs(cone)
-        return cs[i] if 0 <= i < len(cs) else 0
-    if i == 1 and cone.n <= 26:
-        return c1_count(cone)
-    raise ValueError(
-        f"cone graph on {cone.n} vertices is out of reach (full recursion "
-        f"needs <= {CANON_BOUND} vertices; the subset shortcut covers i=1 "
-        "up to 26)"
-    )
+    n new universal vertices, by the cone recursion."""
+    cs = _kl_graphic_coeffs(cone_extend(gamma, n))
+    return cs[i] if 0 <= i < len(cs) else 0
 
 
 def c1_count(gamma: Graph) -> int:
-    """Linear KL coefficient shortcut: (connected 2-block partitions) minus
-    (edges).  Cross-checked against the recursion in the verification suite."""
+    """Linear KL coefficient by subset counting: (connected 2-block
+    partitions) minus (edges).  An independent cross-check of the recursion
+    in the verification suite."""
     if not is_connected(gamma):
         raise ValueError("graph must be connected")
     n = gamma.n
@@ -190,8 +379,6 @@ def c1_count(gamma: Graph) -> int:
         raise ValueError("subset enumeration capped at 26 vertices")
     adj = gamma.adjacency_masks()
     full = (1 << n) - 1
-    from .graphmat import _mask_connected
-
     count = 0
     # subsets containing vertex 0 so each unordered split is seen once
     for half in range(1 << (n - 1)):
@@ -237,7 +424,7 @@ def kl_cache_export() -> dict:
 def _row_plausible(key: bytes, coeffs: tuple) -> bool:
     """Cheap invariants of a KL row: constant term 1, no negative
     coefficient, degree below rank/2.  The rank is the vertex count minus
-    one, and a canonical key holds the vertex count in its second byte."""
+    one, and a row key holds the vertex count in its second byte."""
     if len(key) < 2 or not coeffs:
         return False
     rank = key[1] - 1
@@ -247,14 +434,17 @@ def _row_plausible(key: bytes, coeffs: tuple) -> bool:
 
 def kl_cache_import(records: dict) -> list:
     """Load graph:<hex key> records into the graph memo table; rows already
-    known win, and any other record (such as a braid:<n> row written by an
-    older version) is ignored.  A graph row that fails _row_plausible is
-    skipped, and the keys of the skipped rows are returned."""
+    known win.  Any other record, and a graph row whose key is not a cone
+    row key (such as a braid:<n> row or a whole-graph canonical key written
+    by an older version), is ignored.  A cone row that fails _row_plausible
+    is skipped, and the keys of the skipped rows are returned."""
     skipped = []
     for key, coeffs in records.items():
         if key.startswith("graph:"):
             raw = bytes.fromhex(key.split(":", 1)[1])
             vals = tuple(int(c) for c in coeffs)
+            if not raw.startswith(_ROW_TAG):
+                continue
             if _row_plausible(raw, vals):
                 _GRAPH_TABLE.setdefault(raw, vals)
             else:

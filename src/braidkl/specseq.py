@@ -18,13 +18,14 @@ from math import factorial
 from .combinat import stirling1_unsigned
 from .graphmat import (
     Graph,
+    _mask_vertices,
+    betti_numbers,
     cone_extend,
-    conf_betti,
-    connected_partitions,
-    contract,
-    localize,
+    flat_masks,
+    induced_subgraph,
+    quotient_masks,
 )
-from .klcore import d_coeff, kl_graphic
+from .klcore import _kl_graphic_coeffs, _pmul, d_coeff, d_coeff_graph
 
 
 @lru_cache(maxsize=None)
@@ -135,30 +136,28 @@ def euler_identity_graph(gamma: Graph, i: int, n: int) -> dict:
             f"connected-partition enumeration bounded at {RELATIVE_BOUND} vertices"
         )
     cone = cone_extend(gamma, n)
+    adj = cone.adjacency_masks()
+    betti: dict = {}  # block mask -> Betti numbers of the block in degrees <= 2i
+    quotient_kl: dict = {}  # quotient adjacency masks -> its KL coefficients
     lhs = 0
-    for pi in connected_partitions(cone):
-        p = pi.num_blocks - 1
+    for blocks in flat_masks(adj, (1 << cone.n) - 1):
+        p = len(blocks) - 1
         conv = [1]
-        for block in localize(cone, pi):
-            vec = [conf_betti(block, d) for d in range(block.n)]
-            nxt = [0] * (len(conv) + len(vec) - 1)
-            for a, x in enumerate(conv):
-                if x:
-                    for b, y in enumerate(vec):
-                        nxt[a + b] += x * y
-            conv = nxt
-        quotient_kl = kl_graphic(contract(cone, pi))
-        for q in range(0, i + 1):
-            j = 2 * i - p - q
-            if j < 0 or j >= len(conv) or not conv[j]:
-                continue
-            dq = quotient_kl.coeff(i - q)
-            if dq:
-                assert dq.denominator == 1
-                lhs += (-1) ** (p + q) * conv[j] * dq.numerator
-    rhs_c = kl_graphic(cone).coeff(i)
-    assert rhs_c.denominator == 1
-    rhs = rhs_c.numerator
+        for b in blocks:
+            vec = betti.get(b)
+            if vec is None:
+                block = induced_subgraph(cone, _mask_vertices(b))
+                vec = betti[b] = betti_numbers(block)[: 2 * i + 1]
+            conv = _pmul(conv, vec)[: 2 * i + 1]
+        q = tuple(quotient_masks(adj, blocks))
+        kl = quotient_kl.get(q)
+        if kl is None:
+            kl = quotient_kl[q] = _kl_graphic_coeffs(Graph.from_masks(list(q)))
+        for q_deg in range(0, i + 1):
+            j = 2 * i - p - q_deg
+            if 0 <= j < len(conv) and i - q_deg < len(kl):
+                lhs += (-1) ** (p + q_deg) * conv[j] * kl[i - q_deg]
+    rhs = d_coeff_graph(gamma, i, n)
     return {"i": i, "n": n, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 

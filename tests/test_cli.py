@@ -9,6 +9,7 @@ import pytest
 
 import braidkl.klcore as klcore
 from braidkl.cli import main
+from braidkl.graphmat import Graph, canonical_key, cone_extend, connected_partitions, contract
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +239,36 @@ def test_cache_implausible_row_is_skipped(tmp_path, capsys, monkeypatch, poison)
     assert json.loads(captured.out)["outputs"]["coefficients"] == coeffs
     assert captured.err.count("skipping implausible KL cache row") == len(records)
     assert json.loads(cache_file.read_text()) == records
+
+
+def test_cache_in_older_format_changes_no_answer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    query = _cone_query(tmp_path)
+    code, out = run_cli(capsys, *query)
+    coeffs = json.loads(out)["outputs"]["coefficients"]
+    assert coeffs == ["1", "5"]
+    # an older version keyed every graph it met by its whole canonical key:
+    # the cone and all its contractions, here each with a wrong row that
+    # passes the plausibility check
+    cone = cone_extend(Graph(3, [(0, 1), (1, 2)]), 2)
+    graphs = {contract(cone, pi) for pi in connected_partitions(cone)}
+    old = {"graph:" + canonical_key(g).hex(): ["1"] for g in graphs if g.n > 1}
+    cache_file = tmp_path / "kltable.json"
+    cache_file.write_text(json.dumps(old))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    code, out = run_cli(capsys, *query)
+    assert code == 0
+    assert json.loads(out)["outputs"]["coefficients"] == coeffs
+    records = json.loads(cache_file.read_text())
+    assert records == klcore.kl_cache_export()
+    assert not set(records) & set(old)
+
+
+def test_kl_cone_beyond_key_byte_fails_fast(tmp_path, capsys):
+    code = main(list(_cone_query(tmp_path, cone=300)))
+    assert code == 2
+    assert "one byte" in capsys.readouterr().err
 
 
 def test_timing_flag_adds_field(capsys):

@@ -10,6 +10,7 @@ from braidkl.combinat import (
     Partition,
     bell,
     centralizer_order,
+    character_table,
     class_size,
     double_factorial_odd,
     mn_character,
@@ -270,6 +271,14 @@ def test_mn_column_orthogonality():
                     mn_character(lam, mu) * mn_character(lam, nu) for lam in parts
                 )
                 assert total == (centralizer_order(mu) if mu == nu else 0)
+
+
+def test_character_table_matches_mn_character():
+    for n in range(0, 10):
+        parts = partitions(n)
+        assert character_table(n) == tuple(
+            tuple(mn_character(lam, mu) for mu in parts) for lam in parts
+        )
 
 
 def test_mn_size_mismatch():

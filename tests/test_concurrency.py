@@ -6,7 +6,7 @@ from math import comb
 
 import braidkl.eqkl as eqkl
 import braidkl.klcore as klcore
-from braidkl.graphmat import Graph
+from braidkl.graphmat import Graph, cone_extend
 from braidkl.klcore import d_coeff, kl_braid, kl_graphic
 
 
@@ -48,14 +48,25 @@ def test_eqkl_memo_concurrent_fill():
         assert graded == expected[n]
 
 
-def test_graph_table_concurrent_fill():
+def test_graph_table_concurrent_fill(monkeypatch):
     graphs = [
         Graph(6, [(k, (k + 1) % 6) for k in range(6)]),
         Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
-        Graph(6, [(k, (k + 1) % 6) for k in range(6)]),
+        cone_extend(Graph(4, [(0, 1), (1, 2), (2, 3)]), 6),
         Graph(5, [(0, k) for k in range(1, 5)]),
+        cone_extend(Graph(4, [(0, 1), (2, 3)]), 5),
+        cone_extend(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 4),
     ] * 4
-    with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
-        results = list(pool.map(kl_graphic, graphs))
-    for g, poly in zip(graphs, results):
-        assert poly == kl_graphic(g)
+    expected = [kl_graphic(g) for g in graphs]
+    # empty tables, with threads switching every microsecond, so that rows
+    # and per-base data are filled by overlapping threads
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    monkeypatch.setattr(klcore, "_BASES", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(kl_graphic, graphs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected

@@ -1,10 +1,13 @@
 """Kazhdan-Lusztig recursions: braid fast path, generic graphic path,
 coefficient tables, shortcuts, conjecture checker."""
 
+from contextlib import contextmanager
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidkl.combinat import (
     Partition,
@@ -13,11 +16,23 @@ from braidkl.combinat import (
     stirling1_unsigned,
     stirling2,
 )
-from braidkl.graphmat import Graph, cone_extend, connected_partitions, contract, localize, char_poly
+from braidkl.graphmat import (
+    Graph,
+    canonical_key,
+    char_poly,
+    cone_extend,
+    connected_partitions,
+    contract,
+    induced_subgraph,
+    is_connected,
+    localize,
+)
 import braidkl.klcore as klcore
 from braidkl.klcore import (
     _braid_coeffs,
     _flat_sum,
+    _kl_graphic_coeffs,
+    _padd_into,
     _pmul,
     _solve_functional_equation,
     c1_count,
@@ -78,6 +93,101 @@ def type_indexed_table(n):
                 rhs[i] += mult * c
         table.append(_solve_functional_equation(rhs, m - 1))
     return table
+
+
+_ORACLE_ROWS: dict = {}
+
+
+def flat_enumeration_coeffs(gamma):
+    """KL coefficients by the plain recursion over every flat of gamma (the
+    library's recursion before it split off universal vertices), memoized
+    by canonical key."""
+    if gamma.n == 1:
+        return (1,)
+    key = canonical_key(gamma)
+    if key in _ORACLE_ROWS:
+        return _ORACLE_ROWS[key]
+    chis, contractions = {}, {}
+    rhs = [0] * gamma.n
+    for pi in connected_partitions(gamma):
+        if pi.num_blocks == gamma.n:
+            continue  # the finest flat carries the unknown P itself
+        chi = [1]
+        for b in pi.blocks:
+            if b not in chis:
+                chis[b] = [int(c) for c in char_poly(induced_subgraph(gamma, b)).coeffs]
+            chi = _pmul(chi, chis[b])
+        q = contract(gamma, pi)
+        if q not in contractions:
+            contractions[q] = flat_enumeration_coeffs(q)
+        _padd_into(rhs, _pmul(chi, list(contractions[q])))
+    row = _ORACLE_ROWS[key] = _solve_functional_equation(rhs, gamma.n - 1)
+    return row
+
+
+@contextmanager
+def fresh_tables():
+    """Run with empty KL memo tables, as in a new process."""
+    saved = klcore._GRAPH_TABLE, klcore._BASES
+    klcore._GRAPH_TABLE, klcore._BASES = {}, {}
+    try:
+        yield
+    finally:
+        klcore._GRAPH_TABLE, klcore._BASES = saved
+
+
+def relabel(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def cone_flat_sum(h, k):
+    """The right side of the functional equation of cone(h, k), the finest
+    flat included: the sum over every flat of chi(localization) times
+    P(contraction).  A flat puts a set s of h-vertices with the k cone
+    vertices into blocks that each hold a cone vertex and splits the rest
+    by a flat of h; the cone-block weights come from the exponential
+    formula in Fractions, every characteristic polynomial from graphmat, and
+    P of each contraction from kl_graphic."""
+
+    def egf(graph):  # sum_{c=1..k} chi(cone(graph, c)) x^c / c!
+        return {c: char_poly(cone_extend(graph, c)) * Fraction(1, factorial(c))
+                for c in range(1, k + 1)}
+
+    def times(a, b):
+        out = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                if i + j <= k:
+                    out[i + j] = out.get(i + j, Poly([], "t")) + x * y
+        return out
+
+    pure = [{0: Poly([1], "t")}]  # powers of the series of cone blocks alone
+    for _ in range(k):
+        pure.append(times(pure[-1], egf(Graph(0))))
+    total = Poly([], "t")
+    for sbits in range(1 << h.n):
+        s = [v for v in range(h.n) if sbits >> v & 1]
+        weights = {}  # number of cone blocks -> weight
+        for parts in set_partitions(s):
+            series = {0: Poly([1], "t")}
+            for part in parts:
+                series = times(series, egf(induced_subgraph(h, part)))
+            for p, power in enumerate(pure):
+                term = times(series, power).get(k)
+                if term is not None:
+                    kk = len(parts) + p
+                    weights[kk] = weights.get(kk, Poly([], "t")) + term * Fraction(
+                        factorial(k), factorial(p)
+                    )
+        rest = induced_subgraph(h, [v for v in range(h.n) if not sbits >> v & 1])
+        for pi in connected_partitions(rest):
+            chi = Poly([1], "t")
+            for block in localize(rest, pi):
+                chi = chi * char_poly(block)
+            quotient = contract(rest, pi)
+            for kk, weight in weights.items():
+                total = total + chi * weight * kl_graphic(cone_extend(quotient, kk))
+    return total
 
 
 def d1_formula(n):
@@ -230,13 +340,120 @@ def test_d_coeff_graph_small_cone_recursion():
         assert d_coeff_graph(g, 1, n) == kl_graphic(cone).coeff(1)
 
 
-def test_d_coeff_graph_large_sparse_cone_uses_shortcut():
-    # path base, 12 cone vertices: 15 > CANON_BOUND, i = 1 goes via subsets
+def test_d_coeff_graph_large_sparse_cone():
+    # path base, 12 cone vertices: 15 vertices, beyond the flat enumeration
     base = Graph(3, [(0, 1), (1, 2)])
-    got = d_coeff_graph(base, 1, 12)
-    assert got == c1_count(cone_extend(base, 12))
-    with pytest.raises(ValueError):
-        d_coeff_graph(base, 2, 12)
+    cone = cone_extend(base, 12)
+    p = kl_graphic(cone)
+    assert p.reflect(cone.n - 1) == cone_flat_sum(base, 12)
+    assert d_coeff_graph(base, 1, 12) == c1_count(cone) == 16278
+    assert d_coeff_graph(base, 2, 12) == p.coeff(2) == 43618459
+    assert d_coeff_graph(base, 7, 12) == 0
+
+
+def test_cone_flat_sum_matches_functional_equation():
+    for h, k in [
+        (Graph(4, [(0, 1), (1, 2), (2, 3)]), 3),
+        (Graph(4, [(0, 1), (2, 3)]), 2),
+        (Graph(3), 4),
+        (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 0),
+    ]:
+        cone = cone_extend(h, k)
+        assert kl_graphic(cone).reflect(cone.n - 1) == cone_flat_sum(h, k)
+
+
+def peeled_cone_blocks(h, s, j, memo=None):
+    """W_s(j, k') for every k': the partitions of the vertex set s of h plus
+    j labelled cone vertices into k' blocks that each hold a cone vertex,
+    summed with the product of the blocks' reduced characteristic
+    polynomials.  The block of the first cone vertex takes a sub-mask a of s
+    and c - 1 of the other j - 1 cone vertices, C(j - 1, c - 1) ways."""
+    memo = {} if memo is None else memo
+    if (s, j) in memo:
+        return memo[s, j]
+    out = {0: Poly([1], "t")} if (s, j) == (0, 0) else {}
+    if j:
+        sub = s
+        while True:
+            part = induced_subgraph(h, [v for v in range(h.n) if sub >> v & 1])
+            for c in range(1, j + 1):
+                if ("w", sub, c) not in memo:
+                    memo["w", sub, c] = char_poly(cone_extend(part, c))
+                w = memo["w", sub, c] * comb(j - 1, c - 1)
+                for kk, f in peeled_cone_blocks(h, s ^ sub, j - c, memo).items():
+                    out[kk + 1] = out.get(kk + 1, Poly([], "t")) + w * f
+            if not sub:
+                break
+            sub = (sub - 1) & s
+    memo[s, j] = out
+    return out
+
+
+def test_cone_blocks_match_first_cone_vertex_peeling():
+    for h in [
+        Graph(4, [(0, 1), (1, 2), (2, 3)]),
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    ]:
+        memo = {}
+        base = klcore._ConeBase(h)
+        for j in (0, 3, 5, 2, 4, 1):  # an earlier j starts the steps over
+            for s in range(1 << h.n):
+                got = {kk: Poly(f, "t") for kk, f in enumerate(base.cone_blocks(s, j)) if any(f)}
+                want = {kk: f for kk, f in peeled_cone_blocks(h, s, j, memo).items() if f}
+                assert got == want, (h, s, j)
+
+
+def test_vertex_count_beyond_key_byte_fails_fast():
+    base = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="one byte"):
+        d_coeff_graph(base, 1, 253)
+    with pytest.raises(ValueError, match="one byte"):
+        kl_graphic(complete(300))
+
+
+@st.composite
+def relabelled_cones(draw):
+    """A random connected graph H on at most 5 vertices, k <= 4 and a random
+    relabelling of cone(H, k)."""
+    n = draw(st.integers(1, 5))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # spanning tree
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else set()
+    h = Graph(n, edges)
+    k = draw(st.integers(0, 4))
+    perm = draw(st.permutations(range(n + k)))
+    return h, k, relabel(cone_extend(h, k), perm)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(relabelled_cones())
+def test_cone_recursion_matches_flat_enumeration(case):
+    h, k, cone = case
+    assert is_connected(h)
+    with fresh_tables():
+        got = _kl_graphic_coeffs(cone)
+    with fresh_tables():
+        assert _kl_graphic_coeffs(cone_extend(h, k)) == got
+    assert got == flat_enumeration_coeffs(cone)
+
+
+def test_cone_recursion_matches_flat_enumeration_examples():
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    for g in [
+        cone_extend(Graph(4, [(0, 1), (1, 2), (2, 3)]), 5),
+        cone_extend(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 3),
+        cone_extend(star, 4),
+        Graph(8, [(k, (k + 1) % 8) for k in range(8)] + [(0, 4)]),
+    ]:
+        assert _kl_graphic_coeffs(g) == flat_enumeration_coeffs(g)
+
+
+def test_braid_rows_through_empty_base():
+    with fresh_tables():
+        for n in range(1, 41):
+            assert _kl_graphic_coeffs(complete(n)) == _braid_coeffs(n)
+        assert len(klcore._GRAPH_TABLE) == 39  # rows 2..40, one per n
 
 
 # --- c1 shortcut ---------------------------------------------------------------
