@@ -99,9 +99,9 @@ _ORACLE_ROWS: dict = {}
 
 
 def flat_enumeration_coeffs(gamma):
-    """KL coefficients by the plain recursion over every flat of gamma (the
-    library's recursion before it split off universal vertices), memoized
-    by canonical key."""
+    """KL coefficients by the plain recursion over every flat of gamma,
+    memoized by canonical key: an oracle independent of the cone
+    recursion."""
     if gamma.n == 1:
         return (1,)
     key = canonical_key(gamma)
