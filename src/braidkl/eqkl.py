@@ -46,6 +46,7 @@ from .combinat import (
     stirling1_unsigned,
 )
 from .graphmat import _set_partition_blocks
+from .intpoly import padd_into, pmul
 from .polyseries import Poly
 
 
@@ -396,21 +397,6 @@ def eq_char_poly(n: int) -> GradedClassFn:
 EQKL_BOUND = 18
 
 
-def _pmul(a: tuple, b: tuple) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            out[j] += x * y
-    return tuple(out)
-
-
-def _add_into(acc: dict, key: tuple, poly, scale: int = 1) -> None:
-    cur = acc.setdefault(key, [])
-    cur.extend([0] * (len(poly) - len(cur)))
-    for i, c in enumerate(poly):
-        cur[i] += scale * c
-
-
 def _trimmed(acc: dict, divisor: int = 1) -> dict:
     """Freeze accumulated lists into trimmed tuples, divided exactly."""
     out = {}
@@ -431,12 +417,12 @@ def _char_values(n: int) -> dict:
     necklace polynomial E_i(t) = sum_{d | i} mobius(i/d) t^d."""
     out = {}
     for mu in partitions(n):
-        prod = (1,)
+        prod = [1]
         for i, m in mu.multiplicities().items():
             e = [mobius(i // d) if i % d == 0 else 0 for d in range(1, i + 1)]
             for k in range(m):
-                prod = _pmul(prod, (-k * i, *e))
-        out[mu.parts] = prod[1:]
+                prod = pmul(prod, (-k * i, *e))
+        out[mu.parts] = tuple(prod[1:])
     return out
 
 
@@ -493,8 +479,9 @@ def _plethysm_part(fs: dict, g: list, n: int) -> dict:
 
     def walk(mu: tuple, prod: list, k: int, z: int) -> None:
         if k in fs and mu in fs[k]:
+            f, scale = fs[k][mu], factorial(k) // z
             for lam, v in prod[n].items():
-                _add_into(acc[k], lam, _pmul(fs[k][mu], v), factorial(k) // z)
+                padd_into(acc[k].setdefault(lam, []), pmul(f, v), scale)
         # a new part is at least the largest one, so each mu is reached once
         for c in range(mu[0] if mu else 1, top - k + 1):
             z_next = z * c * (mu.count(c) + 1)
@@ -504,7 +491,7 @@ def _plethysm_part(fs: dict, g: list, n: int) -> dict:
     total: dict = {}
     for k, terms in acc.items():
         for lam, v in _trimmed(terms, factorial(k)).items():
-            _add_into(total, lam, v)
+            padd_into(total.setdefault(lam, []), v)
     return _trimmed(total)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .intpoly import falling_factorial, padd_into, pmul
 from .polyseries import Poly
 
 CANON_BOUND = 12
@@ -102,12 +103,9 @@ class SetPartition:
         return f"SetPartition({[list(b) for b in self.blocks]})"
 
 
-def _mask_connected(mask: int, adj: list) -> bool:
-    if mask == 0:
-        return True
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    frontier = seen
+def _reach(mask: int, adj: list) -> int:
+    """The vertices of `mask` that its lowest vertex reaches inside it."""
+    seen = frontier = mask & -mask
     while frontier:
         nxt = 0
         m = frontier
@@ -117,7 +115,11 @@ def _mask_connected(mask: int, adj: list) -> bool:
             nxt |= adj[v] & mask
         frontier = nxt & ~seen
         seen |= nxt
-    return seen & mask == mask
+    return seen
+
+
+def _mask_connected(mask: int, adj: list) -> bool:
+    return _reach(mask, adj) == mask
 
 
 def is_connected(gamma: Graph) -> bool:
@@ -129,23 +131,12 @@ def is_connected(gamma: Graph) -> bool:
 def components(gamma: Graph) -> list:
     """Vertex sets of the connected components, sorted by minimum element."""
     adj = gamma.adjacency_masks()
-    left = set(range(gamma.n))
+    left = (1 << gamma.n) - 1
     comps = []
     while left:
-        start = min(left)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            m = adj[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(seen)))
-        left -= seen
+        comp = _reach(left, adj)
+        comps.append(tuple(_mask_vertices(comp)))
+        left ^= comp
     return comps
 
 
@@ -327,13 +318,13 @@ def _twin_ids(gamma: Graph) -> list:
     return ids
 
 
-def canonical_key(gamma: Graph) -> bytes:
+def canonical_key(gamma: Graph) -> bytes | None:
     """Lexicographically minimal adjacency encoding over all relabelings;
-    equal keys iff isomorphic.  Above CANON_BOUND vertices, falls back to
-    the identity labeling (callers must then skip caching)."""
+    equal keys iff isomorphic.  None above CANON_BOUND vertices, where the
+    search is out of reach."""
     n = gamma.n
     if n > CANON_BOUND:
-        return _pack_key(b"R", n, _perm_bits(gamma, list(range(n))))
+        return None
     if n <= 1 or gamma.is_complete() or not gamma.edges:
         return _pack_key(b"C", n, _perm_bits(gamma, list(range(n))))
 
@@ -387,23 +378,6 @@ def canonical_key(gamma: Graph) -> bytes:
 _CHROMATIC_CACHE: dict = {}
 
 
-def _poly_mul_int(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _falling_factorial_int(n: int) -> list:
-    # t(t-1)...(t-n+1) as ascending int coefficients
-    out = [1]
-    for k in range(n):
-        out = _poly_mul_int(out, [-k, 1])
-    return out
-
-
 def _delete_edge(g: Graph, e) -> Graph:
     return Graph(g.n, g.edges - {e})
 
@@ -428,8 +402,8 @@ def _contract_edge(g: Graph, e) -> Graph:
 
 def _chromatic_connected(g: Graph) -> tuple:
     if g.is_complete():
-        return tuple(_falling_factorial_int(g.n))
-    key = canonical_key(g)
+        return tuple(falling_factorial(g.n))
+    key = canonical_key(g)  # None above CANON_BOUND: such graphs are not cached
     hit = _CHROMATIC_CACHE.get(key)
     if hit is not None:
         return hit
@@ -442,16 +416,13 @@ def _chromatic_connected(g: Graph) -> tuple:
             for v in range(u + 1, g.n)
             if (u, v) not in g.edges
         )
-        a = _chromatic(_add_edge(g, e))
-        b = _chromatic(_contract_edge(g, e))
-        out = [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+        out, sign = list(_chromatic(_add_edge(g, e))), 1
     else:
         e = min(g.edges)
-        a = _chromatic(_delete_edge(g, e))
-        b = _chromatic(_contract_edge(g, e))
-        out = [x - (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+        out, sign = list(_chromatic(_delete_edge(g, e))), -1
+    padd_into(out, _chromatic(_contract_edge(g, e)), sign)
     out = tuple(out)
-    if g.n <= CANON_BOUND:
+    if key is not None:
         _CHROMATIC_CACHE[key] = out
     return out
 
@@ -465,7 +436,7 @@ def _chromatic(g: Graph) -> tuple:
     acc = [1]
     for comp in comps:
         sub = induced_subgraph(g, comp)
-        acc = _poly_mul_int(acc, list(_chromatic_connected(sub)))
+        acc = pmul(acc, _chromatic_connected(sub))
     return tuple(acc)
 
 

@@ -55,7 +55,6 @@ from .graphmat import (
     Graph,
     _chromatic,
     _count_byte,
-    _falling_factorial_int,
     _mask_connected,
     _mask_vertices,
     canonical_key,
@@ -65,21 +64,8 @@ from .graphmat import (
     is_connected,
     quotient_masks,
 )
+from .intpoly import falling_factorial, padd_into, pmul
 from .polyseries import Poly
-
-
-def _pmul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _padd_into(acc: list, b: list) -> None:
-    for i, y in enumerate(b):
-        acc[i] += y
 
 
 def _flat_sum(m: int, ell: int) -> list:
@@ -132,7 +118,7 @@ def _braid_coeffs(n: int) -> tuple:
                 rhs = [0] * m
                 # l = m is the finest flat, which carries the unknown P itself
                 for ell in range(1, m):
-                    _padd_into(rhs, _pmul(_BRAID[ell], _flat_sum(m, ell)))
+                    padd_into(rhs, pmul(_BRAID[ell], _flat_sum(m, ell)))
                 _BRAID.append(_solve_functional_equation(rhs, m - 1))
     return _BRAID[n]
 
@@ -155,7 +141,7 @@ _BASES: dict = {}  # canonical key of H -> _ConeBase of H
 def _ff_reduced(m: int) -> tuple:
     """(t)_m / t = (t-1)(t-2)...(t-m+1) for m >= 1: the reduced
     characteristic polynomial of K_m."""
-    return tuple(_falling_factorial_int(m)[1:])
+    return tuple(falling_factorial(m)[1:])
 
 
 def _split_cone(adj: list) -> tuple:
@@ -215,21 +201,14 @@ class _ConeBase:
         for blocks in flat_masks(self.adj, r):
             chi = [1]
             for b in blocks:
-                chi = _pmul(chi, self.chromatic(b)[1:])
+                chi = pmul(chi, self.chromatic(b)[1:])
             q = tuple(quotient_masks(self.adj, blocks))
-            acc = by_quotient.get(q)
-            if acc is None:
-                by_quotient[q] = chi
-            else:
-                _padd_into(acc, chi)
+            padd_into(by_quotient.setdefault(q, []), chi)
         grouped: dict = {}
         for q, chi in by_quotient.items():
             h, u = _split_cone(list(q))
-            key = (canonical_key(h), u)
-            if key in grouped:
-                _padd_into(grouped[key][3], chi)
-            else:
-                grouped[key] = [key[0], h, u, chi]
+            hkey = canonical_key(h)
+            padd_into(grouped.setdefault((hkey, u), [hkey, h, u, []])[3], chi)
         hit = self._flats[r] = list(grouped.values())
         return hit
 
@@ -244,21 +223,18 @@ class _ConeBase:
         out: dict = {}
 
         def add(key, poly):
-            acc = out.get(key)
-            if acc is None:
-                acc = out[key] = [0] * (key[0].bit_count() + j + 2 - key[1])
-            _padd_into(acc, poly)
+            padd_into(out.setdefault(key, []), poly)
 
         for (u, kk, ell), v in states.items():
             if kk:
-                add((u, kk, ell), _pmul([-(j + ell), kk], v))
+                add((u, kk, ell), pmul([-(j + ell), kk], v))
             add((u, kk + 1, ell), v)
             free = self.full ^ u
             sub = free
             while sub:
                 for l2, x in enumerate(self.classes(sub)):
                     if x:
-                        w = _pmul([x * y for y in _ff_reduced(1 + l2)], v)
+                        w = pmul([x * y for y in _ff_reduced(1 + l2)], v)
                         add((u | sub, kk + 1, ell + l2), w)
                 sub = (sub - 1) & free
         return out
@@ -281,10 +257,7 @@ class _ConeBase:
                 by_used: dict = {}
                 for (u, kk, _), v in states.items():
                     row = by_used.setdefault(u, [[] for _ in range(m + 2)])
-                    if row[kk]:
-                        _padd_into(row[kk], v)
-                    else:
-                        row[kk] = list(v)
+                    padd_into(row[kk], v)
                 self._step = (m + 1, states, by_used)
             return self._step[2].get(s, [])
 
@@ -323,7 +296,7 @@ def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
                 if q.n + u + kk == n or not any(f):
                     continue  # the finest flat carries the unknown P itself
                 contr = _cone_row(qkey, q, kk + u)
-                _padd_into(rhs, _pmul(_pmul(chi, f), list(contr)))
+                padd_into(rhs, pmul(pmul(chi, f), contr))
     coeffs = _solve_functional_equation(rhs, n - 1)
     _GRAPH_TABLE[key] = coeffs
     return coeffs
@@ -398,11 +371,8 @@ def conjecture_top_check(i: int) -> dict:
     if i < 1:
         raise ValueError("i must be positive")
     computed = d_coeff(i - 1, 2 * i)
-    predicted = Fraction(double_factorial_odd(2 * i - 3)) * Fraction(2 * i - 1) ** (
-        i - 2
-    )
-    assert predicted.denominator == 1
-    predicted = predicted.numerator
+    # at i = 1 the power is 1^(-1) = 1
+    predicted = double_factorial_odd(2 * i - 3) * (2 * i - 1) ** max(i - 2, 0)
     return {
         "i": i,
         "computed": computed,

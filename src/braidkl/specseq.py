@@ -6,16 +6,23 @@ Cell dimensions: b_dim(i,p,q,n) counts invariants of the direct sum over
 ordered surjections onto p+1 labels of (configuration homology in total
 degree 2i-p-q) tensor (a smaller KL coefficient on p+1 points).  The label
 group permutes surjections freely, so the invariant dimension is the ordered
-count divided by (p+1)!.
+count divided by (p+1)!.  The ordered count in degree j has the closed form
+
+    comp_dim(p, j, n) = c(n, n-j) (p+1)! S(n-j, p+1)
+
+(c unsigned Stirling numbers of the first kind, S of the second kind): the
+Poincare polynomials prod_{k<b} (1 + k y) of Conf_b(C) have the exponential
+generating function (1 - x y)^(-1/y), and n! [x^n y^j] of
+((1 - x y)^(-1/y) - 1)^(p+1), expanded binomially, is
+c(n, n-j) sum_s (-1)^(p+1-s) C(p+1, s) s^(n-j) = c(n, n-j) (p+1)! S(n-j, p+1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
-from .combinat import stirling1_unsigned
+from .combinat import stirling1_unsigned, stirling2
 from .graphmat import (
     Graph,
     _mask_vertices,
@@ -25,73 +32,33 @@ from .graphmat import (
     induced_subgraph,
     quotient_masks,
 )
-from .klcore import _kl_graphic_coeffs, _pmul, d_coeff, d_coeff_graph
+from .intpoly import pmul
+from .klcore import _kl_graphic_coeffs, d_coeff, d_coeff_graph
 
 
-@lru_cache(maxsize=None)
-def _block_gf(n: int, jcap: int) -> tuple:
-    """Exponential generating data for one block: entry [b][j] is
-    c(b, b-j)/b!, the Betti number of b points in degree j over b!."""
-    table = []
-    for b in range(n + 1):
-        row = [Fraction(0)] * (jcap + 1)
-        if b >= 1:
-            for j in range(min(b - 1, jcap) + 1):
-                row[j] = Fraction(stirling1_unsigned(b, b - j), factorial(b))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def _conv2(a, b, n, jcap):
-    out = [[Fraction(0)] * (jcap + 1) for _ in range(n + 1)]
-    for ua in range(n + 1):
-        rowa = a[ua]
-        for ja in range(jcap + 1):
-            ca = rowa[ja]
-            if not ca:
-                continue
-            for ub in range(n + 1 - ua):
-                rowb = b[ub]
-                for jb in range(jcap + 1 - ja):
-                    cb = rowb[jb]
-                    if cb:
-                        out[ua + ub][ja + jb] += ca * cb
-    return tuple(tuple(r) for r in out)
-
-
-@lru_cache(maxsize=None)
-def _comp_table(k: int, n: int, jcap: int) -> tuple:
-    """Coefficient table of the k-th power of the block series, truncated."""
-    if k == 0:
-        out = [[Fraction(0)] * (jcap + 1) for _ in range(n + 1)]
-        out[0][0] = Fraction(1)
-        return tuple(tuple(r) for r in out)
-    half = _comp_table(k // 2, n, jcap)
-    sq = _conv2(half, half, n, jcap)
-    if k % 2:
-        sq = _conv2(sq, _block_gf(n, jcap), n, jcap)
-    return sq
+def _orbit_dim(p: int, j: int, n: int) -> int:
+    """c(n, n-j) S(n-j, p+1): the ordered count comp_dim over (p+1)!."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if j >= n:
+        return 0  # a block of b points has homology only below degree b
+    return stirling1_unsigned(n, n - j) * stirling2(n - j, p + 1)
 
 
 def comp_dim(p: int, j: int, n: int) -> int:
     """Dimension of the span over ordered surjections of [n] onto [p+1] of
-    the degree-j piece of the product configuration homology; computed by
-    convolving per-block generating data, never by listing surjections."""
+    the degree-j piece of the product configuration homology, by the closed
+    form c(n, n-j) (p+1)! S(n-j, p+1) of the module docstring; zero when
+    j >= n or p+1 > n-j."""
     if p < 0 or j < 0:
         raise ValueError("p and j must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if p + 1 > n:
-        return 0
-    table = _comp_table(p + 1, n, j)
-    val = factorial(n) * table[n][j]
-    assert val.denominator == 1
-    return val.numerator
+    return factorial(p + 1) * _orbit_dim(p, j, n)
 
 
 def b_dim(i: int, p: int, q: int, n: int) -> int:
     """Dimension of the (p,q) cell at weight i: the unordered surjection
-    count times the KL coefficient dim D_{i-q}(p+1)."""
+    count c(n, n-j) S(n-j, p+1) in degree j = 2i-p-q times the KL
+    coefficient dim D_{i-q}(p+1)."""
     if i < 1 or p < 0 or q < 0:
         raise ValueError("need i >= 1 and p, q >= 0")
     j = 2 * i - p - q
@@ -100,10 +67,7 @@ def b_dim(i: int, p: int, q: int, n: int) -> int:
     kl = d_coeff(i - q, p + 1)
     if kl == 0:
         return 0
-    cd = comp_dim(p, j, n)
-    orbits, rem = divmod(cd, factorial(p + 1))
-    assert rem == 0, "ordered count not divisible by the label group order"
-    return orbits * kl
+    return _orbit_dim(p, j, n) * kl
 
 
 def euler_identity(i: int, n: int) -> dict:
@@ -148,7 +112,7 @@ def euler_identity_graph(gamma: Graph, i: int, n: int) -> dict:
             if vec is None:
                 block = induced_subgraph(cone, _mask_vertices(b))
                 vec = betti[b] = betti_numbers(block)[: 2 * i + 1]
-            conv = _pmul(conv, vec)[: 2 * i + 1]
+            conv = pmul(conv, vec)[: 2 * i + 1]
         q = tuple(quotient_masks(adj, blocks))
         kl = quotient_kl.get(q)
         if kl is None:

@@ -6,11 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidkl.combinat import bell, stirling1_unsigned
 from braidkl.graphmat import (
     Graph,
     SetPartition,
+    _chromatic,
     canonical_key,
     char_poly,
     components,
@@ -199,7 +202,7 @@ def test_canonical_key_isomorphism_invariance():
 
 def test_canonical_key_fallback_above_bound():
     big = path(13)
-    assert canonical_key(big).startswith(b"R")
+    assert canonical_key(big) is None
 
 
 # --- Betti numbers ---------------------------------------------------------------
@@ -251,3 +254,67 @@ def test_is_connected():
     assert is_connected(complete(4))
     assert not is_connected(Graph(3, [(0, 1)]))
     assert is_connected(Graph(1))
+
+
+# --- properties on random graphs ------------------------------------------------
+
+GRAPH_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def graphs(draw, max_n=7):
+    """A random simple graph on at most max_n vertices: each vertex pair is
+    an edge or not."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, on in zip(pairs, flags) if on])
+
+
+def proper_colourings(g, t):
+    """Maps of the vertices to t colours with adjacent vertices coloured
+    differently, counted by colouring the vertices in order."""
+    adj = g.adjacency_masks()
+
+    def count(v, colours):
+        if v == g.n:
+            return 1
+        used = {colours[u] for u in range(v) if adj[v] >> u & 1}
+        return sum(count(v + 1, colours + [c]) for c in range(t) if c not in used)
+
+    return count(0, [])
+
+
+@GRAPH_SETTINGS
+@given(graphs())
+def test_chromatic_counts_proper_colourings(g):
+    chrom = _chromatic(g)
+    for t in range(5):
+        assert sum(c * t**k for k, c in enumerate(chrom)) == proper_colourings(g, t)
+
+
+@GRAPH_SETTINGS
+@given(graphs(), st.randoms(use_true_random=False))
+def test_canonical_key_ignores_labelling(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert canonical_key(relabel(g, perm)) == canonical_key(g)
+
+
+@GRAPH_SETTINGS
+@given(graphs())
+def test_components_match_union_find(g):
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    groups: dict = {}
+    for v in range(g.n):
+        groups.setdefault(find(v), []).append(v)
+    assert components(g) == sorted(tuple(b) for b in groups.values())
+    assert is_connected(g) == (len(groups) <= 1)

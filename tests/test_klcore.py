@@ -27,13 +27,12 @@ from braidkl.graphmat import (
     is_connected,
     localize,
 )
+from braidkl.intpoly import padd_into, pmul
 import braidkl.klcore as klcore
 from braidkl.klcore import (
     _braid_coeffs,
     _flat_sum,
     _kl_graphic_coeffs,
-    _padd_into,
-    _pmul,
     _solve_functional_equation,
     c1_count,
     conjecture_top_check,
@@ -78,7 +77,7 @@ def type_indexed_table(n):
 
     def chi_product(parts):
         if parts not in products:
-            products[parts] = _pmul(chi_product(parts[1:]), chi[parts[0]])
+            products[parts] = pmul(chi_product(parts[1:]), chi[parts[0]])
         return products[parts]
 
     table = [None, (1,)]
@@ -87,7 +86,7 @@ def type_indexed_table(n):
         for lam in partitions(m):
             if len(lam) == m:
                 continue
-            term = _pmul(chi_product(lam.parts), table[len(lam)])
+            term = pmul(chi_product(lam.parts), table[len(lam)])
             mult = set_partition_count_by_type(lam)
             for i, c in enumerate(term):
                 rhs[i] += mult * c
@@ -116,11 +115,11 @@ def flat_enumeration_coeffs(gamma):
         for b in pi.blocks:
             if b not in chis:
                 chis[b] = [int(c) for c in char_poly(induced_subgraph(gamma, b)).coeffs]
-            chi = _pmul(chi, chis[b])
+            chi = pmul(chi, chis[b])
         q = contract(gamma, pi)
         if q not in contractions:
             contractions[q] = flat_enumeration_coeffs(q)
-        _padd_into(rhs, _pmul(chi, list(contractions[q])))
+        padd_into(rhs, pmul(chi, list(contractions[q])))
     row = _ORACLE_ROWS[key] = _solve_functional_equation(rhs, gamma.n - 1)
     return row
 
@@ -447,6 +446,24 @@ def test_cone_recursion_matches_flat_enumeration_examples():
         Graph(8, [(k, (k + 1) % 8) for k in range(8)] + [(0, 4)]),
     ]:
         assert _kl_graphic_coeffs(g) == flat_enumeration_coeffs(g)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random connected graph on at most 7 vertices: a random spanning
+    tree plus any set of further edges."""
+    n = draw(st.integers(1, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, edges | {e for e, on in zip(pairs, flags) if on})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(connected_graphs())
+def test_c1_count_is_linear_coefficient(g):
+    coeffs = _kl_graphic_coeffs(g)
+    assert c1_count(g) == (coeffs[1] if len(coeffs) > 1 else 0)
 
 
 def test_braid_rows_through_empty_base():

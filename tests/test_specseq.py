@@ -42,6 +42,30 @@ def oracle_comp_dim(p, j, n):
     return total
 
 
+def convolution_powers(n, jcap):
+    """Yield k and the table of the k-th power, k = 1, 2, ..., n, of the
+    block series sum_b sum_j c(b, b-j)/b! x^b y^j (the Betti numbers of b
+    points over b!), by exact Fraction convolution: entry [m][j] is the
+    coefficient of x^m y^j.  Truncating to m <= n and j <= jcap leaves the
+    kept entries exact."""
+    block = [
+        [Fraction(stirling1_unsigned(b, b - j), factorial(b)) if j < b else 0
+         for j in range(jcap + 1)]
+        for b in range(n + 1)
+    ]
+    power = [[Fraction(int(m == j == 0)) for j in range(jcap + 1)] for m in range(n + 1)]
+    for k in range(1, n + 1):
+        out = [[Fraction(0)] * (jcap + 1) for _ in range(n + 1)]
+        for ma, row_a in enumerate(power):
+            for ja, ca in enumerate(row_a):
+                if ca:
+                    for mb in range(1, n + 1 - ma):
+                        for jb in range(jcap + 1 - ja):
+                            out[ma + mb][ja + jb] += ca * block[mb][jb]
+        power = out
+        yield k, power
+
+
 # --- comp_dim ---------------------------------------------------------------
 
 
@@ -67,6 +91,14 @@ def test_comp_dim_against_surjection_oracle():
         for p in range(0, n):
             for j in range(0, 2 * n):
                 assert comp_dim(p, j, n) == oracle_comp_dim(p, j, n)
+
+
+def test_comp_dim_matches_convolution_oracle():
+    nmax, jcap = 30, 8
+    for k, table in convolution_powers(nmax, jcap):
+        for n in range(k, nmax + 1):
+            for j in range(jcap + 1):
+                assert comp_dim(k - 1, j, n) == factorial(n) * table[n][j]
 
 
 def test_comp_dim_divisible_by_label_group():
