@@ -9,6 +9,7 @@ runs; wall-clock timing is only included when --timing is passed.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -50,8 +51,11 @@ def _load_cache() -> dict | None:
 
 def _save_cache(on_disk: dict | None) -> None:
     """Persist the graph table when it holds a row the file did not, or the
-    file was unreadable.  The file is replaced atomically, so a reader never
-    sees a partial write."""
+    file was unreadable.  Writers take turns under an exclusive lock on
+    kltable.json.lock; each merges in the plausible cone rows that another
+    writer saved since this run loaded the file (the memo's row wins on a
+    conflict), so no writer drops another's rows.  The file is replaced
+    atomically, so a reader never sees a partial write."""
     root = os.environ.get(CACHE_ENV)
     if not root:
         return
@@ -64,9 +68,19 @@ def _save_cache(on_disk: dict | None) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(root, exist_ok=True)
-        with open(tmp, "w") as fh:
-            json.dump(records, fh, sort_keys=True)
-        os.replace(tmp, path)
+        with open(f"{path}.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            try:
+                with open(path) as fh:
+                    current = json.load(fh)
+                if isinstance(current, dict):
+                    klcore.kl_cache_import(current)
+            except (OSError, TypeError, ValueError):
+                pass  # a missing or unreadable file is replaced by the memo
+            records = klcore.kl_cache_export()
+            with open(tmp, "w") as fh:
+                json.dump(records, fh, sort_keys=True)
+            os.replace(tmp, path)
     except OSError as exc:
         print(f"warning: could not persist KL cache: {exc}", file=sys.stderr)
     finally:

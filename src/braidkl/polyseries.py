@@ -3,15 +3,16 @@ expansion, rational fitting against a prescribed pole set {1/j}, partial
 fractions, ordinary-to-exponential generating-function conversion, and
 extraction of the asymptotic constant r_d.
 
-All arithmetic uses fractions.Fraction; nothing here ever touches floats.
+Values are fractions.Fraction at the API; fit_rational searches in
+integers after scaling its data by their common denominator.  Nothing here
+ever touches floats.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .combinat import stirling2
 
@@ -295,11 +296,25 @@ def series(r: RatFn, n_max: int) -> SeqTable:
     return SeqTable(0, tuple(out))
 
 
-def _mult_vectors(poles: list, total: int, cap: int):
-    # ascending lexicographic over the sorted pole list
-    for vec in itertools.product(range(min(cap, total) + 1), repeat=len(poles)):
-        if sum(vec) == total:
-            yield vec
+def _geometric_walk(b: list, poles: list, left: int, cap: int, budget: int):
+    """First multiplicity vector over poles, in ascending lexicographic order,
+    with entries at most cap summing to left, whose product
+    prod_j (1-ju)^{m_j} * b vanishes beyond the budget.  b already holds the
+    factors of the earlier poles.  Returns the vector and that product, or
+    None."""
+    if left > cap * len(poles):
+        return None
+    if not poles:
+        return None if any(b[budget + 1 :]) else ([], b)
+    j = poles[0]
+    for m in range(min(cap, left) + 1):
+        if m:
+            # one more factor (1 - ju): b[n] -= j * b[n-1], into a copy
+            b = [b[0]] + [x - j * y for x, y in zip(b[1:], b)]
+        found = _geometric_walk(b, poles[1:], left - m, cap, budget)
+        if found is not None:
+            return [m] + found[0], found[1]
+    return None
 
 
 def fit_rational(seq: SeqTable, poles, mult_cap: int = 8):
@@ -313,14 +328,24 @@ def fit_rational(seq: SeqTable, poles, mult_cap: int = 8):
     supplied: each candidate of total degree d gets a numerator budget of
     d + 10, and the data must extend at least 5 indices past that budget
     so the fit is validated on held-out terms.
+
+    The search is exact and in integers.  The data are scaled once by the
+    lcm of their denominators.  For each total degree the multiplicity
+    vectors are walked depth-first over the sorted poles, in ascending
+    lexicographic order with the first pole varying slowest; raising one
+    multiplicity applies a single (1 - ju) pass to a copy of the parent's
+    product, so every prefix product is built once.  A candidate fits when
+    its product vanishes beyond the budget; only that candidate becomes a
+    RatFn.
     """
     poles = sorted(set(int(j) for j in poles))
     if any(j < 1 for j in poles):
         raise ValueError("poles must be positive integers")
     end = seq.end
-    a = [Fraction(0)] * (end + 1)
+    scale = lcm(*(v.denominator for v in seq.values))
+    a = [0] * (end + 1)
     for i, v in enumerate(seq.values):
-        a[seq.start + i] = v
+        a[seq.start + i] = v.numerator * (scale // v.denominator)
     for total in range(mult_cap * len(poles) + 1):
         budget = total + 10
         if end < budget + 5:
@@ -328,22 +353,16 @@ def fit_rational(seq: SeqTable, poles, mult_cap: int = 8):
                 f"data through index {end} cannot validate candidates of "
                 f"denominator degree {total} (need index {budget + 5})"
             )
-        for vec in _mult_vectors(poles, total, mult_cap):
-            den = geometric_denominator(dict(zip(poles, vec)))
-            # c = den * (sum a_n u^n); the numerator must be c truncated
-            # at the budget, and c must vanish beyond it.
-            c = [Fraction(0)] * (end + 1)
-            for n in range(end + 1):
-                s = a[n]
-                for k in range(1, min(n, den.degree()) + 1):
-                    s += den.coeff(k) * a[n - k]
-                c[n] = s
-            if any(c[n] for n in range(budget + 1, end + 1)):
-                continue
-            num = Poly(c[: budget + 1], "u")
-            fit = RatFn(num, den)
-            assert fit.den == den, "fit unexpectedly reducible"
-            return fit
+        found = _geometric_walk(a, poles, total, mult_cap, budget)
+        if found is None:
+            continue
+        vec, c = found
+        den = geometric_denominator(dict(zip(poles, vec)))
+        num = Poly([Fraction(x, scale) for x in c[: budget + 1]], "u")
+        fit = RatFn(num, den)
+        if fit.den != den:
+            raise ArithmeticError("fit unexpectedly reducible")
+        return fit
     return None
 
 
@@ -389,10 +408,12 @@ def partial_fractions(r: RatFn):
                 terms.append((j, m, c))
             num = num - c * rest
             q, rem = divmod(num, lin)
-            assert not rem, "residue subtraction left a nonzero remainder"
+            if rem:
+                raise ArithmeticError("residue subtraction left a nonzero remainder")
             num = q
             den = den // lin
-    assert not num, "partial fractions did not exhaust the numerator"
+    if num:
+        raise ArithmeticError("partial fractions did not exhaust the numerator")
     terms.sort(key=lambda t: (t[0], t[1]))
     return polypart, terms
 

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import braidkl.cli as cli
 import braidkl.klcore as klcore
 from braidkl.cli import main
 from braidkl.graphmat import Graph, canonical_key, cone_extend, connected_partitions, contract
@@ -91,6 +93,14 @@ def test_genfun_fit_report(capsys):
     assert fit["r_expected"] == "1/2"
     assert report["verdicts"]["r_matches_dfg"] is True
     assert {"pole": 2, "order": 1, "coefficient": "1/2"} in fit["partial_fractions"]
+
+
+def test_genfun_fit_out_of_reach_fails_fast(capsys):
+    # 30 terms cannot validate the degree-16 candidates that i = 3 needs
+    start = time.monotonic()
+    assert main(["genfun", "--i", "3", "--max-n", "30", "--fit"]) == 2
+    assert "cannot validate candidates of denominator degree" in capsys.readouterr().err
+    assert time.monotonic() - start < 20
 
 
 def test_genfun_asymptotics(capsys):
@@ -207,7 +217,79 @@ def test_cache_save_is_atomic(tmp_path, capsys, monkeypatch):
     assert main(list(_cone_query(tmp_path))) == 0
     assert "could not persist" in capsys.readouterr().err
     assert cache_file.read_bytes() == before
-    assert sorted(os.listdir(tmp_path)) == ["kltable.json", "p3.json"]
+    # no temp file is left; the writers' lock file stays
+    assert sorted(os.listdir(tmp_path)) == ["kltable.json", "kltable.json.lock", "p3.json"]
+
+
+def test_cache_save_keeps_rows_of_another_writer(tmp_path, monkeypatch):
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    cache_file = tmp_path / "kltable.json"
+    ours = {}
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", ours)
+    on_disk = cli._load_cache()
+    assert on_disk == {}
+    # another run, with a memo of its own, saves its rows B in the meantime
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    klcore.kl_graphic(cone_extend(Graph(3, [(0, 1), (1, 2)]), 2))
+    rows_b = klcore.kl_cache_export()
+    cli._save_cache({})
+    assert json.loads(cache_file.read_text()) == rows_b
+    # then this run computes its rows A and saves
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", ours)
+    klcore.kl_graphic(cone_extend(Graph(4, [(0, 1), (2, 3)]), 2))
+    rows_a = klcore.kl_cache_export()
+    assert rows_a.keys() - rows_b.keys() and rows_b.keys() - rows_a.keys()
+    cli._save_cache(on_disk)
+    assert json.loads(cache_file.read_text()) == {**rows_b, **rows_a}
+
+
+def test_cache_save_merge_keeps_memo_rows_and_drops_implausible(tmp_path, monkeypatch):
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    klcore.kl_graphic(cone_extend(Graph(4, [(0, 1), (2, 3)]), 2))
+    theirs = klcore.kl_cache_export()
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    klcore.kl_graphic(cone_extend(Graph(3, [(0, 1), (1, 2)]), 2))
+    ours = klcore.kl_cache_export()
+    shared = max(ours, key=lambda k: len(ours[k]))
+    poisoned = sorted(theirs.keys() - ours.keys())[0]
+    assert ours[shared] != ["1"] and len(theirs.keys() - ours.keys()) > 1
+    # the file holds a plausible but different row for one of our keys, an
+    # implausible row, and rows of the other writer that we lack
+    other = dict(theirs, **{shared: ["1"], poisoned: ["2"]})
+    (tmp_path / "kltable.json").write_text(json.dumps(other))
+    cli._save_cache({})
+    saved = json.loads((tmp_path / "kltable.json").read_text())
+    theirs.pop(poisoned)
+    assert saved == {**theirs, **ours}
+
+
+def test_concurrent_cli_writers_keep_every_row(tmp_path, monkeypatch):
+    bases = {
+        "p4": [(0, 1), (1, 2), (2, 3)],
+        "2k2": [(0, 1), (2, 3)],
+        "c4": [(0, 1), (1, 2), (2, 3), (3, 0)],
+        "star": [(0, 1), (0, 2), (0, 3)],
+    }
+    expected = {}
+    for name, edges in bases.items():
+        monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+        klcore.kl_graphic(cone_extend(Graph(4, edges), 3))
+        expected.update(klcore.kl_cache_export())
+        (tmp_path / name).write_text(json.dumps({"n": 4, "edges": edges}))
+    env = dict(os.environ, KL_CACHE_DIR=str(tmp_path / "cache"))
+    # four writers started together: each loads no file, computes its rows
+    # and saves
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "braidkl", "kl", "--graph", str(tmp_path / name), "--cone", "3"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+        )
+        for name in bases
+    ]
+    assert [p.wait(timeout=120) for p in procs] == [0] * len(procs)
+    assert json.loads((tmp_path / "cache" / "kltable.json").read_text()) == expected
 
 
 @pytest.mark.parametrize("content", ["[]", '{"graph:00": [null]}', "{"])

@@ -1,7 +1,8 @@
 """Golden reports: the sha256 of the CLI stdout for a few fixed commands.
 
-The digests were taken before the E1 cell dimensions moved to their closed
-form and the integer polynomial helpers were merged; any edit to a kernel
+The first five digests were taken before the E1 cell dimensions moved to
+their closed form and the integer polynomial helpers were merged, the rest
+before fit_rational became an integer search; any edit to a kernel
 that moves one byte of these reports fails here.  Re-pin a digest only for
 a deliberate, documented change of the report itself.
 """
@@ -36,6 +37,27 @@ GOLDEN = [
     (
         ["verify", "--suite", "euler"],
         "788051532cafd2dbbe0b6d725224f02c280476e0ccfe41ea90b164ba6b316510",
+    ),
+    # pinned before fit_rational moved to its integer depth-first search
+    (
+        ["genfun", "--i", "3", "--max-n", "34", "--fit", "--asymptotics"],
+        "42e918eee273f0b4ad4cf04b46593931769141100d6b1323a6afce8e5922ed6a",
+    ),
+    (
+        ["genfun", "--i", "1", "--max-n", "20", "--fit", "--asymptotics"],
+        "af932a7b220e02aa5a3997c94766c49caf0b3b93a6e00f026b0e181bdf222870",
+    ),
+    (
+        ["verify", "--suite", "paper-i1"],
+        "cd8b9ae7176822762e8f66fa3a922f64a3bb748f458586262be210a37447bde2",
+    ),
+    (
+        ["verify", "--suite", "paper-i2"],
+        "696b1d2c59d39efd669aa4c14ae02aaf86a50ad279f8e64a16aa78b61b80c3b5",
+    ),
+    (
+        ["verify", "--suite", "properties"],
+        "0a86b917e8012538f2a3f23f803627109093b9b9df10d60bdfb57247079bc44a",
     ),
 ]
 

@@ -1,10 +1,14 @@
 """Polynomials, rational functions, series, fits, partial fractions, EGFs."""
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from braidkl import klcore
 from braidkl.polyseries import (
     InsufficientDataError,
     Poly,
@@ -153,6 +157,187 @@ def test_fit_roundtrip_on_ansatz_family():
         fit = fit_rational(data, {1, 2, 3}, mult_cap=4)
         assert fit == target
         assert series(fit, upto).values == data.values
+
+
+def fraction_fit_oracle(seq, poles, mult_cap=8):
+    """The Fraction candidate search that fit_rational replaced: every
+    multiplicity vector of each total, filtered from the full product of
+    ranges in ascending lexicographic order, with its denominator rebuilt
+    as a Poly and multiplied into the data in Fractions."""
+    poles = sorted(set(int(j) for j in poles))
+    if any(j < 1 for j in poles):
+        raise ValueError("poles must be positive integers")
+    end = seq.end
+    a = [Fraction(0)] * (end + 1)
+    for i, v in enumerate(seq.values):
+        a[seq.start + i] = v
+    for total in range(mult_cap * len(poles) + 1):
+        budget = total + 10
+        if end < budget + 5:
+            raise InsufficientDataError(
+                f"data through index {end} cannot validate candidates of "
+                f"denominator degree {total} (need index {budget + 5})"
+            )
+        for vec in itertools.product(range(min(mult_cap, total) + 1), repeat=len(poles)):
+            if sum(vec) != total:
+                continue
+            den = geometric_denominator(dict(zip(poles, vec)))
+            c = [
+                a[n] + sum(den.coeff(k) * a[n - k] for k in range(1, min(n, den.degree()) + 1))
+                for n in range(end + 1)
+            ]
+            if any(c[budget + 1 :]):
+                continue
+            fit = RatFn(Poly(c[: budget + 1], "u"), den)
+            assert fit.den == den, "fit unexpectedly reducible"
+            return fit
+    return None
+
+
+def same_outcome(seq, poles, mult_cap=8):
+    """fit_rational and the oracle agree: the same RatFn (or None), or the
+    same InsufficientDataError message.  Returns the common fit."""
+    try:
+        want = fraction_fit_oracle(seq, poles, mult_cap)
+    except InsufficientDataError as exc:
+        with pytest.raises(InsufficientDataError) as got:
+            fit_rational(seq, poles, mult_cap)
+        assert str(got.value) == str(exc)
+        raise
+    got = fit_rational(seq, poles, mult_cap)
+    assert got == want
+    if got is not None:
+        assert got.num.var == want.num.var == "u"
+    return got
+
+
+def _ogf_data(i, n_max):
+    return SeqTable(1, [klcore.d_coeff(i, n) for n in range(1, n_max + 1)])
+
+
+def _ansatz_data(target):
+    return series(target, 2 * target.den.degree() + 16)
+
+
+# every (data, poles, mult_cap) that verify and the tests above pass to
+# fit_rational
+ORACLE_INPUTS = [
+    pytest.param(lambda: _ogf_data(1, 20), {1, 2}, 8, id="paper-i1"),
+    pytest.param(lambda: _ogf_data(2, 30), {1, 2, 3, 4}, 8, id="paper-i2"),
+    pytest.param(lambda: _ansatz_data(h1_ratfn()), {1, 2}, 8, id="roundtrip-h1"),
+    pytest.param(lambda: _ansatz_data(h2_ratfn()), {1, 2, 4}, 8, id="roundtrip-h2"),
+    pytest.param(lambda: SeqTable(1, series(h1_ratfn(), 20).values[1:]), {1, 2}, 8, id="h1"),
+    pytest.param(
+        lambda: SeqTable(1, series(h2_ratfn(), 30).values[1:]), {1, 2, 3, 4}, 8, id="h2"
+    ),
+    pytest.param(lambda: SeqTable(1, [0] * 16), {1, 2}, 8, id="zero"),
+    pytest.param(lambda: SeqTable(1, [0] * 10), {1}, 8, id="too-short"),
+    pytest.param(
+        lambda: SeqTable(1, [factorial(n) for n in range(1, 40)]), {1}, 8, id="factorial"
+    ),
+    pytest.param(
+        lambda: _ansatz_data(RatFn(Poly([1, 3], "u"), geometric_denominator({2: 2}))),
+        {1, 2, 3},
+        4,
+        id="ansatz-1",
+    ),
+    pytest.param(
+        lambda: _ansatz_data(RatFn(Poly([0, 0, 7], "u"), geometric_denominator({1: 1, 3: 1}))),
+        {1, 2, 3},
+        4,
+        id="ansatz-2",
+    ),
+    pytest.param(
+        lambda: _ansatz_data(RatFn(Poly([5], "u"), geometric_denominator({1: 2, 2: 1, 3: 1}))),
+        {1, 2, 3},
+        4,
+        id="ansatz-3",
+    ),
+    pytest.param(lambda: SeqTable(0, [1] * 20), set(), 8, id="no-poles-none"),
+    pytest.param(
+        lambda: SeqTable(0, [1, 2, Fraction(3, 4)] + [0] * 20), set(), 8, id="no-poles-poly"
+    ),
+]
+
+
+@pytest.mark.parametrize("make,poles,mult_cap", ORACLE_INPUTS)
+def test_fit_matches_fraction_oracle(make, poles, mult_cap):
+    try:
+        same_outcome(make(), poles, mult_cap)
+    except InsufficientDataError:
+        pass
+
+
+def test_fit_honours_mult_cap_on_every_pole():
+    # (1-2u)^4 needs the last pole's multiplicity above the cap
+    over_cap = series(RatFn(1, geometric_denominator({2: 4})), 40)
+    assert same_outcome(over_cap, {1, 2}, mult_cap=3) is None
+    assert same_outcome(over_cap, {1, 2}, mult_cap=4) == RatFn(1, geometric_denominator({2: 4}))
+
+
+def test_fit_numerator_budget_is_total_plus_ten():
+    # u^12/(1-2u)^2 fits with its numerator exactly at the budget 2 + 10;
+    # u^13/(1-2u)^2 overshoots it by one, and so does every larger candidate
+    at_budget = RatFn(Poly([0] * 12 + [1], "u"), geometric_denominator({2: 2}))
+    assert same_outcome(series(at_budget, 40), {1, 2}, mult_cap=3) == at_budget
+    past_budget = RatFn(Poly([0] * 13 + [1], "u"), geometric_denominator({2: 2}))
+    assert same_outcome(series(past_budget, 40), {1, 2}, mult_cap=3) is None
+
+
+def test_fit_rejects_nonpositive_pole():
+    with pytest.raises(ValueError, match="positive"):
+        fit_rational(SeqTable(1, [1] * 20), {0, 1})
+
+
+_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def ratfn_targets(draw):
+    """(target, search poles, start): poles from {1..4} with multiplicity at
+    most 3, a Fraction numerator divisible by u^start, and a search pole
+    set holding the target's poles and perhaps others."""
+    mults = draw(st.dictionaries(st.integers(1, 4), st.integers(1, 3), min_size=1))
+    start = draw(st.integers(0, 2))
+    coeffs = draw(st.lists(_fractions, min_size=1, max_size=6))
+    coeffs[-1] = coeffs[-1] or Fraction(1)  # a nonzero numerator
+    target = RatFn(Poly([0] * start + coeffs, "u"), geometric_denominator(mults))
+    poles = set(mults) | draw(st.sets(st.integers(1, 4), max_size=2))
+    return target, poles, start
+
+
+def _data(target, start, end):
+    return SeqTable(start, series(target, end).values[start:])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(ratfn_targets())
+def test_fit_matches_oracle_on_random_targets(case):
+    target, poles, start = case
+    fit = same_outcome(_data(target, start, 2 * target.den.degree() + 16), poles, 3)
+    assert fit == target
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(ratfn_targets(), _fractions.filter(bool))
+def test_fit_of_perturbed_data_is_none_for_both(case, delta):
+    # a change at index 36 lies beyond every candidate's numerator budget
+    # (at most 3 * 4 + 10) plus the target's denominator degree (at most 12)
+    target, poles, start = case
+    data = _data(target, start, 36)
+    values = data.values[:-1] + (data.values[-1] + delta,)
+    assert same_outcome(SeqTable(start, values), poles, 3) is None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(ratfn_targets())
+def test_fit_on_short_data_raises_for_both(case):
+    # data through index 14 + d cannot validate degree d, the least degree
+    # of a denominator that fits, so the search gives up before reaching it
+    target, poles, start = case
+    d = target.den.degree()
+    with pytest.raises(InsufficientDataError):
+        same_outcome(_data(target, start, 14 + d), poles, 3)
 
 
 # --- partial fractions -------------------------------------------------------

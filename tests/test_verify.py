@@ -1,8 +1,11 @@
 """Suite runner surface."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidkl.verify import SUITES, run_suite
+from braidkl.graphmat import Graph
+from braidkl.verify import SUITES, _graph_residual, run_suite
 
 
 def test_unknown_suite_raises():
@@ -28,3 +31,20 @@ def test_conjecture_suite_records_verdict():
     # the i=4 entry is a report, not a gate
     i4 = next(c for c in checks if c["name"] == "conjecture-i4-report")
     assert i4["ok"] and "computed" in i4["detail"]
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random connected graph on 1..8 vertices: a random spanning tree plus
+    any further vertex pairs."""
+    n = draw(st.integers(1, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, sorted(edges | {e for e, on in zip(pairs, flags) if on}))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(connected_graphs())
+def test_graph_residual_on_random_connected_graphs(g):
+    assert _graph_residual(g)
