@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import eqkl, klcore, polyseries, specseq, verify
-from .graphmat import load_graph
+from .graphmat import cone_extend, load_graph
 from .polyseries import SeqTable
 
 CACHE_ENV = "KL_CACHE_DIR"
@@ -112,11 +112,8 @@ def cmd_kl(args) -> int:
     else:
         gamma = load_graph(args.graph)
         inputs = {"graph": args.graph, "cone": str(args.cone)}
-        cone = args.cone
-        if cone:
-            from .graphmat import cone_extend
-
-            gamma = cone_extend(gamma, cone)
+        if args.cone:
+            gamma = cone_extend(gamma, args.cone)
         poly = klcore.kl_graphic(gamma)
     coeffs = [_frac(poly.coeff(i)) for i in range(poly.degree() + 1)]
     return _finish(args, "kl", inputs, {"coefficients": coeffs})
@@ -139,8 +136,7 @@ def cmd_eqkl(args) -> int:
             }
         )
         if i >= 1:
-            # the verdict of eqkl.row_bound_check(i, n), from this decomposition
-            verdicts[f"row_bound_degree_{i}"] = all(len(lam) <= 2 * i for lam in dec)
+            verdicts[f"row_bound_degree_{i}"] = eqkl._within_row_bound(dec, i)
     if args.format == "csv":
         print("degree,partition,multiplicity")
         for row in degrees:

@@ -668,6 +668,12 @@ def specht_decompose(f: ClassFn) -> dict:
     return out
 
 
+def _within_row_bound(dec: dict, i: int) -> bool:
+    """True iff every Specht summand of the decomposition dec has at most
+    2i rows."""
+    return all(len(lam) <= 2 * i for lam in dec)
+
+
 def row_bound_check(i: int, n: int) -> bool:
     """True iff every Specht summand of the degree-i coefficient of the
     equivariant KL polynomial has at most 2i rows (for i = 1 this is the
@@ -677,5 +683,4 @@ def row_bound_check(i: int, n: int) -> bool:
     graded = eqkl_braid(n)
     if i >= len(graded.coeffs):
         return True
-    dec = specht_decompose(graded.coeffs[i])
-    return all(len(lam) <= 2 * i for lam in dec)
+    return _within_row_bound(specht_decompose(graded.coeffs[i]), i)

@@ -1,14 +1,19 @@
 """Simple labeled graphs and their matroid-side combinatorics: the cone
 construction, flats as connected partitions, localization and contraction,
-reduced characteristic polynomials, canonical forms for memoization, and
+reduced characteristic polynomials, canonical forms for the KL row keys, and
 configuration-space Betti numbers.
+
+Characteristic polynomials come from colour classes: the chromatic
+polynomial is sum_l a_l (t)_l, a_l the partitions of the vertex set into l
+independent sets (R. C. Read, JCT 1968), and one recursion on bit masks,
+_colour_classes, gives the a_l of every induced subgraph.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .intpoly import falling_factorial, padd_into, pmul
+from .intpoly import pmul
 from .polyseries import Poly
 
 CANON_BOUND = 12
@@ -375,69 +380,66 @@ def canonical_key(gamma: Graph) -> bytes | None:
     return _pack_key(b"C", n, best)
 
 
-_CHROMATIC_CACHE: dict = {}
-
-
-def _delete_edge(g: Graph, e) -> Graph:
-    return Graph(g.n, g.edges - {e})
-
-
-def _add_edge(g: Graph, e) -> Graph:
-    return Graph(g.n, set(g.edges) | {e})
-
-
-def _contract_edge(g: Graph, e) -> Graph:
-    u, v = e  # u < v; merge v into u, relabel above v down by one
-    def relab(w):
-        if w == v:
-            return u
-        return w - 1 if w > v else w
-    edges = set()
-    for a, b in g.edges:
-        ra, rb = relab(a), relab(b)
-        if ra != rb:
-            edges.add((min(ra, rb), max(ra, rb)))
-    return Graph(g.n - 1, edges)
-
-
-def _chromatic_connected(g: Graph) -> tuple:
-    if g.is_complete():
-        return tuple(falling_factorial(g.n))
-    key = canonical_key(g)  # None above CANON_BOUND: such graphs are not cached
-    hit = _CHROMATIC_CACHE.get(key)
+def _colour_classes(adj: list, mask: int, memo: dict) -> tuple:
+    """Entry l counts the partitions of the vertex set `mask` into l
+    independent sets of the graph with adjacency masks adj (memo, kept per
+    adj, maps masks to results).  The lowest vertex v joins a class of the
+    rest or opens one alone when it has no neighbour there (the Stirling
+    step); otherwise its class is v plus an independent set s avoiding its
+    neighbours, and the rest minus s is partitioned."""
+    if not mask:
+        return (1,)
+    hit = memo.get(mask)
     if hit is not None:
         return hit
-    full = g.n * (g.n - 1) // 2
-    if len(g.edges) * 2 > full:
-        # dense: recurse toward the complete graph via a non-edge
-        e = next(
-            (u, v)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if (u, v) not in g.edges
-        )
-        out, sign = list(_chromatic(_add_edge(g, e))), 1
+    low = mask & -mask
+    rest = mask ^ low
+    near = adj[low.bit_length() - 1] & rest
+    out = [0] * (mask.bit_count() + 1)
+    if near:
+        subsets, free = [0], rest ^ near
+        while free:  # each vertex joins the subsets so far that avoid it
+            w = free & -free
+            free ^= w
+            subsets += [s | w for s in subsets if not s & adj[w.bit_length() - 1]]
+        for s in subsets:
+            for ell, x in enumerate(_colour_classes(adj, rest ^ s, memo), 1):
+                out[ell] += x
     else:
-        e = min(g.edges)
-        out, sign = list(_chromatic(_delete_edge(g, e))), -1
-    padd_into(out, _chromatic(_contract_edge(g, e)), sign)
-    out = tuple(out)
-    if key is not None:
-        _CHROMATIC_CACHE[key] = out
-    return out
+        for ell, x in enumerate(_colour_classes(adj, rest, memo)):
+            out[ell] += ell * x
+            out[ell + 1] += x
+    hit = memo[mask] = tuple(out)
+    return hit
+
+
+def _falling_sum(classes) -> tuple:
+    """sum_l classes[l] (t)_l as ascending integer coefficients, by Horner's
+    rule in the falling-factorial basis."""
+    out = [classes[-1]]
+    for ell in range(len(classes) - 2, -1, -1):
+        out = pmul(out, [-ell, 1])
+        out[0] += classes[ell]
+    return tuple(out)
 
 
 def _chromatic(g: Graph) -> tuple:
     """Chromatic polynomial as ascending integer coefficients: the product
-    over the connected components."""
-    comps = components(g)
-    if len(comps) == 1:
-        return _chromatic_connected(g)
-    acc = [1]
-    for comp in comps:
-        sub = induced_subgraph(g, comp)
-        acc = pmul(acc, _chromatic_connected(sub))
-    return tuple(acc)
+    over the connected components, which keeps the recursion off independent
+    sets that span several of them.  Each of the k universal vertices of a
+    component C is a colour class of its own, so a_l(C) is a_(l-k) of the
+    rest of C: the recursion runs on the rest only."""
+    adj = g.adjacency_masks()
+    memo: dict = {}
+    out = [1]
+    left = (1 << g.n) - 1
+    while left:
+        comp = _reach(left, adj)
+        left ^= comp
+        rest = sum(1 << v for v in _mask_vertices(comp) if adj[v] | 1 << v != comp)
+        k = comp.bit_count() - rest.bit_count()
+        out = pmul(out, _falling_sum((0,) * k + _colour_classes(adj, rest, memo)))
+    return tuple(out)
 
 
 def reduced_chromatic(gamma: Graph) -> tuple:

@@ -33,9 +33,11 @@ Its contraction is cone(H[V - S]/pi', k'), so only quotients of induced
 subgraphs of H recur, and the work is exponential in |H| and polynomial in
 k.  The cone-block weights W_S(k, k'), the sums over the third part of the
 blocks' characteristic polynomials, come from an integer recurrence that
-places the cone vertices one at a time.  Writing chi_{H[T]} in the
-falling-factorial basis, sum_l a_l(T) (t)_l with a_l(T) the partitions of T
-into l independent sets, a block (T, c) weighs sum_l a_l(T) (t)_(c+l) / t:
+places the cone vertices one at a time.  In the falling-factorial basis
+chi_{H[T]} is sum_l a_l(T) (t)_l, with a_l(T) the partitions of T into l
+independent sets; the a_l(T) come straight from the colour-class recursion
+of graphmat on bit masks of H, and every chi_{H[T]} is summed from them.  A
+block (T, c) weighs sum_l a_l(T) (t)_(c+l) / t:
 a cone vertex that joins a block of level c + l multiplies its weight by
 t - (c + l), so over all blocks the factor depends only on the block count
 and the total level.  With H empty this is the recurrence of B_{j,k'}, the
@@ -53,10 +55,10 @@ from .combinat import double_factorial_odd, stirling1_row, stirling2_row
 from .graphmat import (
     CANON_BOUND,
     Graph,
-    _chromatic,
+    _colour_classes,
     _count_byte,
+    _falling_sum,
     _mask_connected,
-    _mask_vertices,
     canonical_key,
     cone_extend,
     flat_masks,
@@ -168,25 +170,16 @@ class _ConeBase:
         self._step = _NO_CONE_VERTEX
         self._step_lock = threading.Lock()  # steps must not interleave
 
+    def classes(self, a: int) -> tuple:
+        """Entry l counts the partitions of a into l independent sets of H:
+        the chromatic polynomial of H[a] in the falling-factorial basis."""
+        return _colour_classes(self.adj, a, self._classes)
+
     def chromatic(self, a: int) -> tuple:
         """Chromatic polynomial of H[a], ascending integer coefficients."""
         hit = self._chrom.get(a)
         if hit is None:
-            hit = _chromatic(induced_subgraph(self.graph, _mask_vertices(a)))
-            self._chrom[a] = hit
-        return hit
-
-    def classes(self, a: int) -> tuple:
-        """Entry l counts the partitions of a into l independent sets of H:
-        the chromatic polynomial of H[a] in the falling-factorial basis."""
-        hit = self._classes.get(a)
-        if hit is None:
-            chrom = self.chromatic(a)
-            hit = tuple(
-                sum(c * stirling2_row(m)[ell] for m, c in enumerate(chrom) if m >= ell)
-                for ell in range(len(chrom))
-            )
-            self._classes[a] = hit
+            hit = self._chrom[a] = _falling_sum(self.classes(a))
         return hit
 
     def flats(self, r: int) -> list:

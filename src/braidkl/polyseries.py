@@ -39,10 +39,6 @@ class Poly:
         self.coeffs = tuple(cs)
         self.var = var
 
-    @classmethod
-    def const(cls, c, var="t"):
-        return cls([c], var)
-
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
         return len(self.coeffs) - 1
@@ -117,12 +113,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def shift(self, k: int):
-        """Multiply by var^k."""
-        if not self.coeffs:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs, self.var)
 
     def reflect(self, r: int):
         """var^r * P(1/var); requires deg P <= r."""
@@ -324,6 +314,7 @@ def fit_rational(seq: SeqTable, poles, mult_cap: int = 8):
     taken to be zero, matching the sum-from-n=start convention).
 
     Returns None if no candidate within the caps reproduces the data.
+    Raises ValueError for a pole below 1 or a negative seq.start.
     Raises InsufficientDataError once candidates require more terms than
     supplied: each candidate of total degree d gets a numerator budget of
     d + 10, and the data must extend at least 5 indices past that budget
@@ -341,6 +332,8 @@ def fit_rational(seq: SeqTable, poles, mult_cap: int = 8):
     poles = sorted(set(int(j) for j in poles))
     if any(j < 1 for j in poles):
         raise ValueError("poles must be positive integers")
+    if seq.start < 0:
+        raise ValueError("a power series has no terms below index 0")
     end = seq.end
     scale = lcm(*(v.denominator for v in seq.values))
     a = [0] * (end + 1)

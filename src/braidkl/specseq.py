@@ -25,11 +25,10 @@ from math import factorial
 from .combinat import stirling1_unsigned, stirling2
 from .graphmat import (
     Graph,
-    _mask_vertices,
-    betti_numbers,
+    _colour_classes,
+    _falling_sum,
     cone_extend,
     flat_masks,
-    induced_subgraph,
     quotient_masks,
 )
 from .intpoly import pmul
@@ -101,6 +100,7 @@ def euler_identity_graph(gamma: Graph, i: int, n: int) -> dict:
         )
     cone = cone_extend(gamma, n)
     adj = cone.adjacency_masks()
+    classes: dict = {}  # the colour-class memo of the cone's adjacency masks
     betti: dict = {}  # block mask -> Betti numbers of the block in degrees <= 2i
     quotient_kl: dict = {}  # quotient adjacency masks -> its KL coefficients
     lhs = 0
@@ -110,8 +110,9 @@ def euler_identity_graph(gamma: Graph, i: int, n: int) -> dict:
         for b in blocks:
             vec = betti.get(b)
             if vec is None:
-                block = induced_subgraph(cone, _mask_vertices(b))
-                vec = betti[b] = betti_numbers(block)[: 2 * i + 1]
+                # a connected block: Betti numbers from chi / t, top down
+                chi = _falling_sum(_colour_classes(adj, b, classes))
+                vec = betti[b] = [abs(c) for c in reversed(chi[1:])][: 2 * i + 1]
             conv = pmul(conv, vec)[: 2 * i + 1]
         q = tuple(quotient_masks(adj, blocks))
         kl = quotient_kl.get(q)

@@ -332,8 +332,7 @@ def suite_properties():
                     honest_ok = False
             if i == 0 and dec != {Partition((n,)): Fraction(1)}:
                 trivial_ok = False
-            # the verdict of eqkl.row_bound_check(i, n), from this decomposition
-            if i >= 1 and any(len(lam) > 2 * i for lam in dec):
+            if i >= 1 and not eqkl._within_row_bound(dec, i):
                 rows_ok = False
     checks.append(_check("eqkl-honesty", honest_ok, "nonneg integer multiplicities, n <= 7"))
     checks.append(_check("eqkl-constant-term", trivial_ok, "degree 0 is trivial, n <= 7"))

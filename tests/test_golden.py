@@ -2,7 +2,8 @@
 
 The first five digests were taken before the E1 cell dimensions moved to
 their closed form and the integer polynomial helpers were merged, the rest
-before fit_rational became an integer search; any edit to a kernel
+before fit_rational became an integer search, and the last three before
+chromatic polynomials moved to the colour-class recursion; any edit to a kernel
 that moves one byte of these reports fails here.  Re-pin a digest only for
 a deliberate, documented change of the report itself.
 """
@@ -16,6 +17,14 @@ from braidkl.cli import main
 
 # a triangle with a pendant vertex: 0-1-2 closed by 0-2, then 2-3
 GRAPH_G4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 2]]}
+# the 3x3 grid, vertex 3r + c in row r and column c
+GRAPH_GRID3X3 = {
+    "n": 9,
+    "edges": [[3 * r + c, 3 * r + c + 1] for r in range(3) for c in range(2)]
+    + [[3 * r + c, 3 * r + c + 3] for r in range(2) for c in range(3)],
+}
+GRAPH_P4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+GRAPH_FILES = {"g4.json": GRAPH_G4, "grid3x3.json": GRAPH_GRID3X3, "p4.json": GRAPH_P4}
 
 GOLDEN = [
     (
@@ -59,6 +68,19 @@ GOLDEN = [
         ["verify", "--suite", "properties"],
         "0a86b917e8012538f2a3f23f803627109093b9b9df10d60bdfb57247079bc44a",
     ),
+    # pinned before the chromatic polynomials moved to colour classes
+    (
+        ["kl", "--graph", "grid3x3.json"],
+        "7f5d0bdc4b67bc1ac3d56ab21b2c811c1baae554be4cf0a79514d91c3b4f888a",
+    ),
+    (
+        ["kl", "--graph", "p4.json", "--cone", "6"],
+        "bedce5317a27ecff78e3abbedf986632288bd19100f89014c6c06698fb6dc4a1",
+    ),
+    (
+        ["verify", "--suite", "relative"],
+        "b89184b6ce4493961d1cb2fc5a2f995f84c838e475f3e54d8fb42d3dd932470b",
+    ),
 ]
 
 
@@ -68,7 +90,8 @@ def test_report_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # fixed working directory; no disk cache may take part
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("KL_CACHE_DIR", raising=False)
-    (tmp_path / "g4.json").write_text(json.dumps(GRAPH_G4))
+    for name, graph in GRAPH_FILES.items():
+        (tmp_path / name).write_text(json.dumps(graph))
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidkl.combinat import bell, stirling1_unsigned
+from braidkl.intpoly import falling_factorial, pmul
 from braidkl.graphmat import (
     Graph,
     SetPartition,
     _chromatic,
+    _colour_classes,
+    _set_partition_blocks,
     canonical_key,
     char_poly,
     components,
@@ -129,6 +132,45 @@ def test_char_poly_counts_colorings():
         ncomp = len(components(g))
         for q in range(5):
             assert cp(q) * q**ncomp == oracle_colorings(g, q)
+
+
+def test_char_poly_grid_4x4_counts_colourings():
+    # deletion-contraction over its 24 edges took minutes on this graph
+    grid = Graph(
+        16,
+        [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+        + [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)],
+    )
+    cp = char_poly(grid)
+    assert cp.degree() == 15
+    assert cp(2) * 2 == 2  # the two chessboard colourings
+    assert cp(3) * 3 == 7812
+
+
+def test_chromatic_edgeless_triangles_tree_and_wide_cone():
+    assert _chromatic(Graph(15)) == (0,) * 15 + (1,)
+    # components multiply: seven triangles, which one recursion over all 21
+    # vertices would take tens of seconds to colour
+    sides = ((0, 1), (1, 2), (0, 2))
+    triangles = [(3 * c + a, 3 * c + b) for c in range(7) for a, b in sides]
+    expect = [1]
+    for _ in range(7):
+        expect = pmul(expect, falling_factorial(3))
+    assert _chromatic(Graph(21, triangles)) == tuple(expect)
+    # a spider: legs of 4, 4 and 5 vertices at a centre, so a tree on 14
+    legs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)]
+    legs += [(0, 9), (9, 10), (10, 11), (11, 12), (12, 13)]
+    tree = [1]
+    for _ in range(13):
+        tree = pmul(tree, [-1, 1])
+    assert _chromatic(Graph(14, legs)) == tuple(pmul([0, 1], tree))
+    # cone(P4, 300) is (t)_300 chi_P4(t - 300), chi_P4(t) = t (t - 1)^3; the
+    # universal vertices must not deepen the recursion
+    shifted = [-300, 1]
+    for _ in range(3):
+        shifted = pmul(shifted, [-301, 1])
+    expect = pmul(falling_factorial(300), shifted)
+    assert _chromatic(cone_extend(path(4), 300)) == tuple(expect)
 
 
 def test_char_poly_degree_is_rank():
@@ -291,6 +333,25 @@ def test_chromatic_counts_proper_colourings(g):
     chrom = _chromatic(g)
     for t in range(5):
         assert sum(c * t**k for k, c in enumerate(chrom)) == proper_colourings(g, t)
+
+
+@GRAPH_SETTINGS
+@given(graphs(), st.integers(0, (1 << 7) - 1))
+def test_colour_classes_count_independent_partitions(g, bits):
+    mask = bits & ((1 << g.n) - 1)
+    vertices = [v for v in range(g.n) if mask >> v & 1]
+    expect = [0] * (len(vertices) + 1)
+    for blocks in _set_partition_blocks(len(vertices)):
+        if all(not g.has_edge(vertices[a], vertices[b])
+               for block in blocks for a in block for b in block if a < b):
+            expect[len(blocks)] += 1
+    memo: dict = {}
+    assert _colour_classes(g.adjacency_masks(), mask, memo) == tuple(expect)
+    # a second query answered partly from the memo agrees as well
+    full = (1 << g.n) - 1
+    assert _colour_classes(g.adjacency_masks(), full, memo) == _colour_classes(
+        g.adjacency_masks(), full, {}
+    )
 
 
 @GRAPH_SETTINGS

@@ -289,6 +289,12 @@ def test_fit_rejects_nonpositive_pole():
         fit_rational(SeqTable(1, [1] * 20), {0, 1})
 
 
+def test_fit_rejects_negative_start():
+    # the terms at -2 and -1 would otherwise be dropped: the fit came out 1/(1-u)
+    with pytest.raises(ValueError, match="below index 0"):
+        fit_rational(SeqTable(-2, [5, 7] + [1] * 20), {1})
+
+
 _fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
