@@ -88,13 +88,6 @@ def _save_cache(on_disk: dict | None) -> None:
             os.unlink(tmp)
 
 
-def _emit(report: dict, timing: float | None):
-    if timing is not None:
-        report = dict(report)
-        report["timing_seconds"] = f"{timing:.3f}"
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
 def _frac(x) -> str:
     return str(Fraction(x))
 
@@ -216,8 +209,12 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    checks, times = [], []
     try:
-        checks = verify.run_suite(args.suite)
+        for name in verify.SUITES if args.suite == "all" else [args.suite]:
+            start = time.monotonic()
+            checks += verify.run_suite(name)
+            times.append(f"TIME {name} {time.monotonic() - start:.3f}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -229,6 +226,8 @@ def cmd_verify(args) -> int:
         if not c["ok"]:
             failed += 1
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
+    if args.timing:
+        print("\n".join(times))
     return 0 if failed == 0 else 1
 
 
@@ -236,8 +235,9 @@ def _finish(args, command, inputs, outputs, verdicts=None) -> int:
     report = {"command": command, "inputs": inputs, "outputs": outputs}
     if verdicts:
         report["verdicts"] = verdicts
-    elapsed = time.monotonic() - args._start if args.timing else None
-    _emit(report, elapsed)
+    if args.timing:
+        report["timing_seconds"] = f"{time.monotonic() - args._start:.3f}"
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 

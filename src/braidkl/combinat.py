@@ -156,7 +156,8 @@ def set_partition_count_by_type(lam: Partition) -> int:
     for m in lam.multiplicities().values():
         denom *= factorial(m)
     count, rem = divmod(factorial(n), denom)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError("set partition count is not an integer")
     return count
 
 
@@ -173,7 +174,8 @@ def class_size(mu: Partition) -> int:
     if mu.n < 1:
         raise ValueError("mu must be a partition of n >= 1")
     count, rem = divmod(factorial(mu.n), centralizer_order(mu))
-    assert rem == 0
+    if rem:
+        raise ArithmeticError("class size is not an integer")
     return count
 
 

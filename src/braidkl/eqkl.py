@@ -20,7 +20,8 @@ Two independent computation paths are provided and cross-checked:
 
 * a brute-force path (small n) that enumerates honest set partitions,
   detects which are stabilized by a class representative, and multiplies
-  graded traces over block cycles directly.
+  the integer graded traces over block cycles directly, as intpoly lists;
+  ClassFn appears only in the result.
 
 The Fraction-valued SymFn, ch, ch_inv and plethysm are the rational API and
 a test oracle for the integer kernel.  Both paths solve the same functional
@@ -122,9 +123,6 @@ class GradedClassFn:
         self.n = n
         self.coeffs = coeffs
 
-    def value_poly(self, mu: Partition) -> Poly:
-        return Poly([c.value(mu) for c in self.coeffs], "t")
-
     def at_identity(self) -> Poly:
         return Poly([c.dim() for c in self.coeffs], "t")
 
@@ -206,7 +204,9 @@ class SymFn:
         for mu, c in self.terms.items():
             if cap is not None and k * sum(mu) > cap:
                 continue
-            out[tuple(k * p for p in mu)] = _subst_t_power(c, k)
+            spread = [Fraction(0)] * (k * c.degree() + 1)
+            spread[::k] = c.coeffs
+            out[tuple(k * p for p in mu)] = Poly(spread, "t")
         return SymFn(out)
 
     def __eq__(self, other):
@@ -355,7 +355,8 @@ def os_character(n: int, i: int) -> ClassFn:
         raise ValueError(f"brute-force path bounded at n = {OS_BOUND}")
     basis = os_basis(n, i)
     expected = stirling1_unsigned(n, n - i) if i <= n - 1 else 0
-    assert len(basis) == expected, "basis size disagrees with Whitney number"
+    if len(basis) != expected:
+        raise ArithmeticError("basis size disagrees with Whitney number")
     values = {}
     for mu in partitions(n):
         sigma = _class_rep_perm(mu)
@@ -365,10 +366,13 @@ def os_character(n: int, i: int) -> ClassFn:
             for a, b in mono:
                 x, y = sigma[a - 1], sigma[b - 1]
                 raw.append((x, y) if x < y else (y, x))
-            srt, sign = _sort_edges(tuple(raw))
-            coeff = _straighten(srt).get(mono, 0)
-            if coeff:
-                tr += sign * coeff
+            image = {b: a for a, b in raw}
+            if len(image) < i:
+                srt, sign = _sort_edges(raw)
+                tr += sign * _straighten(srt).get(mono, 0)
+            elif all(image.get(b) == a for a, b in mono):
+                # distinct maxima make a basis monomial: only mono counts
+                tr += _sort_edges(raw)[1]
         values[mu] = Fraction(tr)
     return ClassFn(n, values)
 
@@ -541,7 +545,12 @@ def eqkl_braid(n: int) -> GradedClassFn:
         raise ValueError("n must be positive")
     if n > EQKL_BOUND:
         raise ValueError(f"plethystic path bounded at n = {EQKL_BOUND}")
-    q = _eqkl_values(n)
+    return _graded(n, _eqkl_values(n))
+
+
+def _graded(n: int, q: dict) -> GradedClassFn:
+    """The graded class function with class values q, a map from classes to
+    integer coefficients without trailing zeros."""
     degrees = range(max(map(len, q.values()), default=1))
     return GradedClassFn(
         n,
@@ -585,18 +594,14 @@ def _block_cycles(blocks: tuple, sigma: tuple):
     return [(blocks[i], length) for i, length in _cycles(dict(enumerate(img)))]
 
 
-def _subst_t_power(p: Poly, k: int) -> Poly:
-    if k == 1 or not p:
-        return p
-    spread = [Fraction(0)] * (k * p.degree() + 1)
-    for i, c in enumerate(p.coeffs):
-        spread[k * i] = c
-    return Poly(spread, "t")
-
-
 def _all_set_partitions(n: int) -> list:
     """Set partitions of {1, ..., n} as tuples of 1-based blocks."""
     return [tuple(tuple(v + 1 for v in b) for b in p) for p in _set_partition_blocks(n)]
+
+
+def _int_values(graded: GradedClassFn) -> dict:
+    """Class -> integer coefficients of an integer-valued GradedClassFn."""
+    return {mu: [int(c.values[mu]) for c in graded.coeffs] for mu in partitions(graded.n)}
 
 
 @lru_cache(maxsize=None)
@@ -609,42 +614,33 @@ def eqkl_braid_bruteforce(n: int) -> GradedClassFn:
         raise ValueError(f"brute-force path bounded at n = {BRUTE_BOUND}")
     if n == 1:
         return GradedClassFn(1, [ClassFn.trivial(1)])
-    chardata = {m: eq_char_poly(m) for m in range(1, n + 1)}
+    chardata = {m: _int_values(eq_char_poly(m)) for m in range(1, n + 1)}
+    contrdata = {m: _int_values(eqkl_braid_bruteforce(m)) for m in range(1, n)}
     all_parts = [p for p in _all_set_partitions(n) if len(p) < n]
     rank = n - 1
     dmax = (rank - 1) // 2
-    flat_sum = {}
+    out = {}
     for mu in partitions(n):
         sigma = _class_rep_perm(mu)
-        total = Poly([], "t")
+        total = [0] * (rank + 1)
         for blocks in all_parts:
             cycles = _block_cycles(blocks, sigma)
             if cycles is None:
                 continue
-            loc = Poly([1], "t")
+            loc = [1]
             for rep, length in cycles:
-                ret_type = _perm_power_cycle_type(sigma, length, rep)
-                loc = loc * _subst_t_power(
-                    chardata[len(rep)].value_poly(ret_type), length
-                )
+                v = chardata[len(rep)][_perm_power_cycle_type(sigma, length, rep)]
+                spread = [0] * (length * (len(v) - 1) + 1)
+                spread[::length] = v
+                loc = pmul(loc, spread)
             ghat = Partition(sorted((length for _, length in cycles), reverse=True))
-            contr = eqkl_braid_bruteforce(len(blocks)).value_poly(ghat)
-            total = total + loc * contr
-        flat_sum[mu] = total
-    coeff_vals = [dict() for _ in range(dmax + 1)]
-    for mu, poly in flat_sum.items():
-        for i in range(dmax + 1):
-            top = poly.coeff(rank - i)
-            if poly.coeff(i) != -top:
-                raise ArithmeticError("brute-force recursion inconsistent (low read)")
-            coeff_vals[i][mu] = top
-        for j in range(dmax + 1, rank - dmax):
-            if poly.coeff(j) != 0:
-                raise ArithmeticError("brute-force recursion inconsistent (middle)")
-    coeffs = [ClassFn(n, vals) for vals in coeff_vals]
-    while len(coeffs) > 1 and coeffs[-1].is_zero():
-        coeffs.pop()
-    return GradedClassFn(n, coeffs)
+            padd_into(total, pmul(loc, contrdata[len(blocks)][ghat]))
+        if any(total[i] + total[rank - i] for i in range(dmax + 1)):
+            raise ArithmeticError("brute-force recursion inconsistent (low read)")
+        if any(total[dmax + 1 : rank - dmax]):
+            raise ArithmeticError("brute-force recursion inconsistent (middle)")
+        out[mu] = [total[rank - i] for i in range(dmax + 1)]
+    return _graded(n, _trimmed(out))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .combinat import stirling2
 from .polyseries import SeqTable
@@ -64,7 +64,8 @@ def hom_fs_count(n: int, m: int) -> int:
     if n < 1 or m < 1:
         raise ValueError("sets must be nonempty")
     count = factorial(m) * stirling2(n, m)
-    assert count <= m**n
+    if count > m**n:
+        raise ArithmeticError("more surjections than maps")
     return count
 
 
@@ -129,55 +130,55 @@ def h1_pullback(f: Surjection, v: H1Vector) -> H1Vector:
     return H1Vector(f.n, out)
 
 
-def _pair_index(n: int) -> dict:
-    return {
-        (a, b): idx
-        for idx, (a, b) in enumerate(itertools.combinations(range(1, n + 1), 2))
-    }
+def _add_pivot(pivots: dict, row: list) -> bool:
+    """Reduce an integer row against the pivot rows (column -> row, zero left
+    of its column) by fraction-free elimination, row = p*row - row[col]*prow
+    over the gcd of the result; a row left nonzero becomes a new pivot."""
+    for col in range(len(row)):
+        x = row[col]
+        if not x:
+            continue
+        prow = pivots.get(col)
+        if prow is None:
+            pivots[col] = row
+            return True
+        p = prow[col]
+        row = [p * a - x * b for a, b in zip(row, prow)]
+        g = gcd(*row)
+        if g > 1:
+            row = [a // g for a in row]
+    return False
 
 
 def _h1_generation(n: int):
     """Row-reduce the pullbacks of e12 along all surjections [n] -> [2];
     returns (spans_everything, witness surjections for the pivot rows)."""
-    index = _pair_index(n)
-    dim = len(index)
-    pivots: dict = {}  # column -> (reduced row, witness)
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    index = {pair: k for k, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    pivots: dict = {}
     witnesses = []
     for f in enumerate_surjections(n, 2):
-        vec = h1_pullback(f, H1Vector.basis(2, 1, 2))
-        row = [Fraction(0)] * dim
-        for key, c in vec.coords.items():
-            row[index[key]] = c
-        for col in range(dim):
-            if not row[col]:
-                continue
-            hit = pivots.get(col)
-            if hit is None:
-                inv = Fraction(1) / row[col]
-                pivots[col] = ([x * inv for x in row], f)
-                witnesses.append(f)
-                break
-            factor = row[col]
-            prow = hit[0]
-            row = [x - factor * y for x, y in zip(row, prow)]
-        if len(pivots) == dim:
-            return True, witnesses
-    return len(pivots) == dim, witnesses
+        row = [0] * len(index)
+        for key, c in h1_pullback(f, H1Vector.basis(2, 1, 2)).coords.items():
+            row[index[key]] = int(c)
+        if _add_pivot(pivots, row):
+            witnesses.append(f)
+            if len(pivots) == len(index):
+                return True, witnesses
+    return False, witnesses
 
 
 def h1_generation_check(n: int) -> bool:
     """True iff the pullbacks of e12 along surjections onto a 2-set span all
-    of degree-one homology (dimension C(n,2)); exact Gaussian elimination."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    of degree-one homology (dimension C(n,2)); exact fraction-free integer
+    elimination."""
     ok, _ = _h1_generation(n)
     return ok
 
 
 def h1_generation_witnesses(n: int) -> list:
     """Surjections whose pullbacks realize a full-rank spanning set."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
     ok, ws = _h1_generation(n)
     if not ok:
         raise ArithmeticError("pullbacks from a 2-set failed to span")

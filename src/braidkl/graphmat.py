@@ -11,8 +11,6 @@ _colour_classes, gives the a_l of every induced subgraph.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .intpoly import pmul
 from .polyseries import Poly
 
@@ -376,7 +374,8 @@ def canonical_key(gamma: Graph) -> bytes | None:
         return updated
 
     dfs(False)
-    assert best is not None
+    if best is None:
+        raise ArithmeticError("canonical search placed no labelling")
     return _pack_key(b"C", n, best)
 
 
@@ -426,9 +425,10 @@ def _falling_sum(classes) -> tuple:
 def _chromatic(g: Graph) -> tuple:
     """Chromatic polynomial as ascending integer coefficients: the product
     over the connected components, which keeps the recursion off independent
-    sets that span several of them.  Each of the k universal vertices of a
-    component C is a colour class of its own, so a_l(C) is a_(l-k) of the
-    rest of C: the recursion runs on the rest only."""
+    sets that span several of them.  Vertices of degree 1 are peeled off
+    first, each a factor t - 1, so trees cost linear work.  Each of the k
+    universal vertices of what remains, C, is a colour class of its own, so
+    a_l(C) is a_(l-k) of the rest of C: the recursion runs on the rest only."""
     adj = g.adjacency_masks()
     memo: dict = {}
     out = [1]
@@ -436,7 +436,15 @@ def _chromatic(g: Graph) -> tuple:
     while left:
         comp = _reach(left, adj)
         left ^= comp
-        rest = sum(1 << v for v in _mask_vertices(comp) if adj[v] | 1 << v != comp)
+        stack = _mask_vertices(comp)  # vertices that may have degree 1
+        while stack:
+            v = stack.pop()
+            near = adj[v] & comp
+            if comp >> v & 1 and near.bit_count() == 1:
+                comp ^= 1 << v
+                out = pmul(out, [-1, 1])
+                stack.append(near.bit_length() - 1)
+        rest = sum(1 << v for v in _mask_vertices(comp) if adj[v] & comp | 1 << v != comp)
         k = comp.bit_count() - rest.bit_count()
         out = pmul(out, _falling_sum((0,) * k + _colour_classes(adj, rest, memo)))
     return tuple(out)
@@ -454,10 +462,8 @@ def reduced_chromatic(gamma: Graph) -> tuple:
 
 
 def char_poly(gamma: Graph) -> Poly:
-    """Reduced characteristic polynomial of the graphic matroid: the
-    chromatic polynomial divided by t^(number of components).  Its degree
-    equals the matroid rank."""
-    return Poly([Fraction(c) for c in reduced_chromatic(gamma)], "t")
+    """reduced_chromatic(gamma) as a Poly in t."""
+    return Poly(reduced_chromatic(gamma), "t")
 
 
 def matroid_rank(gamma: Graph) -> int:

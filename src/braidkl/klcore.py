@@ -48,7 +48,6 @@ plain sum over the flats of H.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import double_factorial_odd, stirling1_row, stirling2_row
@@ -128,7 +127,7 @@ def _braid_coeffs(n: int) -> tuple:
 def kl_braid(n: int) -> Poly:
     """Kazhdan-Lusztig polynomial of the braid matroid (complete graph on n
     vertices), computed by the Stirling closed form of the flat sum."""
-    return Poly([Fraction(c) for c in _braid_coeffs(n)], "t")
+    return Poly(_braid_coeffs(n), "t")
 
 
 # Row key of cone(H, k): _ROW_TAG, then the vertex count |H| + k in one byte,
@@ -316,7 +315,7 @@ def kl_graphic(gamma: Graph) -> Poly:
     """Kazhdan-Lusztig polynomial of the graphic matroid of a connected
     graph, by the recursion on cone(H, k) described in the module
     docstring."""
-    return Poly([Fraction(c) for c in _kl_graphic_coeffs(gamma)], "t")
+    return Poly(_kl_graphic_coeffs(gamma), "t")
 
 
 def d_coeff(i: int, n: int) -> int:

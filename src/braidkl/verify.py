@@ -11,6 +11,7 @@ from math import comb, factorial
 from . import combinat, eqkl, fsmod, graphmat, klcore, polyseries, specseq
 from .combinat import Partition
 from .graphmat import Graph
+from .intpoly import padd_into, pmul
 from .polyseries import Poly, RatFn, SeqTable
 
 
@@ -378,29 +379,26 @@ def suite_properties():
 
 
 def _braid_residual(n: int) -> bool:
-    p = klcore.kl_braid(n)
-    rank = n - 1
-    rhs = Poly([], "t")
+    rhs = [0] * n
     for lam in combinat.partitions(n):
-        chi = Poly([1], "t")
+        chi = [1]
         for part in lam:
-            for k in range(1, part):
-                chi = chi * Poly([-k, 1], "t")
-        contr = klcore.kl_braid(len(lam))
-        rhs = rhs + combinat.set_partition_count_by_type(lam) * chi * contr
-    return p.reflect(rank) == rhs
+            chi = pmul(chi, klcore._ff_reduced(part))
+        contr = klcore._braid_coeffs(len(lam))
+        padd_into(rhs, pmul(chi, contr), combinat.set_partition_count_by_type(lam))
+    row = klcore._braid_coeffs(n)
+    return [0] * (n - len(row)) + list(reversed(row)) == rhs
 
 
 def _graph_residual(g: Graph) -> bool:
-    p = klcore.kl_graphic(g)
-    rank = g.n - 1
-    rhs = Poly([], "t")
+    rhs = [0] * g.n
     for pi in graphmat.connected_partitions(g):
-        chi = Poly([1], "t")
+        chi = [1]
         for block in graphmat.localize(g, pi):
-            chi = chi * graphmat.char_poly(block)
-        rhs = rhs + chi * klcore.kl_graphic(graphmat.contract(g, pi))
-    return p.reflect(rank) == rhs
+            chi = pmul(chi, graphmat.reduced_chromatic(block))
+        padd_into(rhs, pmul(chi, klcore._kl_graphic_coeffs(graphmat.contract(g, pi))))
+    row = klcore._kl_graphic_coeffs(g)
+    return [0] * (g.n - len(row)) + list(reversed(row)) == rhs
 
 
 SUITES = {
@@ -415,11 +413,9 @@ SUITES = {
 
 
 def run_suite(name: str) -> list:
+    """The checks of one suite, or of every suite in SUITES order for "all"."""
     if name == "all":
-        out = []
-        for key in ("paper-i1", "paper-i2", "euler", "fs", "conjecture", "relative", "properties"):
-            out.extend(SUITES[key]())
-        return out
+        return [c for key in SUITES for c in SUITES[key]()]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)} or 'all'")

@@ -10,6 +10,7 @@ import pytest
 
 import braidkl.cli as cli
 import braidkl.klcore as klcore
+import braidkl.verify as verify
 from braidkl.cli import main
 from braidkl.graphmat import Graph, canonical_key, cone_extend, connected_partitions, contract
 
@@ -140,6 +141,20 @@ def test_verify_prints_pass_lines(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "conjecture")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_verify_timing_adds_one_line_per_suite(capsys):
+    plain = run_cli(capsys, "verify", "--suite", "fs")[1]
+    code, out = run_cli(capsys, "verify", "--suite", "fs", "--timing")
+    assert code == 0
+    lines = out.splitlines()
+    assert "\n".join(lines[:-1]) + "\n" == plain
+    name, seconds = lines[-1].split()[1:]
+    assert lines[-1].startswith("TIME ") and name == "fs" and float(seconds) >= 0
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--timing")
+    assert code == 0
+    timed = [line.split()[1] for line in out.splitlines() if line.startswith("TIME ")]
+    assert timed == list(verify.SUITES)
 
 
 def _cone_query(tmp_path, cone=2):

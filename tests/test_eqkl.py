@@ -352,6 +352,49 @@ def test_eqkl_two_paths_agree():
         assert eqkl_braid(n) == eqkl_braid_bruteforce(n)
 
 
+@pytest.mark.parametrize(
+    "n, degree, message", [(4, 0, "low read"), (5, 2, "middle"), (6, 0, "low read")]
+)
+def test_bruteforce_consistency_checks_catch_a_perturbed_class_value(
+    monkeypatch, n, degree, message
+):
+    """One class value of the characteristic data of S_n, at the identity
+    in the given t-degree, off by one: the flat sum of the whole set moves
+    in that degree alone, and the check of that degree fails."""
+    real = eqkl.eq_char_poly
+
+    def perturbed(m):
+        graded = real(m)
+        if m != n:
+            return graded
+        coeffs = list(graded.coeffs)
+        coeffs[degree] = coeffs[degree] + ClassFn(m, {Partition((1,) * m): 1})
+        return GradedClassFn(m, coeffs)
+
+    monkeypatch.setattr(eqkl, "eq_char_poly", perturbed)
+    eqkl_braid_bruteforce.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=message):
+            eqkl_braid_bruteforce(n)
+    finally:
+        eqkl_braid_bruteforce.cache_clear()
+
+
+def test_os_character_matches_straightening_every_image():
+    """os_character skips the straightening of images with distinct
+    maxima; straightening every image gives the same trace."""
+    for n in range(1, 6):
+        for i in range(n):
+            for mu in partitions(n):
+                sigma = eqkl._class_rep_perm(mu)
+                tr = 0
+                for mono in os_basis(n, i):
+                    raw = tuple(tuple(sorted((sigma[a - 1], sigma[b - 1]))) for a, b in mono)
+                    srt, sign = eqkl._sort_edges(raw)
+                    tr += sign * eqkl._straighten(srt).get(mono, 0)
+                assert os_character(n, i).value(mu) == tr
+
+
 def test_eqkl_bounds():
     assert EQKL_BOUND == 18
     with pytest.raises(ValueError):

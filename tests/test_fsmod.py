@@ -5,12 +5,16 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidkl.combinat import stirling2
 from braidkl.fsmod import (
     GrowthReport,
     H1Vector,
     Surjection,
+    _add_pivot,
+    _h1_generation,
     compose,
     enumerate_surjections,
     growth_diagnostic,
@@ -180,6 +184,66 @@ def test_generation_witness_triple_at_three():
 def test_generation_witness_count_is_rank():
     for n in range(2, 8):
         assert len(h1_generation_witnesses(n)) == comb(n, 2)
+
+
+def fraction_rank_oracle(rows):
+    """The Fraction row reduction that fraction-free elimination replaced:
+    each row is reduced in column order against the pivot rows, scaled to a
+    leading 1.  Returns (column -> pivot row, indices of the rows that became
+    pivots)."""
+    pivots, raised = {}, []
+    for idx, row in enumerate(rows):
+        row = [Fraction(x) for x in row]
+        for col in range(len(row)):
+            if not row[col]:
+                continue
+            prow = pivots.get(col)
+            if prow is None:
+                inv = 1 / row[col]
+                pivots[col] = [x * inv for x in row]
+                raised.append(idx)
+                break
+            factor = row[col]
+            row = [x - factor * y for x, y in zip(row, prow)]
+    return pivots, raised
+
+
+def integer_elimination(rows):
+    """_add_pivot over the rows, in the shape of fraction_rank_oracle, with
+    each pivot row scaled to a leading 1."""
+    pivots, raised = {}, []
+    for idx, row in enumerate(rows):
+        if _add_pivot(pivots, list(row)):
+            raised.append(idx)
+    return {c: [Fraction(x, r[c]) for x in r] for c, r in pivots.items()}, raised
+
+
+def test_generation_matches_fraction_oracle():
+    for n in range(2, 9):
+        index = {p: k for k, p in enumerate(itertools.combinations(range(1, n + 1), 2))}
+        surjections = enumerate_surjections(n, 2)
+        rows = []
+        for f in surjections:
+            row = [0] * len(index)
+            for key, c in h1_pullback(f, e(2, 1, 2)).coords.items():
+                row[index[key]] = c
+            rows.append(row)
+        pivots, raised = fraction_rank_oracle(rows)
+        want = (len(pivots) == comb(n, 2), [surjections[i].values for i in raised])
+        ok, witnesses = _h1_generation(n)
+        assert (ok, [f.values for f in witnesses]) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(-6, 6), min_size=width, max_size=width), max_size=8
+        )
+    )
+)
+def test_fraction_free_elimination_matches_oracle(rows):
+    assert integer_elimination(rows) == fraction_rank_oracle(rows)
 
 
 # --- growth diagnostics --------------------------------------------------------

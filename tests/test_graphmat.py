@@ -16,6 +16,7 @@ from braidkl.graphmat import (
     SetPartition,
     _chromatic,
     _colour_classes,
+    _falling_sum,
     _set_partition_blocks,
     canonical_key,
     char_poly,
@@ -333,6 +334,31 @@ def test_chromatic_counts_proper_colourings(g):
     chrom = _chromatic(g)
     for t in range(5):
         assert sum(c * t**k for k, c in enumerate(chrom)) == proper_colourings(g, t)
+
+
+def test_chromatic_long_path_peels_pendants():
+    expect = [0, 1]
+    for _ in range(39):
+        expect = pmul(expect, [-1, 1])
+    assert _chromatic(path(40)) == tuple(expect)
+
+
+@st.composite
+def graphs_with_pendant_trees(draw):
+    """A random graph on at most 10 vertices in which each vertex after a
+    random core hangs off one earlier vertex, so it is peeled as a pendant
+    unless a later vertex hangs off it."""
+    core = draw(graphs(max_n=5))
+    n = draw(st.integers(core.n, 10))
+    hung = [(draw(st.integers(0, v - 1)), v) for v in range(max(core.n, 1), n)]
+    return Graph(n, set(core.edges) | set(hung))
+
+
+@GRAPH_SETTINGS
+@given(graphs_with_pendant_trees())
+def test_chromatic_peeling_matches_unpeeled_recursion(g):
+    unpeeled = _falling_sum(_colour_classes(g.adjacency_masks(), (1 << g.n) - 1, {}))
+    assert _chromatic(g) == unpeeled
 
 
 @GRAPH_SETTINGS

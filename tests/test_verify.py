@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidkl.klcore as klcore
 from braidkl.graphmat import Graph
-from braidkl.verify import SUITES, _graph_residual, run_suite
+from braidkl.verify import SUITES, _braid_residual, _graph_residual, run_suite
 
 
 def test_unknown_suite_raises():
@@ -48,3 +49,28 @@ def connected_graphs(draw):
 @given(connected_graphs())
 def test_graph_residual_on_random_connected_graphs(g):
     assert _graph_residual(g)
+
+
+def _bump_last(row):
+    return row[:-1] + (row[-1] + 1,)
+
+
+def test_braid_residual_fails_on_a_perturbed_row(monkeypatch):
+    real = klcore._braid_coeffs
+    monkeypatch.setattr(
+        klcore, "_braid_coeffs", lambda m: _bump_last(real(m)) if m == 6 else real(m)
+    )
+    assert _braid_residual(5)
+    assert not _braid_residual(6)
+
+
+def test_graph_residual_fails_on_a_perturbed_row(monkeypatch):
+    cycle = Graph(6, [(k, (k + 1) % 6) for k in range(6)])
+    real = klcore._kl_graphic_coeffs
+    monkeypatch.setattr(
+        klcore,
+        "_kl_graphic_coeffs",
+        lambda g: _bump_last(real(g)) if g == cycle else real(g),
+    )
+    assert _graph_residual(Graph(5, [(k, (k + 1) % 5) for k in range(5)]))
+    assert not _graph_residual(cycle)
