@@ -17,9 +17,10 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from . import eqkl, klcore, polyseries, specseq, verify
+# Only what `kl` and the cache need is imported here; each other command
+# imports its modules itself, so a fresh `kl` process never loads them.
+from . import klcore
 from .graphmat import cone_extend, load_graph
-from .polyseries import SeqTable
 
 CACHE_ENV = "KL_CACHE_DIR"
 CACHE_FILE = "kltable.json"
@@ -113,6 +114,8 @@ def cmd_kl(args) -> int:
 
 
 def cmd_eqkl(args) -> int:
+    from . import eqkl
+
     graded = eqkl.eqkl_braid(args.n)
     degrees = []
     verdicts = {}
@@ -140,6 +143,8 @@ def cmd_eqkl(args) -> int:
 
 
 def cmd_e1(args) -> int:
+    from . import specseq
+
     if args.graph:
         gamma = load_graph(args.graph)
         rep = specseq.euler_identity_graph(gamma, args.i, args.n)
@@ -163,6 +168,8 @@ def cmd_e1(args) -> int:
 
 
 def cmd_genfun(args) -> int:
+    from . import polyseries, specseq
+
     i, n_max = args.i, args.max_n
     seq = [klcore.d_coeff(i, n) for n in range(1, n_max + 1)]
     if args.format == "csv":
@@ -173,7 +180,9 @@ def cmd_genfun(args) -> int:
     outputs = {"dims": [str(v) for v in seq]}
     verdicts = {}
     if args.fit:
-        fit = polyseries.fit_rational(SeqTable(1, seq), set(range(1, 2 * i + 1)))
+        fit = polyseries.fit_rational(
+            polyseries.SeqTable(1, seq), set(range(1, 2 * i + 1))
+        )
         if fit is None:
             outputs["fit"] = None
             verdicts["fit_found"] = False
@@ -209,6 +218,8 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     checks, times = [], []
     try:
         for name in verify.SUITES if args.suite == "all" else [args.suite]:

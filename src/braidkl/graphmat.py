@@ -12,7 +12,12 @@ _colour_classes, gives the a_l of every induced subgraph.
 from __future__ import annotations
 
 from .intpoly import pmul
-from .polyseries import Poly
+
+# Poly is imported where it is used, so loading this module leaves
+# polyseries unloaded.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .polyseries import Poly
 
 CANON_BOUND = 12
 
@@ -463,6 +468,8 @@ def reduced_chromatic(gamma: Graph) -> tuple:
 
 def char_poly(gamma: Graph) -> Poly:
     """reduced_chromatic(gamma) as a Poly in t."""
+    from .polyseries import Poly
+
     return Poly(reduced_chromatic(gamma), "t")
 
 

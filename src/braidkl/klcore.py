@@ -66,7 +66,12 @@ from .graphmat import (
     quotient_masks,
 )
 from .intpoly import falling_factorial, padd_into, pmul
-from .polyseries import Poly
+
+# Poly is imported where it is used, so loading this module leaves
+# polyseries unloaded.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .polyseries import Poly
 
 
 def _flat_sum(m: int, ell: int) -> list:
@@ -127,6 +132,8 @@ def _braid_coeffs(n: int) -> tuple:
 def kl_braid(n: int) -> Poly:
     """Kazhdan-Lusztig polynomial of the braid matroid (complete graph on n
     vertices), computed by the Stirling closed form of the flat sum."""
+    from .polyseries import Poly
+
     return Poly(_braid_coeffs(n), "t")
 
 
@@ -315,6 +322,8 @@ def kl_graphic(gamma: Graph) -> Poly:
     """Kazhdan-Lusztig polynomial of the graphic matroid of a connected
     graph, by the recursion on cone(H, k) described in the module
     docstring."""
+    from .polyseries import Poly
+
     return Poly(_kl_graphic_coeffs(gamma), "t")
 
 

@@ -10,7 +10,6 @@ ever touches floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -175,17 +174,38 @@ class Poly:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
 class SeqTable:
-    """Exact values of a sequence on a contiguous index range."""
+    """Exact values of a sequence on a contiguous index range.  Immutable;
+    the values are stored as a tuple of Fractions.  (A plain class rather
+    than a frozen dataclass, so that loading this module does not load
+    dataclasses.)"""
 
-    start: int
-    values: tuple
+    __slots__ = ("start", "values")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(Fraction(v) for v in self.values)
-        )
+    def __init__(self, start: int, values):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to SeqTable field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete SeqTable field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.values) == (other.start, other.values)
+
+    def __hash__(self):
+        return hash((self.start, self.values))
+
+    def __repr__(self):
+        return f"SeqTable(start={self.start!r}, values={self.values!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting slots
+        return (SeqTable, (self.start, self.values))
 
     @property
     def end(self) -> int:

@@ -382,3 +382,43 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outputs"]["coefficients"] == ["1", "1"]
+
+
+# Modules a `kl` job has no use for; a fresh `kl` process must not load them.
+UNUSED_BY_KL = (
+    "braidkl.eqkl",
+    "braidkl.fsmod",
+    "braidkl.specseq",
+    "braidkl.verify",
+    "dataclasses",
+)
+KL_PROBE = """
+import sys
+before = set(sys.modules)
+from braidkl.cli import main
+code = main(sys.argv[1:])
+print(sorted(m for m in {unused!r} if m in sys.modules and m not in before))
+sys.exit(code)
+"""
+
+
+def test_kl_loads_only_the_modules_it_uses(tmp_path):
+    """Each run is a fresh `kl` process; the cone runs write, then read, a
+    persisted table, so the cache load and save are covered too."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, KL_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
+    cone = ["kl", "--graph", str(graph), "--cone", "2"]
+    for argv in (["kl", "--n", "5"], cone, cone):
+        proc = subprocess.run(
+            [sys.executable, "-c", KL_PROBE.format(unused=UNUSED_BY_KL), *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", (argv, proc.stdout)
+    assert (tmp_path / "cache" / "kltable.json").exists()

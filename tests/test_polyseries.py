@@ -1,6 +1,8 @@
 """Polynomials, rational functions, series, fits, partial fractions, EGFs."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 from math import comb, factorial
 
@@ -444,3 +446,42 @@ def test_egf_form_reproduces_series(r):
                 if c:
                     total += c * Fraction(j ** (n - k), factorial(n - k))
         assert total * factorial(n) == seq.value_at(n)
+
+
+def test_seqtable_equality_and_hash():
+    t = SeqTable(1, [1, 2, 3])
+    same = SeqTable(1, (Fraction(1), Fraction(4, 2), 3))
+    assert t == same and hash(t) == hash(same)
+    assert hash(t) == hash((1, t.values))
+    assert len({t, same}) == 1
+    for other in (SeqTable(2, [1, 2, 3]), SeqTable(1, [1, 2, 4]), SeqTable(1, [1, 2])):
+        assert t != other
+    assert t != (1, t.values)
+
+
+def test_seqtable_is_immutable():
+    t = SeqTable(1, [1, 2])
+    for name, value in (("start", 0), ("values", ()), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(t, name, value)
+    with pytest.raises(AttributeError):
+        del t.start
+    assert t == SeqTable(1, [1, 2])
+    assert copy.copy(t) == t == pickle.loads(pickle.dumps(t))
+
+
+def test_seqtable_repr_and_fraction_values():
+    t = SeqTable(3, [1, Fraction(1, 2)])
+    assert repr(t) == "SeqTable(start=3, values=(Fraction(1, 1), Fraction(1, 2)))"
+    assert all(type(v) is Fraction for v in t.values)
+    assert SeqTable(start=3, values=[1, Fraction(1, 2)]) == t
+
+
+def test_seqtable_index_range():
+    t = SeqTable(4, [10, 11, 12])
+    assert t.end == 6
+    assert [t.value_at(n) for n in (4, 5, 6)] == [10, 11, 12]
+    for n in (3, 7):
+        with pytest.raises(IndexError, match=f"index {n} outside \\[4, 6\\]"):
+            t.value_at(n)
+    assert SeqTable(0, []).end == -1
