@@ -101,6 +101,9 @@ def cmd_kl(args) -> int:
         if args.n < 1:
             print("error: --n must be positive", file=sys.stderr)
             return 2
+        if args.cone:
+            print("error: --cone needs --graph", file=sys.stderr)
+            return 2
         poly = klcore.kl_braid(args.n)
         inputs = {"n": str(args.n)}
     else:

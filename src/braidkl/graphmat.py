@@ -495,7 +495,18 @@ def conf_betti(gamma: Graph, i: int) -> int:
 
 def load_graph(path: str) -> Graph:
     """Read a graph file: JSON {"n": int, "edges": [[u,v], ...]} or plain
-    text lines "u v" (vertex count inferred as max label + 1)."""
+    text lines "u v" (vertex count inferred as max label + 1).  A file that
+    cannot be read or does not describe a graph raises ValueError naming
+    the path."""
+    try:
+        return _parse_graph(path)
+    except KeyError as exc:
+        raise ValueError(f"graph file {path}: missing key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValueError(f"graph file {path}: {exc}") from exc
+
+
+def _parse_graph(path: str) -> Graph:
     import json
 
     with open(path) as fh:

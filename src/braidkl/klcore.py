@@ -265,15 +265,34 @@ class _ConeBase:
 _NO_CONE_VERTEX = (0, {(0, 0, 0): [1]}, {0: [[1]]})
 
 
-def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
-    """KL coefficients of cone(H, k), with hkey the canonical key of H.
+def _cone_base(hkey: bytes, h: Graph) -> _ConeBase:
+    """The shared _ConeBase of H, with hkey the canonical key of H."""
+    base = _BASES.get(hkey)
+    if base is None:
+        base = _BASES.setdefault(hkey, _ConeBase(h))
+    return base
 
-    A flat of cone(H, k) puts a set s of H-vertices into the k' blocks that
-    hold cone vertices and splits the rest r by a flat of H[r]; its
-    contraction is cone(H[r]/flat, k').  So the right side of the functional
-    equation sums, over r and the flats of H[r] grouped by contraction, the
-    flats' characteristic polynomials times cone_blocks(s, k)[k'] times the
-    KL polynomial of the contraction.  With k = 0 only r = V(H) remains."""
+
+def _flat_groups(base: _ConeBase, k: int):
+    """The flats of cone(H, k) in groups: yields (canonical key of Q, Q, c,
+    chi) for a group of flats that all contract to cone(Q, c), with chi the
+    sum of their products of the blocks' reduced characteristic polynomials.
+    A flat puts a set s of H-vertices into the k' blocks that hold cone
+    vertices and splits the rest r by a flat of H[r]; its contraction is
+    cone(H[r]/flat, k').  One group is one r, one contraction of H[r] and
+    one k'.  With k = 0 only r = V(H) remains.  The finest flat, whose
+    contraction is cone(H, k) itself, is included."""
+    for r in range(base.full + 1) if k else (base.full,):
+        blocks = base.cone_blocks(base.full ^ r, k)
+        for qkey, q, u, chi_h in base.flats(r):
+            for kk, f in enumerate(blocks):
+                if any(f):
+                    yield qkey, q, kk + u, pmul(chi_h, f)
+
+
+def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
+    """KL coefficients of cone(H, k), with hkey the canonical key of H, from
+    the functional equation summed over the flat groups of cone(H, k)."""
     n = h.n + k
     if n == 1:
         return (1,)  # rank 0: the equation is vacuous, P = 1 by definition
@@ -281,21 +300,14 @@ def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
     hit = _GRAPH_TABLE.get(key)
     if hit is not None:
         return hit
-    base = _BASES.get(hkey)
-    if base is None:
-        base = _BASES.setdefault(hkey, _ConeBase(h))
+    base = _cone_base(hkey, h)
     # rows with fewer cone vertices first, which bounds the recursion depth
     for j in range(1, k):
         _cone_row(hkey, base.graph, j)
     rhs = [0] * n
-    for r in range(base.full + 1) if k else (base.full,):
-        blocks = base.cone_blocks(base.full ^ r, k)
-        for qkey, q, u, chi in base.flats(r):
-            for kk, f in enumerate(blocks):
-                if q.n + u + kk == n or not any(f):
-                    continue  # the finest flat carries the unknown P itself
-                contr = _cone_row(qkey, q, kk + u)
-                padd_into(rhs, pmul(pmul(chi, f), contr))
+    for qkey, q, c, chi in _flat_groups(base, k):
+        if q.n + c < n:  # the finest flat carries the unknown P itself
+            padd_into(rhs, pmul(chi, _cone_row(qkey, q, c)))
     coeffs = _solve_functional_equation(rhs, n - 1)
     _GRAPH_TABLE[key] = coeffs
     return coeffs

@@ -15,6 +15,17 @@ Poincare polynomials prod_{k<b} (1 + k y) of Conf_b(C) have the exponential
 generating function (1 - x y)^(-1/y), and n! [x^n y^j] of
 ((1 - x y)^(-1/y) - 1)^(p+1), expanded binomially, is
 c(n, n-j) sum_s (-1)^(p+1-s) C(p+1, s) s^(n-j) = c(n, n-j) (p+1)! S(n-j, p+1).
+
+The relative ledger of an N-vertex cone sums, over its flats with b = p+1
+blocks, (-1)^(p+q) times the blocks' Betti product in degree j = 2i-p-q
+times the degree i-q KL coefficient of the contraction.  Betti numbers are
+the reduced characteristic polynomials read backwards with alternating
+signs, so the Betti product is (-1)^j [t^(N-b-j)] prod_B chi_B: the signs
+cancel, and with m = i-q the index is N-1-i-m, free of b.  So the ledger is
+sum_m chi[N-1-i-m] row[m] over the flats grouped by contraction (chi their
+summed products, row the contraction's KL coefficients), as klcore groups
+them.  The independent check, the per-block Betti enumeration over every
+connected partition, is the oracle in tests/test_specseq.py.
 """
 
 from __future__ import annotations
@@ -23,16 +34,9 @@ from fractions import Fraction
 from math import factorial
 
 from .combinat import stirling1_unsigned, stirling2
-from .graphmat import (
-    Graph,
-    _colour_classes,
-    _falling_sum,
-    cone_extend,
-    flat_masks,
-    quotient_masks,
-)
-from .intpoly import pmul
-from .klcore import _kl_graphic_coeffs, d_coeff, d_coeff_graph
+from .graphmat import Graph, canonical_key, cone_extend
+from .klcore import _cone_base, _cone_row, _flat_groups, _split_cone
+from .klcore import d_coeff, d_coeff_graph
 
 
 def _orbit_dim(p: int, j: int, n: int) -> int:
@@ -86,43 +90,23 @@ def euler_identity(i: int, n: int) -> dict:
     return {"i": i, "n": n, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
-RELATIVE_BOUND = 10
-
-
 def euler_identity_graph(gamma: Graph, i: int, n: int) -> dict:
-    """Relative version over the cone graph: sum over connected partitions,
-    with per-partition Betti data and KL coefficients of quotient graphs."""
+    """Relative ledger over cone(gamma, n), summed over the flat groups of
+    the KL recursion as in the module docstring, against d_coeff_graph.  The
+    sum is the t^(N-1-i) coefficient of the full flat sum of the functional
+    equation, so lhs = rhs checks that the solve is consistent."""
     if i < 1 or n < 0:
         raise ValueError("need i >= 1 and n >= 0")
-    if gamma.n + n > RELATIVE_BOUND:
-        raise ValueError(
-            f"connected-partition enumeration bounded at {RELATIVE_BOUND} vertices"
-        )
+    rhs = d_coeff_graph(gamma, i, n)  # checks the bounds, builds every row
     cone = cone_extend(gamma, n)
-    adj = cone.adjacency_masks()
-    classes: dict = {}  # the colour-class memo of the cone's adjacency masks
-    betti: dict = {}  # block mask -> Betti numbers of the block in degrees <= 2i
-    quotient_kl: dict = {}  # quotient adjacency masks -> its KL coefficients
+    h, k = _split_cone(cone.adjacency_masks())
+    top = cone.n - 1 - i
     lhs = 0
-    for blocks in flat_masks(adj, (1 << cone.n) - 1):
-        p = len(blocks) - 1
-        conv = [1]
-        for b in blocks:
-            vec = betti.get(b)
-            if vec is None:
-                # a connected block: Betti numbers from chi / t, top down
-                chi = _falling_sum(_colour_classes(adj, b, classes))
-                vec = betti[b] = [abs(c) for c in reversed(chi[1:])][: 2 * i + 1]
-            conv = pmul(conv, vec)[: 2 * i + 1]
-        q = tuple(quotient_masks(adj, blocks))
-        kl = quotient_kl.get(q)
-        if kl is None:
-            kl = quotient_kl[q] = _kl_graphic_coeffs(Graph.from_masks(list(q)))
-        for q_deg in range(0, i + 1):
-            j = 2 * i - p - q_deg
-            if 0 <= j < len(conv) and i - q_deg < len(kl):
-                lhs += (-1) ** (p + q_deg) * conv[j] * kl[i - q_deg]
-    rhs = d_coeff_graph(gamma, i, n)
+    for qkey, q, c, chi in _flat_groups(_cone_base(canonical_key(h), h), k):
+        row = _cone_row(qkey, q, c)
+        for m in range(min(i + 1, len(row), top + 1)):
+            if top - m < len(chi):
+                lhs += chi[top - m] * row[m]
     return {"i": i, "n": n, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 

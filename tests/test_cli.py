@@ -128,8 +128,43 @@ def test_e1_relative_graph(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdicts"]["euler_identity"] is True
     assert report["outputs"]["euler_rhs"] == "1"
-    # infeasible bound exits 2
-    assert run_cli(capsys, "e1", "--i", "1", "--n", "9", "--graph", str(p))[0] == 2
+    # past the one-byte vertex count of a row key: exit 2 at once
+    start = time.monotonic()
+    assert main(["e1", "--i", "1", "--n", "300", "--graph", str(p)]) == 2
+    assert "one byte" in capsys.readouterr().err
+    assert time.monotonic() - start < 1
+
+
+def test_e1_relative_graph_beyond_ten_vertices(tmp_path, capsys):
+    p = tmp_path / "p4.json"
+    p.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
+    code, out = run_cli(capsys, "e1", "--i", "2", "--n", "12", "--graph", str(p))
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdicts"]["euler_identity"] is True
+    want = klcore.d_coeff_graph(Graph(4, [(0, 1), (1, 2), (2, 3)]), 2, 12)
+    assert report["outputs"]["euler_rhs"] == str(want) == "174109594"
+
+
+def test_bad_graph_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nosuch.json"
+    no_n = tmp_path / "no_n.json"
+    no_n.write_text(json.dumps({"edges": [[0, 1]]}))
+    null_n = tmp_path / "null_n.json"
+    null_n.write_text(json.dumps({"n": None, "edges": []}))
+    null_edge = tmp_path / "null_edge.json"
+    null_edge.write_text(json.dumps({"n": 2, "edges": [[0, None]]}))
+    for path in (missing, no_n, null_n, null_edge):
+        assert main(["kl", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
+
+def test_kl_cone_needs_graph(capsys):
+    assert main(["kl", "--n", "5", "--cone", "3"]) == 2
+    assert "--cone needs --graph" in capsys.readouterr().err
+    assert run_cli(capsys, "kl", "--n", "5", "--cone", "0")[0] == 0
 
 
 def test_verify_exit_codes(capsys):

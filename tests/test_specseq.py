@@ -1,14 +1,27 @@
 """E1-page dimension ledger and Euler identities, absolute and relative."""
 
+import time
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidkl.combinat import stirling1_unsigned, stirling2
 from braidkl.fsmod import enumerate_surjections
-from braidkl.graphmat import Graph, conf_betti
-from braidkl.klcore import d_coeff
+from braidkl.graphmat import (
+    Graph,
+    _colour_classes,
+    _falling_sum,
+    conf_betti,
+    cone_extend,
+    flat_masks,
+    quotient_masks,
+)
+from braidkl.intpoly import pmul
+from braidkl.klcore import _kl_graphic_coeffs, d_coeff, d_coeff_graph
 from braidkl.specseq import (
     b_dim,
     comp_dim,
@@ -184,9 +197,92 @@ def test_euler_identity_graph_noncomplete_base():
     assert euler_identity_graph(base, 2, 4)["equal"]
 
 
-def test_euler_identity_graph_bound():
-    with pytest.raises(ValueError):
-        euler_identity_graph(Graph(3), 1, 8)
+def test_euler_identity_graph_bounds():
+    # |H| past CANON_BOUND after the cone vertices are split off
+    path13 = Graph(13, [(v, v + 1) for v in range(12)])
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="out of reach"):
+        euler_identity_graph(path13, 1, 0)
+    assert time.monotonic() - start < 1
+
+
+@lru_cache(maxsize=4)
+def _flat_terms(gamma, n):
+    """(p, Betti numbers of the flat's blocks convolved, KL coefficients of
+    the quotient graph) for every connected partition, with p + 1 blocks,
+    of cone(gamma, n), enumerated on bit masks."""
+    cone = cone_extend(gamma, n)
+    adj = cone.adjacency_masks()
+    classes: dict = {}
+    betti: dict = {}
+    quotient_kl: dict = {}
+    terms = []
+    for blocks in flat_masks(adj, (1 << cone.n) - 1):
+        conv = [1]
+        for b in blocks:
+            vec = betti.get(b)
+            if vec is None:
+                # a connected block: Betti numbers from chi / t, top down
+                chi = _falling_sum(_colour_classes(adj, b, classes))
+                vec = betti[b] = [abs(c) for c in reversed(chi[1:])]
+            conv = pmul(conv, vec)
+        q = tuple(quotient_masks(adj, blocks))
+        kl = quotient_kl.get(q)
+        if kl is None:
+            kl = quotient_kl[q] = _kl_graphic_coeffs(Graph.from_masks(list(q)))
+        terms.append((len(blocks) - 1, conv, kl))
+    return terms
+
+
+def flat_enumeration_ledger(gamma, i, n):
+    """The relative ledger by enumerating every connected partition of
+    cone(gamma, n): per flat, the product of the blocks' Betti numbers (read
+    off each block's chromatic polynomial) in degree j = 2i-p-q times the
+    KL coefficient of degree i-q of the quotient graph, with sign
+    (-1)^(p+q).  Independent of the grouped flat sums of the cone
+    recursion; rhs is d_coeff_graph."""
+    lhs = 0
+    for p, conv, kl in _flat_terms(gamma, n):
+        for q_deg in range(0, i + 1):
+            j = 2 * i - p - q_deg
+            if 0 <= j < len(conv) and i - q_deg < len(kl):
+                lhs += (-1) ** (p + q_deg) * conv[j] * kl[i - q_deg]
+    return {"lhs": lhs, "rhs": d_coeff_graph(gamma, i, n)}
+
+
+@st.composite
+def relabelled_ledger_cases(draw):
+    """A random connected graph H on at most 5 vertices under a random
+    relabelling, k with |H| + k <= 8, and i <= 3."""
+    h = draw(st.integers(1, 5))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, h)}  # spanning tree
+    pairs = [(u, v) for u in range(h) for v in range(u + 1, h)]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    perm = draw(st.permutations(range(h)))
+    edges |= {e for e, on in zip(pairs, flags) if on}
+    gamma = Graph(h, [(perm[u], perm[v]) for u, v in edges])
+    return gamma, draw(st.integers(1, 3)), draw(st.integers(0, 8 - h))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(relabelled_ledger_cases())
+def test_euler_identity_graph_matches_flat_enumeration(case):
+    gamma, i, n = case
+    rep = euler_identity_graph(gamma, i, n)
+    want = flat_enumeration_ledger(gamma, i, n)
+    assert (rep["lhs"], rep["rhs"]) == (want["lhs"], want["rhs"])
+    assert want["lhs"] == want["rhs"] and rep["equal"]
+
+
+def test_euler_identity_graph_matches_flat_enumeration_examples():
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    c5 = Graph(5, [(v, (v + 1) % 5) for v in range(5)])
+    for gamma, n in [(p4, 3), (p4, 5), (p4, 6), (c5, 4)]:
+        for i in (1, 2, 3):
+            rep = euler_identity_graph(gamma, i, n)
+            want = flat_enumeration_ledger(gamma, i, n)
+            assert (rep["lhs"], rep["rhs"]) == (want["lhs"], want["rhs"]), (n, i)
+            assert rep["equal"]
 
 
 # --- ratio diagnostics -----------------------------------------------------------
