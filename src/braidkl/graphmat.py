@@ -514,7 +514,11 @@ def _parse_graph(path: str) -> Graph:
     stripped = text.strip()
     if stripped.startswith("{"):
         data = json.loads(stripped)
-        return Graph(int(data["n"]), [tuple(e) for e in data.get("edges", [])])
+        n, edges = data["n"], [tuple(e) for e in data.get("edges", [])]
+        for x in (n, *(v for e in edges for v in e)):
+            if type(x) is not int:  # a float or a bool is not read as a vertex
+                raise ValueError(f"{json.dumps(x)} is not an integer")
+        return Graph(n, edges)
     edges = []
     for line in stripped.splitlines():
         line = line.strip()

@@ -31,18 +31,16 @@ others) and H, the rest, has none.  A flat of cone(H, k) is made of
 
 Its contraction is cone(H[V - S]/pi', k'), so only quotients of induced
 subgraphs of H recur, and the work is exponential in |H| and polynomial in
-k.  The cone-block weights W_S(k, k'), the sums over the third part of the
-blocks' characteristic polynomials, come from an integer recurrence that
-places the cone vertices one at a time.  In the falling-factorial basis
-chi_{H[T]} is sum_l a_l(T) (t)_l, with a_l(T) the partitions of T into l
-independent sets; the a_l(T) come straight from the colour-class recursion
-of graphmat on bit masks of H, and every chi_{H[T]} is summed from them.  A
-block (T, c) weighs sum_l a_l(T) (t)_(c+l) / t:
-a cone vertex that joins a block of level c + l multiplies its weight by
-t - (c + l), so over all blocks the factor depends only on the block count
-and the total level.  With H empty this is the recurrence of B_{j,k'}, the
-rows are the braid rows, and with k = 0 only S = {} remains: the step is the
-plain sum over the flats of H.
+k.  The cone-block weights, the sums over the third part of the blocks'
+characteristic polynomials, are in closed form.  Over the ways S spreads
+across the k' blocks, prod chi_{H[T]}(t - c) sums to the colourings of H[S]
+from k' disjoint palettes of t - c colours each, chi_{H[S]}(k' t - k), and
+prod (t)_c / t over the partitions of the cone vertices sums to B_{k,k'}.
+So the weight is B_{k,k'}(t) sum_N a_N(S) (k' t - k)_N, with a_N(S) the
+partitions of S into N independent sets (the colour-class recursion of
+graphmat).  The flats of every H[r], weighted by a_N(V - r), make one table
+per H that does not depend on k.  With H empty the rows are the braid rows,
+and with k = 0 only S = {} remains: the plain sum over the flats of H.
 """
 
 from __future__ import annotations
@@ -163,8 +161,8 @@ def _split_cone(adj: list) -> tuple:
 class _ConeBase:
     """What the cones over one graph H (without a universal vertex) share,
     for every number of cone vertices: chromatic polynomials of induced
-    subgraphs, the flats of the induced subgraphs grouped by contraction,
-    and the cone-block weights."""
+    subgraphs and the flats of every H[r] grouped by contraction and
+    weighted by the colour classes of the rest, a table independent of k."""
 
     def __init__(self, h: Graph):
         self.graph = h
@@ -172,9 +170,7 @@ class _ConeBase:
         self.full = (1 << h.n) - 1
         self._chrom: dict = {}
         self._classes: dict = {}
-        self._flats: dict = {}
-        self._step = _NO_CONE_VERTEX
-        self._step_lock = threading.Lock()  # steps must not interleave
+        self._table = None
 
     def classes(self, a: int) -> tuple:
         """Entry l counts the partitions of a into l independent sets of H:
@@ -193,9 +189,6 @@ class _ConeBase:
         of Q, Q, u, chi) per contraction cone(Q, u), where Q has no universal
         vertex and chi sums the flats' products of reduced characteristic
         polynomials of the blocks."""
-        hit = self._flats.get(r)
-        if hit is not None:
-            return hit
         by_quotient: dict = {}
         for blocks in flat_masks(self.adj, r):
             chi = [1]
@@ -208,61 +201,34 @@ class _ConeBase:
             h, u = _split_cone(list(q))
             hkey = canonical_key(h)
             padd_into(grouped.setdefault((hkey, u), [hkey, h, u, []])[3], chi)
-        hit = self._flats[r] = list(grouped.values())
-        return hit
+        return list(grouped.values())
 
-    def _next_step(self, j: int, states: dict) -> dict:
-        """Place cone vertex j + 1.  A block whose S-part is split into l
-        independent sets and that holds c cone vertices weighs (t)_(c+l) / t,
-        so a cone vertex that joins a block of level m = c + l multiplies its
-        weight by (t - m).  Summed over the kk blocks that can take it, the
-        factor is kk*t - M, with M = j + L the total level.  Otherwise the
-        vertex opens a block, alone (weight 1) or with a part a of the unused
-        H-vertices split into l independent sets (weight (t)_(1+l) / t)."""
-        out: dict = {}
-
-        def add(key, poly):
-            padd_into(out.setdefault(key, []), poly)
-
-        for (u, kk, ell), v in states.items():
-            if kk:
-                add((u, kk, ell), pmul([-(j + ell), kk], v))
-            add((u, kk + 1, ell), v)
-            free = self.full ^ u
-            sub = free
-            while sub:
-                for l2, x in enumerate(self.classes(sub)):
-                    if x:
-                        w = pmul([x * y for y in _ff_reduced(1 + l2)], v)
-                        add((u | sub, kk + 1, ell + l2), w)
-                sub = (sub - 1) & free
-        return out
-
-    def cone_blocks(self, s: int, j: int) -> list:
-        """Entry k' is the sum, over the partitions of s plus j labelled cone
-        vertices into k' blocks that each hold a cone vertex, of the product
-        of the blocks' reduced characteristic polynomials.  The cone vertices
-        are placed one at a time (_next_step), keeping only the states after
-        the last one placed: (used H-vertices, blocks, independent sets of
-        the used H-vertices) -> polynomial.  Rows are built in increasing j,
-        so an earlier j, needed only when the row table was emptied, starts
-        over."""
-        with self._step_lock:
-            if self._step[0] > j:
-                self._step = _NO_CONE_VERTEX
-            while self._step[0] < j:
-                m, states, _ = self._step
-                states = self._next_step(m, states)
-                by_used: dict = {}
-                for (u, kk, _), v in states.items():
-                    row = by_used.setdefault(u, [[] for _ in range(m + 2)])
-                    padd_into(row[kk], v)
-                self._step = (m + 1, states, by_used)
-            return self._step[2].get(s, [])
+    def table(self) -> dict:
+        """Maps (canonical key of Q, u) to [Q, xs]: xs[N] sums chi * a_N(S),
+        over every r and every flat of H[r] that contracts to cone(Q, u),
+        with S = V(H) - r and a_N(S) = classes(S)[N].  Built once."""
+        if self._table is None:
+            table: dict = {}
+            for r in range(self.full + 1):
+                classes = self.classes(self.full ^ r)
+                for qkey, q, u, chi in self.flats(r):
+                    xs = table.setdefault((qkey, u), [q, []])[1]
+                    xs.extend([] for _ in range(len(classes) - len(xs)))
+                    for n, a in enumerate(classes):
+                        if a:
+                            padd_into(xs[n], chi, a)
+            self._table = table
+        return self._table
 
 
-# (cone vertices placed, states, their sums by used H-vertices) before any
-_NO_CONE_VERTEX = (0, {(0, 0, 0): [1]}, {0: [[1]]})
+def _falling_at(xs: list, k: int, kk: int) -> list:
+    """sum_N xs[N] (kk t - k)_N for polynomials xs[N], by Horner's rule in
+    the falling-factorial basis."""
+    out = list(xs[-1])
+    for n in range(len(xs) - 2, -1, -1):
+        out = pmul(out, [-k - n, kk])
+        padd_into(out, xs[n])
+    return out
 
 
 def _cone_base(hkey: bytes, h: Graph) -> _ConeBase:
@@ -273,21 +239,22 @@ def _cone_base(hkey: bytes, h: Graph) -> _ConeBase:
     return base
 
 
-def _flat_groups(base: _ConeBase, k: int):
-    """The flats of cone(H, k) in groups: yields (canonical key of Q, Q, c,
-    chi) for a group of flats that all contract to cone(Q, c), with chi the
-    sum of their products of the blocks' reduced characteristic polynomials.
-    A flat puts a set s of H-vertices into the k' blocks that hold cone
-    vertices and splits the rest r by a flat of H[r]; its contraction is
-    cone(H[r]/flat, k').  One group is one r, one contraction of H[r] and
-    one k'.  With k = 0 only r = V(H) remains.  The finest flat, whose
-    contraction is cone(H, k) itself, is included."""
-    for r in range(base.full + 1) if k else (base.full,):
-        blocks = base.cone_blocks(base.full ^ r, k)
-        for qkey, q, u, chi_h in base.flats(r):
-            for kk, f in enumerate(blocks):
-                if any(f):
-                    yield qkey, q, kk + u, pmul(chi_h, f)
+def _flat_groups(base: _ConeBase, k: int) -> list:
+    """The flats of cone(H, k) in groups, one per contraction: entries
+    (canonical key of Q, Q, c, chi) for the flats that contract to
+    cone(Q, c), with chi the sum of their products of the blocks' reduced
+    characteristic polynomials, the finest flat included.  With k = 0 these
+    are the flats of H; otherwise the table's entry (Q, u) goes to every
+    c = u + k', its xs[N] weighted by B_{k,k'} (k' t - k)_N."""
+    if not k:
+        return base.flats(base.full)
+    out: dict = {}
+    for kk in range(1, k + 1):
+        blocks = _flat_sum(k, kk)
+        for (qkey, u), (q, xs) in base.table().items():
+            group = out.setdefault((qkey, u + kk), [qkey, q, u + kk, []])
+            padd_into(group[3], pmul(_falling_at(xs, k, kk), blocks))
+    return [g for g in out.values() if any(g[3])]
 
 
 def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
@@ -396,8 +363,8 @@ def conjecture_top_check(i: int) -> dict:
 
 def kl_cache_export() -> dict:
     """Snapshot the graph memo table as JSON-safe records (graph:<hex key>
-    mapping to decimal coefficient strings).  Braid rows are cheap to
-    recompute and are not persisted."""
+    mapping to decimal coefficient strings).  The braid rows of `kl --n`
+    are not persisted; rows of K_m reached as graphs (H empty) are."""
     return {
         "graph:" + key.hex(): [str(c) for c in coeffs]
         for key, coeffs in _GRAPH_TABLE.items()

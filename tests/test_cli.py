@@ -154,7 +154,12 @@ def test_bad_graph_file_exits_2(tmp_path, capsys):
     null_n.write_text(json.dumps({"n": None, "edges": []}))
     null_edge = tmp_path / "null_edge.json"
     null_edge.write_text(json.dumps({"n": 2, "edges": [[0, None]]}))
-    for path in (missing, no_n, null_n, null_edge):
+    # numbers that int() would truncate, and true for 1, used to load as P4
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps({"n": 4.9, "edges": [[0, 1.7], [1, 2], [2, 3]]}))
+    bools = tmp_path / "bools.json"
+    bools.write_text(json.dumps({"n": 4, "edges": [[0, True], [1, 2], [2, 3]]}))
+    for path in (missing, no_n, null_n, null_edge, floats, bools):
         assert main(["kl", "--graph", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err

@@ -70,3 +70,26 @@ def test_graph_table_concurrent_fill(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == expected
+
+
+def test_cone_rows_concurrent_refill(monkeypatch):
+    # the bases keep their flat tables from the sequential pass and only the
+    # rows are emptied, so overlapping threads weight the shared tables for
+    # different numbers of cone vertices at once, in no particular order
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    graphs = [cone_extend(p4, k) for k in (9, 3, 7, 5, 8, 4)]
+    graphs += [cone_extend(c5, k) for k in (6, 2, 5)]
+    graphs *= 4
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    monkeypatch.setattr(klcore, "_BASES", {})
+    expected = [kl_graphic(g) for g in graphs]
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(kl_graphic, graphs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected

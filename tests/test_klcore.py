@@ -20,12 +20,14 @@ from braidkl.graphmat import (
     Graph,
     canonical_key,
     char_poly,
+    components,
     cone_extend,
     connected_partitions,
     contract,
     induced_subgraph,
     is_connected,
     localize,
+    reduced_chromatic,
 )
 from braidkl.intpoly import padd_into, pmul
 import braidkl.klcore as klcore
@@ -389,6 +391,8 @@ def peeled_cone_blocks(h, s, j, memo=None):
 
 
 def test_cone_blocks_match_first_cone_vertex_peeling():
+    # j cone vertices in k' blocks, with the vertices s of h spread over
+    # them, weigh B_{j,k'} chi_{h[s]}(k' t - j)
     for h in [
         Graph(4, [(0, 1), (1, 2), (2, 3)]),
         Graph(4, [(0, 1), (2, 3)]),
@@ -396,11 +400,63 @@ def test_cone_blocks_match_first_cone_vertex_peeling():
     ]:
         memo = {}
         base = klcore._ConeBase(h)
-        for j in (0, 3, 5, 2, 4, 1):  # an earlier j starts the steps over
+        for j in range(6):
             for s in range(1 << h.n):
-                got = {kk: Poly(f, "t") for kk, f in enumerate(base.cone_blocks(s, j)) if any(f)}
+                xs = [[a] for a in base.classes(s)]
+                got = {}
+                for kk in range(j + 1):
+                    f = Poly(pmul(klcore._falling_at(xs, j, kk), _flat_sum(j, kk)), "t")
+                    if f:
+                        got[kk] = f
                 want = {kk: f for kk, f in peeled_cone_blocks(h, s, j, memo).items() if f}
                 assert got == want, (h, s, j)
+
+
+def test_falling_at_matches_power_basis():
+    # sum_N xs[N] (kk t - k)_N against the product of the linear factors, and
+    # with xs the colour classes of h[s], against h[s]'s chromatic polynomial
+    # from graphmat composed with kk t - k in the power basis
+    h = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    base = klcore._ConeBase(h)
+    xs = [[3, -1], [], [0, 0, 2], [-5], [1, 4, 0, 7]]
+    for k in range(9):
+        for kk in range(k + 1):
+            want, falling = [], [1]
+            for n, x in enumerate(xs):
+                padd_into(want, pmul(x, falling))
+                falling = pmul(falling, [-k - n, kk])
+            assert Poly(klcore._falling_at(xs, k, kk), "t") == Poly(want, "t")
+            for s in range(1 << h.n):
+                got = klcore._falling_at([[a] for a in base.classes(s)], k, kk)
+                sub = induced_subgraph(h, [v for v in range(h.n) if s >> v & 1])
+                # reduced_chromatic divides by t once per component
+                t_power = [0] * len(components(sub)) + [1]
+                chi = pmul(t_power, list(reduced_chromatic(sub)))
+                want, power = [], [1]
+                for c in chi:
+                    padd_into(want, power, c)
+                    power = pmul(power, [-k, kk])
+                assert Poly(got, "t") == Poly(want, "t"), (s, k, kk)
+
+
+def test_flat_groups_one_per_contraction():
+    # the groups sum every flat of cone(h, k) by contraction, once each, and
+    # their sum against the contractions' rows is the flat sum computed from
+    # the exponential formula
+    for h, k in [
+        (Graph(4, [(0, 1), (1, 2), (2, 3)]), 3),
+        (Graph(4, [(0, 1), (2, 3)]), 2),
+        (Graph(3), 4),
+        (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 2),
+        (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 0),
+    ]:
+        groups = klcore._flat_groups(klcore._cone_base(canonical_key(h), h), k)
+        keys = [(qkey, c) for qkey, _, c, _ in groups]
+        assert len(set(keys)) == len(keys)
+        total = Poly([], "t")
+        for qkey, q, c, chi in groups:
+            total = total + Poly(pmul(chi, list(klcore._cone_row(qkey, q, c))), "t")
+        assert total == cone_flat_sum(h, k), (h, k)
 
 
 def test_vertex_count_beyond_key_byte_fails_fast():
