@@ -516,7 +516,7 @@ def _parse_graph(path: str) -> Graph:
         data = json.loads(stripped)
         n, edges = data["n"], [tuple(e) for e in data.get("edges", [])]
         for x in (n, *(v for e in edges for v in e)):
-            if type(x) is not int:  # a float or a bool is not read as a vertex
+            if type(x) is not int:  # int() would truncate 1.7; true is an int
                 raise ValueError(f"{json.dumps(x)} is not an integer")
         return Graph(n, edges)
     edges = []
