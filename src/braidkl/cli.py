@@ -174,7 +174,13 @@ def cmd_genfun(args) -> int:
     from . import polyseries, specseq
 
     i, n_max = args.i, args.max_n
-    seq = [klcore.d_coeff(i, n) for n in range(1, n_max + 1)]
+    if i < 0:
+        print("error: --i must be nonnegative", file=sys.stderr)
+        return 2
+    if n_max < 1:
+        print("error: --max-n must be positive", file=sys.stderr)
+        return 2
+    seq =[klcore.d_coeff(i, n) for n in range(1, n_max + 1)]
     if args.format == "csv":
         print("n,dim")
         for n, v in enumerate(seq, start=1):

@@ -277,8 +277,6 @@ def h_sym(k: int) -> SymFn:
 
 OS_BOUND = 8
 
-_STRAIGHT_CACHE: dict = {}
-
 
 def _sort_edges(raw):
     """Sort wedge factors by (max, min); returns (sorted tuple, sign) or
@@ -290,11 +288,12 @@ def _sort_edges(raw):
     return tuple((a, b) for b, a in sorted(keys)), (-1) ** inversions
 
 
-def _straighten(mono):
+def _straighten(mono, memo: dict):
     """Expand a sorted wedge of edges in the distinct-maxima basis using the
     three-term relation x_ab x_cb = x_ac x_cb + x_ab x_ac (a < c < b), which
-    strictly lowers the multiset of maxima."""
-    hit = _STRAIGHT_CACHE.get(mono)
+    strictly lowers the multiset of maxima.  memo maps wedges already
+    expanded to their expansions; the caller owns it and drops it."""
+    hit = memo.get(mono)
     if hit is not None:
         return hit
     k = None
@@ -303,8 +302,7 @@ def _straighten(mono):
             k = idx
             break
     if k is None:
-        result = {mono: 1}
-        _STRAIGHT_CACHE[mono] = result
+        result = memo[mono] = {mono: 1}
         return result
     (a, b), (c, _) = mono[k], mono[k + 1]
     out: dict = {}
@@ -313,24 +311,45 @@ def _straighten(mono):
         srt, sign = _sort_edges(raw)
         if srt is None:
             continue
-        for m2, c2 in _straighten(srt).items():
+        for m2, c2 in _straighten(srt, memo).items():
             out[m2] = out.get(m2, 0) + sign * c2
-    out = {m: v for m, v in out.items() if v}
-    _STRAIGHT_CACHE[mono] = out
+    out = memo[mono] = {m: v for m, v in out.items() if v}
     return out
 
 
-@lru_cache(maxsize=None)
+def _monomials(n: int, i: int):
+    """Generate the monomial basis of H^i, in os_basis order."""
+    if i == 0:
+        yield ()
+        return
+    for maxima in itertools.combinations(range(2, n + 1), i):
+        for mins in itertools.product(*[range(1, b) for b in maxima]):
+            yield tuple(zip(mins, maxima))
+
+
 def os_basis(n: int, i: int) -> tuple:
     """Monomial basis x_{a1 b1}...x_{ai bi} with a_k < b_k and strictly
     increasing maxima b_1 < ... < b_i; labels are 1-based."""
-    if i == 0:
-        return ((),)
-    out = []
-    for maxima in itertools.combinations(range(2, n + 1), i):
-        for mins in itertools.product(*[range(1, b) for b in maxima]):
-            out.append(tuple(zip(mins, maxima)))
-    return tuple(out)
+    return tuple(_monomials(n, i))
+
+
+def _flat(n: int, mono) -> tuple:
+    """The flat a basis monomial spans: position v-1 holds the least label
+    of the block of v.  Edges come in increasing maxima, so the minimum of
+    each edge already carries its final block when the edge is read."""
+    least = list(range(n + 1))
+    for a, b in mono:
+        least[b] = least[a]
+    return tuple(least[1:])
+
+
+def _fixes(sigma: tuple, flat: tuple) -> bool:
+    """Whether sigma maps every block of the flat onto a block: it does when
+    each label lands in the block where the least label of its block lands."""
+    return all(
+        flat[sigma[v] - 1] == flat[sigma[least - 1] - 1]
+        for v, least in enumerate(flat)
+    )
 
 
 def _class_rep_perm(mu: Partition) -> tuple:
@@ -348,31 +367,40 @@ def _class_rep_perm(mu: Partition) -> tuple:
 @lru_cache(maxsize=None)
 def os_character(n: int, i: int) -> ClassFn:
     """Character of S_n on H^i of the configuration space of n points in
-    the plane, from the straightened monomial basis."""
+    the plane, from the straightened monomial basis.  The three-term
+    relation keeps the flat the edges span, so sigma.m has no component on
+    m unless sigma fixes the flat of m: only the sigma-stable flats are
+    straightened."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > OS_BOUND:
         raise ValueError(f"brute-force path bounded at n = {OS_BOUND}")
-    basis = os_basis(n, i)
+    by_flat: dict = {}
+    for mono in _monomials(n, i):
+        by_flat.setdefault(_flat(n, mono), []).append(mono)
     expected = stirling1_unsigned(n, n - i) if i <= n - 1 else 0
-    if len(basis) != expected:
+    if sum(map(len, by_flat.values())) != expected:
         raise ArithmeticError("basis size disagrees with Whitney number")
+    memo: dict = {}
     values = {}
     for mu in partitions(n):
         sigma = _class_rep_perm(mu)
         tr = 0
-        for mono in basis:
-            raw = []
-            for a, b in mono:
-                x, y = sigma[a - 1], sigma[b - 1]
-                raw.append((x, y) if x < y else (y, x))
-            image = {b: a for a, b in raw}
-            if len(image) < i:
-                srt, sign = _sort_edges(raw)
-                tr += sign * _straighten(srt).get(mono, 0)
-            elif all(image.get(b) == a for a, b in mono):
-                # distinct maxima make a basis monomial: only mono counts
-                tr += _sort_edges(raw)[1]
+        for flat, monos in by_flat.items():
+            if not _fixes(sigma, flat):
+                continue
+            for mono in monos:
+                raw = []
+                for a, b in mono:
+                    x, y = sigma[a - 1], sigma[b - 1]
+                    raw.append((x, y) if x < y else (y, x))
+                image = {b: a for a, b in raw}
+                if len(image) < i:
+                    srt, sign = _sort_edges(raw)
+                    tr += sign * _straighten(srt, memo).get(mono, 0)
+                elif all(image.get(b) == a for a, b in mono):
+                    # distinct maxima make a basis monomial: only mono counts
+                    tr += _sort_edges(raw)[1]
         values[mu] = Fraction(tr)
     return ClassFn(n, values)
 

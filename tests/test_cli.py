@@ -104,6 +104,16 @@ def test_genfun_fit_out_of_reach_fails_fast(capsys):
     assert time.monotonic() - start < 20
 
 
+@pytest.mark.parametrize(
+    "i, max_n, message",
+    [("-1", "5", "--i must be nonnegative"), ("1", "0", "--max-n must be positive")],
+)
+def test_genfun_rejects_out_of_range_input(capsys, i, max_n, message):
+    assert main(["genfun", "--i", i, "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_genfun_asymptotics(capsys):
     code, out = run_cli(capsys, "genfun", "--i", "1", "--max-n", "12", "--asymptotics")
     assert code == 0
@@ -432,7 +442,7 @@ UNUSED_BY_KL = (
     "braidkl.verify",
     "dataclasses",
 )
-KL_PROBE = """
+LOAD_PROBE = """
 import sys
 before = set(sys.modules)
 from braidkl.cli import main
@@ -442,23 +452,47 @@ sys.exit(code)
 """
 
 
-def test_kl_loads_only_the_modules_it_uses(tmp_path):
-    """Each run is a fresh `kl` process; the cone runs write, then read, a
-    persisted table, so the cache load and save are covered too."""
+def _probe_env(tmp_path) -> dict:
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, KL_CACHE_DIR=str(tmp_path / "cache"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _assert_not_loaded(argv, unused, env):
+    """Run the command in a fresh process; none of `unused` may load."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE.format(unused=unused), *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", (argv, proc.stdout)
+
+
+def test_kl_loads_only_the_modules_it_uses(tmp_path):
+    """Each run is a fresh `kl` process; the cone runs write, then read, a
+    persisted table, so the cache load and save are covered too."""
+    env = _probe_env(tmp_path)
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
     cone = ["kl", "--graph", str(graph), "--cone", "2"]
     for argv in (["kl", "--n", "5"], cone, cone):
-        proc = subprocess.run(
-            [sys.executable, "-c", KL_PROBE.format(unused=UNUSED_BY_KL), *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]", (argv, proc.stdout)
+        _assert_not_loaded(argv, UNUSED_BY_KL, env)
     assert (tmp_path / "cache" / "kltable.json").exists()
+
+
+# Modules a verify suite has no use for; each suite imports its own.
+UNUSED_BY_SUITE = {
+    "properties": ("braidkl.fsmod", "braidkl.specseq", "dataclasses"),
+    "paper-i2": ("braidkl.eqkl", "braidkl.fsmod", "dataclasses"),
+    "fs": ("braidkl.eqkl", "braidkl.specseq"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(UNUSED_BY_SUITE))
+def test_verify_suite_loads_only_the_modules_it_uses(tmp_path, suite):
+    argv = ["verify", "--suite", suite]
+    _assert_not_loaded(argv, UNUSED_BY_SUITE[suite], _probe_env(tmp_path))

@@ -1,8 +1,10 @@
 """Equivariant KL machinery: Frobenius characteristic, plethysm, OS
 characters, the two recursion paths, Specht decompositions, row bounds."""
 
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -380,19 +382,88 @@ def test_bruteforce_consistency_checks_catch_a_perturbed_class_value(
         eqkl_braid_bruteforce.cache_clear()
 
 
+def _image(sigma, mono):
+    """sigma . mono as a sorted wedge of edges, with its sign."""
+    raw = tuple(tuple(sorted((sigma[a - 1], sigma[b - 1]))) for a, b in mono)
+    return eqkl._sort_edges(raw)
+
+
 def test_os_character_matches_straightening_every_image():
     """os_character skips the straightening of images with distinct
-    maxima; straightening every image gives the same trace."""
+    maxima and of monomials whose flat sigma moves; straightening every
+    image gives the same trace."""
     for n in range(1, 6):
         for i in range(n):
+            memo = {}
             for mu in partitions(n):
                 sigma = eqkl._class_rep_perm(mu)
                 tr = 0
                 for mono in os_basis(n, i):
-                    raw = tuple(tuple(sorted((sigma[a - 1], sigma[b - 1]))) for a, b in mono)
-                    srt, sign = eqkl._sort_edges(raw)
-                    tr += sign * eqkl._straighten(srt).get(mono, 0)
+                    srt, sign = _image(sigma, mono)
+                    tr += sign * eqkl._straighten(srt, memo).get(mono, 0)
                 assert os_character(n, i).value(mu) == tr
+
+
+def _blocks(n, edges):
+    """The flat an edge set spans, as a set of blocks of {1..n}."""
+    block = {v: frozenset([v]) for v in range(1, n + 1)}
+    for a, b in edges:
+        merged = block[a] | block[b]
+        for v in merged:
+            block[v] = merged
+    return frozenset(block.values())
+
+
+def test_flat_and_fixes_match_the_set_partition_definition():
+    for n in range(1, 7):
+        for i in range(n):
+            for mono in os_basis(n, i):
+                flat = eqkl._flat(n, mono)
+                blocks = _blocks(n, mono)
+                assert {frozenset(v for v in range(1, n + 1) if flat[v - 1] == r)
+                        for r in flat} == blocks
+                for mu in partitions(n):
+                    sigma = eqkl._class_rep_perm(mu)
+                    moved = {frozenset(sigma[v - 1] for v in b) for b in blocks}
+                    assert eqkl._fixes(sigma, flat) == (moved == blocks)
+
+
+def test_moved_flat_contributes_nothing_to_the_trace():
+    """The fact the sigma-stable filter rests on: when sigma does not fix
+    the flat of m, the straightened sigma . m has coefficient 0 on m, as
+    every monomial in it spans the flat sigma moved m's flat to."""
+    moved = 0
+    for n in range(1, 7):
+        for i in range(n):
+            memo = {}
+            for mu in partitions(n):
+                sigma = eqkl._class_rep_perm(mu)
+                for mono in os_basis(n, i):
+                    if eqkl._fixes(sigma, eqkl._flat(n, mono)):
+                        continue
+                    moved += 1
+                    srt, _ = _image(sigma, mono)
+                    image = eqkl._straighten(srt, memo)
+                    assert image.get(mono, 0) == 0
+                    assert {_blocks(n, m) for m in image} == {_blocks(n, srt)}
+    assert moved > 0
+
+
+def test_os_oracle_keeps_no_table_after_it_returns():
+    """The straightening memo lives for one os_character call, and the basis
+    is not cached: after eq_char_poly(7) returns, little memory stays."""
+    eqkl.os_character.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eq_char_poly(7)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * 2**20
+    assert not hasattr(eqkl, "_STRAIGHT_CACHE")
+    assert not hasattr(os_basis, "cache_info")
 
 
 def test_eqkl_bounds():
