@@ -3,14 +3,14 @@ generating-function fits, Euler identities, FS checks, the top-coefficient
 conjecture report, the relative (cone-graph) checks, and assorted
 cross-oracle properties.  Each check yields (name, ok, detail).
 
-Each suite imports the modules it uses at its top, so a run of one suite
-loads only those: `properties` loads neither fsmod nor specseq, `fs`
+Each suite imports the braidkl modules it uses at its top, so a run of one
+suite loads only those: `properties` loads neither fsmod nor specseq, `fs`
 neither eqkl nor specseq, and the other suites neither eqkl nor fsmod."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 
 def _check(name, ok, detail=""):
@@ -34,8 +34,6 @@ def _h2_expected():
 
 
 def suite_paper_i1():
-    from math import comb
-
     from . import klcore, polyseries
     from .polyseries import Poly, SeqTable
 
