@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from math import factorial
 
 # Only what `kl` and the cache need is imported here; each other command
@@ -89,10 +88,6 @@ def _save_cache(on_disk: dict | None) -> None:
             os.unlink(tmp)
 
 
-def _frac(x) -> str:
-    return str(Fraction(x))
-
-
 def cmd_kl(args) -> int:
     if (args.n is None) == (args.graph is None):
         print("error: give exactly one of --n or --graph", file=sys.stderr)
@@ -104,16 +99,16 @@ def cmd_kl(args) -> int:
         if args.cone:
             print("error: --cone needs --graph", file=sys.stderr)
             return 2
-        poly = klcore.kl_braid(args.n)
+        coeffs = klcore._braid_coeffs(args.n)
         inputs = {"n": str(args.n)}
     else:
         gamma = load_graph(args.graph)
         inputs = {"graph": args.graph, "cone": str(args.cone)}
         if args.cone:
             gamma = cone_extend(gamma, args.cone)
-        poly = klcore.kl_graphic(gamma)
-    coeffs = [_frac(poly.coeff(i)) for i in range(poly.degree() + 1)]
-    return _finish(args, "kl", inputs, {"coefficients": coeffs})
+        coeffs = klcore._kl_graphic_coeffs(gamma)
+    # the integer rows are trimmed and start at 1, as the Poly API's are
+    return _finish(args, "kl", inputs, {"coefficients": [str(c) for c in coeffs]})
 
 
 def cmd_eqkl(args) -> int:
@@ -127,9 +122,9 @@ def cmd_eqkl(args) -> int:
         degrees.append(
             {
                 "degree": i,
-                "dimension": _frac(coeff.dim()),
+                "dimension": str(coeff.dim()),
                 "specht_multiplicities": {
-                    ",".join(map(str, lam.parts)): _frac(m)
+                    ",".join(map(str, lam.parts)): str(m)
                     for lam, m in sorted(dec.items())
                 },
             }
@@ -171,8 +166,6 @@ def cmd_e1(args) -> int:
 
 
 def cmd_genfun(args) -> int:
-    from . import polyseries, specseq
-
     i, n_max = args.i, args.max_n
     if i < 0:
         print("error: --i must be nonnegative", file=sys.stderr)
@@ -180,12 +173,27 @@ def cmd_genfun(args) -> int:
     if n_max < 1:
         print("error: --max-n must be positive", file=sys.stderr)
         return 2
-    seq =[klcore.d_coeff(i, n) for n in range(1, n_max + 1)]
+    if i == 0 and (args.fit or args.asymptotics):
+        # D_0(n) = 1: no pole in 1..2i to fit and no (2i)^n ratio to take
+        print("error: --fit and --asymptotics need --i >= 1", file=sys.stderr)
+        return 2
+    if args.format == "csv" and (args.fit or args.asymptotics):
+        print(
+            "error: --format csv prints only the dims; "
+            "it cannot carry --fit or --asymptotics",
+            file=sys.stderr,
+        )
+        return 2
+    seq = [klcore.d_coeff(i, n) for n in range(1, n_max + 1)]
     if args.format == "csv":
         print("n,dim")
         for n, v in enumerate(seq, start=1):
             print(f"{n},{v}")
         return 0
+    from fractions import Fraction
+
+    from . import polyseries, specseq
+
     outputs = {"dims": [str(v) for v in seq]}
     verdicts = {}
     if args.fit:
@@ -200,25 +208,25 @@ def cmd_genfun(args) -> int:
             r = polyseries.r_extract(fit, 2 * i)
             expected = Fraction(klcore.d_coeff(i - 1, 2 * i), factorial(2 * i))
             outputs["fit"] = {
-                "numerator": [_frac(c) for c in fit.num.coeffs],
-                "denominator": [_frac(c) for c in fit.den.coeffs],
+                "numerator": [str(c) for c in fit.num.coeffs],
+                "denominator": [str(c) for c in fit.den.coeffs],
                 "partial_fractions": [
-                    {"pole": j, "order": m, "coefficient": _frac(c)}
+                    {"pole": j, "order": m, "coefficient": str(c)}
                     for j, m, c in terms
                 ],
-                "poly_part": [_frac(c) for c in polypart.coeffs],
+                "poly_part": [str(c) for c in polypart.coeffs],
                 "egf_polynomials": [
-                    [_frac(c) for c in p.coeffs] for p in polyseries.egf_form(fit)
+                    [str(c) for c in p.coeffs] for p in polyseries.egf_form(fit)
                 ],
-                "r_constant": _frac(r),
-                "r_expected": _frac(expected),
+                "r_constant": str(r),
+                "r_expected": str(expected),
             }
             verdicts["fit_found"] = True
             verdicts["r_matches_dfg"] = r == expected
     if args.asymptotics:
         rows = specseq.ratio_diagnostic(i, range(max(1, n_max - 9), n_max + 1))
         outputs["ratios"] = [
-            {"n": n, "cell_ratio": _frac(a), "dim_ratio": _frac(b)}
+            {"n": n, "cell_ratio": str(a), "dim_ratio": str(b)}
             for n, a, b in rows
         ]
     return _finish(

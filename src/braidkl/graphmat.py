@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from .intpoly import pmul
 
-# Poly is imported where it is used, so loading this module leaves
-# polyseries unloaded.
+# polyseries loads only through the Poly API (char_poly), which the
+# CLI's `kl` and `e1` never call: they work on the integer rows.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .polyseries import Poly

@@ -65,8 +65,8 @@ from .graphmat import (
 )
 from .intpoly import falling_factorial, padd_into, pmul
 
-# Poly is imported where it is used, so loading this module leaves
-# polyseries unloaded.
+# polyseries loads only through the Poly API (kl_braid and kl_graphic),
+# which the CLI's `kl` and `e1` never call: they work on the integer rows.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .polyseries import Poly

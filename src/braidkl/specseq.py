@@ -30,7 +30,6 @@ connected partition, is the oracle in tests/test_specseq.py.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from .combinat import stirling1_unsigned, stirling2
@@ -113,6 +112,8 @@ def euler_identity_graph(gamma: Graph, i: int, n: int) -> dict:
 def ratio_diagnostic(i: int, n_range) -> list:
     """Rows (n, b_dim(i,2i-1,1,n)/(2i)^n, d_coeff(i,n)/(2i)^n); the two
     columns share the limit dim D_{i-1}(2i)/(2i)!."""
+    from fractions import Fraction
+
     if i < 1:
         raise ValueError("i must be positive")
     d = 2 * i

@@ -114,6 +114,26 @@ def test_genfun_rejects_out_of_range_input(capsys, i, max_n, message):
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--fit", "--asymptotics"])
+def test_genfun_degree_zero_has_nothing_to_fit(capsys, flag):
+    # D_0(n) = 1 for every n: there is no pole in 1..2i and no ratio limit
+    assert main(["genfun", "--i", "0", "--max-n", "10", flag]) == 2
+    captured = capsys.readouterr()
+    assert "--fit and --asymptotics need --i >= 1" in captured.err
+    assert captured.out == ""
+    code, out = run_cli(capsys, "genfun", "--i", "0", "--max-n", "4")
+    assert code == 0 and json.loads(out)["outputs"]["dims"] == ["1"] * 4
+
+
+@pytest.mark.parametrize("flag", ["--fit", "--asymptotics"])
+def test_genfun_csv_rejects_fit_and_asymptotics(capsys, flag):
+    argv = ["genfun", "--i", "1", "--max-n", "6", "--format", "csv", flag]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--format csv" in captured.err and flag in captured.err
+    assert captured.out == ""
+
+
 def test_genfun_asymptotics(capsys):
     code, out = run_cli(capsys, "genfun", "--i", "1", "--max-n", "12", "--asymptotics")
     assert code == 0
@@ -435,13 +455,19 @@ def test_module_entry_point():
 
 
 # Modules a `kl` job has no use for; a fresh `kl` process must not load them.
+# Its rows are integers, so neither Poly nor Fraction takes part.
 UNUSED_BY_KL = (
     "braidkl.eqkl",
     "braidkl.fsmod",
+    "braidkl.polyseries",
     "braidkl.specseq",
     "braidkl.verify",
     "dataclasses",
+    "decimal",
+    "fractions",
 )
+# `e1` runs the integer ledger in specseq, and nothing rational either.
+UNUSED_BY_E1 = tuple(m for m in UNUSED_BY_KL if m != "braidkl.specseq")
 LOAD_PROBE = """
 import sys
 before = set(sys.modules)
@@ -482,6 +508,17 @@ def test_kl_loads_only_the_modules_it_uses(tmp_path):
     for argv in (["kl", "--n", "5"], cone, cone):
         _assert_not_loaded(argv, UNUSED_BY_KL, env)
     assert (tmp_path / "cache" / "kltable.json").exists()
+
+
+def test_e1_loads_only_the_modules_it_uses(tmp_path):
+    env = _probe_env(tmp_path)
+    graph = tmp_path / "g4.json"
+    graph.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 2]]}))
+    for argv in (
+        ["e1", "--i", "3", "--n", "30"],
+        ["e1", "--i", "2", "--n", "4", "--graph", str(graph)],
+    ):
+        _assert_not_loaded(argv, UNUSED_BY_E1, env)
 
 
 # Modules a verify suite has no use for; each suite imports its own.

@@ -2,8 +2,9 @@
 
 The first five digests were taken before the E1 cell dimensions moved to
 their closed form and the integer polynomial helpers were merged, the rest
-before fit_rational became an integer search, and the last three before
-chromatic polynomials moved to the colour-class recursion; any edit to a kernel
+before fit_rational became an integer search, the next three before
+chromatic polynomials moved to the colour-class recursion, and the last three
+before `kl` and `eqkl` rendered their values with str; any edit to a kernel
 that moves one byte of these reports fails here.  Re-pin a digest only for
 a deliberate, documented change of the report itself.
 """
@@ -80,6 +81,19 @@ GOLDEN = [
     (
         ["verify", "--suite", "relative"],
         "b89184b6ce4493961d1cb2fc5a2f995f84c838e475f3e54d8fb42d3dd932470b",
+    ),
+    # pinned before `kl` and `eqkl` rendered their integers with str
+    (
+        ["kl", "--n", "1"],
+        "424f199871002b0e9fb4b89e5698912ce60edeace499bbe9f7982fe1628d1788",
+    ),
+    (
+        ["kl", "--n", "40"],
+        "dfc79465feff5da041900508635949c5b0721fb9b40bba22e0e71a9af4b4f3d7",
+    ),
+    (
+        ["eqkl", "--n", "7"],
+        "f7f368c5a533ed891fc6b33a793675d87c3b54c4a92f7af7b2bd5462efca14b2",
     ),
 ]
 
