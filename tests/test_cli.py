@@ -115,23 +115,22 @@ def test_genfun_rejects_out_of_range_input(capsys, i, max_n, message):
 
 
 @pytest.mark.parametrize("flag", ["--fit", "--asymptotics"])
-def test_genfun_degree_zero_has_nothing_to_fit(capsys, flag):
-    # D_0(n) = 1 for every n: there is no pole in 1..2i and no ratio limit
-    assert main(["genfun", "--i", "0", "--max-n", "10", flag]) == 2
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # D_0(n) = 1: no pole in 1..2i to fit and no (2i)^n ratio to take
+        (["--i", "0"], "--fit and --asymptotics need --i >= 1"),
+        # the csv report holds only the dims
+        (["--i", "1", "--format", "csv"], "--format csv prints only the dims"),
+    ],
+)
+def test_genfun_rejects_flags_it_cannot_serve(capsys, extra, message, flag):
+    assert main(["genfun", "--max-n", "10", *extra, flag]) == 2
     captured = capsys.readouterr()
-    assert "--fit and --asymptotics need --i >= 1" in captured.err
+    assert message in captured.err and flag in captured.err
     assert captured.out == ""
-    code, out = run_cli(capsys, "genfun", "--i", "0", "--max-n", "4")
-    assert code == 0 and json.loads(out)["outputs"]["dims"] == ["1"] * 4
-
-
-@pytest.mark.parametrize("flag", ["--fit", "--asymptotics"])
-def test_genfun_csv_rejects_fit_and_asymptotics(capsys, flag):
-    argv = ["genfun", "--i", "1", "--max-n", "6", "--format", "csv", flag]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert "--format csv" in captured.err and flag in captured.err
-    assert captured.out == ""
+    code, out = run_cli(capsys, "genfun", "--max-n", "4", *extra)
+    assert code == 0 and out
 
 
 def test_genfun_asymptotics(capsys):
