@@ -1,3 +1,3 @@
-from .cli import main
+from .cli import _entry
 
-raise SystemExit(main())
+_entry()

@@ -7,23 +7,62 @@ finite-window growth diagnostic for dim/d^n ratios.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
 from .combinat import stirling2
-from .polyseries import SeqTable
+
+# growth_diagnostic takes a polyseries.SeqTable but never loads the module
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .polyseries import SeqTable
 
 
-@dataclass(frozen=True)
-class Surjection:
+class _Record:
+    """Immutable record over the field names in __slots__, with the equality,
+    hashing and repr of a frozen dataclass.  (A plain class, as
+    polyseries.SeqTable is, so that loading this module does not load
+    dataclasses.)"""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting slots
+        return (self.__class__, self._values())
+
+
+class Surjection(_Record):
     """Surjective map [n] -> [m], stored as the 1-based image tuple."""
 
-    n: int
-    m: int
-    values: tuple
+    __slots__ = ("n", "m", "values")
 
-    def __post_init__(self):
+    def __init__(self, n: int, m: int, values: tuple):
+        self._set(n, m, values)
         if self.m < 1 or self.n < self.m:
             raise ValueError("need n >= m >= 1")
         if len(self.values) != self.n:
@@ -185,13 +224,14 @@ def h1_generation_witnesses(n: int) -> list:
     return ws
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    d: int
-    start: int
-    ratios: tuple
-    verdict: str
-    estimate: Fraction | None
+class GrowthReport(_Record):
+    """Result of growth_diagnostic: the window's ratios dims(n)/d^n from
+    n = start, the verdict, and the extrapolated limit or None."""
+
+    __slots__ = ("d", "start", "ratios", "verdict", "estimate")
+
+    def __init__(self, d: int, start: int, ratios: tuple, verdict: str, estimate):
+        self._set(d, start, ratios, verdict, estimate)
 
 
 def growth_diagnostic(dims: SeqTable, d: int) -> GrowthReport:

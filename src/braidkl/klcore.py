@@ -110,11 +110,18 @@ def _solve_functional_equation(rhs_proper: list, rank: int) -> tuple:
 
 _BRAID: list = [None, (1,)]  # _BRAID[n] = coefficients of P for the braid matroid
 _BRAID_LOCK = threading.Lock()  # extending the table must not interleave
+# The table costs O(n^4) operations on growing integers: rows up to 150 take
+# seconds, and n = 200 took 25 s on a 2-vCPU VM, so larger n fail fast.
+BRAID_BOUND = 150
 
 
 def _braid_coeffs(n: int) -> tuple:
     if n < 1:
         raise ValueError("n must be positive")
+    if n > BRAID_BOUND:
+        raise ValueError(
+            f"n = {n} is out of reach: the braid table handles n <= {BRAID_BOUND}"
+        )
     if len(_BRAID) <= n:
         with _BRAID_LOCK:
             while len(_BRAID) <= n:

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -96,12 +98,64 @@ def test_genfun_fit_report(capsys):
     assert {"pole": 2, "order": 1, "coefficient": "1/2"} in fit["partial_fractions"]
 
 
-def test_genfun_fit_out_of_reach_fails_fast(capsys):
-    # 30 terms cannot validate the degree-16 candidates that i = 3 needs
+def test_genfun_fit_needs_no_more_terms_than_it_prints(capsys):
+    # the fit is read off the closed form, so 30 terms do for i = 3: a search
+    # for its degree-16 denominator needed 35 and exited 2 on fewer
+    fits = []
+    for max_n in ("30", "34"):
+        code, out = run_cli(capsys, "genfun", "--i", "3", "--max-n", max_n, "--fit")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdicts"] == {"fit_found": True, "r_matches_dfg": True}
+        fits.append(report["outputs"]["fit"])
+    assert fits[0] == fits[1]
+
+
+@pytest.mark.parametrize("i", [4, 5, 6])
+def test_genfun_fit_beyond_the_search(capsys, i):
+    # the search with poles of multiplicity <= 8 ran for minutes and then
+    # failed at i = 4; the closed form gives the fit and its limit constant
     start = time.monotonic()
-    assert main(["genfun", "--i", "3", "--max-n", "30", "--fit"]) == 2
-    assert "cannot validate candidates of denominator degree" in capsys.readouterr().err
-    assert time.monotonic() - start < 20
+    code, out = run_cli(
+        capsys, "genfun", "--i", str(i), "--max-n", "40", "--fit", "--asymptotics"
+    )
+    assert time.monotonic() - start < 2
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdicts"] == {"fit_found": True, "r_matches_dfg": True}
+    fit = report["outputs"]["fit"]
+    want = Fraction(klcore.d_coeff(i - 1, 2 * i), factorial(2 * i))
+    assert fit["r_constant"] == fit["r_expected"] == str(want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kl", "--n", "151"],
+        ["genfun", "--i", "1", "--max-n", "151"],
+        ["e1", "--i", "2", "--n", "151"],
+    ],
+)
+def test_braid_table_bound_fails_fast(capsys, argv):
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert f"n <= {klcore.BRAID_BOUND}" in captured.err and captured.out == ""
+
+
+def test_closed_stdout_exits_quietly():
+    # the read end is closed before the report is written, as when `head`
+    # has already gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidkl", "genfun", "--i", "2", "--max-n", "30", "--fit"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
 
 
 @pytest.mark.parametrize(
@@ -520,11 +574,18 @@ def test_e1_loads_only_the_modules_it_uses(tmp_path):
         _assert_not_loaded(argv, UNUSED_BY_E1, env)
 
 
+def test_genfun_loads_only_the_modules_it_uses(tmp_path):
+    # the fit comes from specseq's closed form: no Poly, RatFn or search
+    argv = ["genfun", "--i", "2", "--max-n", "30", "--fit", "--asymptotics"]
+    unused = ("braidkl.eqkl", "braidkl.fsmod", "braidkl.polyseries", "braidkl.verify", "dataclasses")
+    _assert_not_loaded(argv, unused, _probe_env(tmp_path))
+
+
 # Modules a verify suite has no use for; each suite imports its own.
 UNUSED_BY_SUITE = {
     "properties": ("braidkl.fsmod", "braidkl.specseq", "dataclasses"),
     "paper-i2": ("braidkl.eqkl", "braidkl.fsmod", "dataclasses"),
-    "fs": ("braidkl.eqkl", "braidkl.specseq"),
+    "fs": ("braidkl.eqkl", "braidkl.polyseries", "braidkl.specseq", "dataclasses"),
 }
 
 

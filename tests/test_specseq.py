@@ -3,7 +3,7 @@
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +22,15 @@ from braidkl.graphmat import (
 )
 from braidkl.intpoly import pmul
 from braidkl.klcore import _kl_graphic_coeffs, d_coeff, d_coeff_graph
+from braidkl.polyseries import SeqTable, egf_form, fit_rational, partial_fractions, r_extract
 from braidkl.specseq import (
     b_dim,
     comp_dim,
+    euler_form,
     euler_identity,
     euler_identity_graph,
+    form_fit,
+    form_series,
     ratio_diagnostic,
 )
 
@@ -309,3 +313,69 @@ def test_ratio_diagnostic_vanishing_range():
         for n in range(1, 2 * i + 1):
             (_, _, dim_ratio), = ratio_diagnostic(i, [n])
             assert dim_ratio == 0
+
+
+# --- closed form of the generating functions ---------------------------------------
+
+
+def test_euler_form_matches_braid_table():
+    for i in range(1, 7):
+        form = euler_form(i)
+        want = [d_coeff(i, n) for n in range(1, 101)]
+        assert form_series(form, 100) == [0] + want, i
+        # the same values term by term, in Fractions rather than the scaled sum
+        for n in (1, 2 * i, 2 * i + 1, 50):
+            value = sum(s**n * sum(c * comb(n, k) for k, c in enumerate(g)) for s, g in form.items())
+            assert value == want[n - 1], (i, n)
+
+
+def test_euler_form_top_pole_is_the_limit_constant():
+    for i in range(1, 7):
+        form = euler_form(i)
+        assert max(form) == 2 * i
+        assert form[2 * i] == [Fraction(d_coeff(i - 1, 2 * i), factorial(2 * i))]
+        assert all(g and g[-1] for g in form.values())
+
+
+@pytest.mark.parametrize("i, n_max", [(1, 20), (2, 30), (3, 34)])
+def test_form_fit_matches_fit_rational(i, n_max):
+    """The oracle: search the denominator with fit_rational, then divide
+    polynomials in partial_fractions, egf_form and r_extract."""
+    form = euler_form(i)
+    fit = form_fit(form)
+    seq = SeqTable(1, [d_coeff(i, n) for n in range(1, n_max + 1)])
+    oracle = fit_rational(seq, set(range(1, 2 * i + 1)))
+    polypart, terms = partial_fractions(oracle)
+    assert fit["denominator"] == list(oracle.den.coeffs)
+    assert fit["numerator"] == list(oracle.num.coeffs)
+    assert fit["partial_fractions"] == terms
+    assert fit["poly_part"] == list(polypart.coeffs)
+    assert fit["egf_polynomials"] == [list(p.coeffs) for p in egf_form(oracle)]
+    r = [c for s, m, c in fit["partial_fractions"] if (s, m) == (2 * i, 1)]
+    assert r == [r_extract(oracle, 2 * i)]
+
+
+def test_form_fit_i4_poles():
+    form = euler_form(4)
+    mults = {s: len(g) for s, g in form.items()}
+    assert mults == {1: 9, 2: 7, 3: 3, 4: 5, 5: 3, 6: 3, 7: 1, 8: 1}
+    fit = form_fit(form)
+    assert len(fit["denominator"]) - 1 == sum(mults.values()) == 32
+    orders = {}
+    for s, m, _ in fit["partial_fractions"]:
+        orders[s] = max(orders.get(s, 0), m)
+    assert orders == mults
+    assert (8, 1, Fraction(7, 384)) in fit["partial_fractions"]
+    # the numerator over the denominator expands back to the dims
+    num, den = fit["numerator"], fit["denominator"]
+    series = []
+    for n in range(41):
+        a = num[n] if n < len(num) else 0
+        a -= sum(den[k] * series[n - k] for k in range(1, min(n, len(den) - 1) + 1))
+        series.append(a)
+    assert series == [0] + [d_coeff(4, n) for n in range(1, 41)]
+
+
+def test_euler_form_rejects_i0():
+    with pytest.raises(ValueError):
+        euler_form(0)
