@@ -177,6 +177,13 @@ def cmd_genfun(args) -> int:
         # D_0(n) = 1: no pole in 1..2i to fit and no (2i)^n ratio to take
         print("error: --fit and --asymptotics need --i >= 1", file=sys.stderr)
         return 2
+    if args.fit and i > klcore.FIT_BOUND:
+        print(
+            f"error: --fit at i = {i} is out of reach: "
+            f"it handles i <= {klcore.FIT_BOUND}",
+            file=sys.stderr,
+        )
+        return 2
     if args.format == "csv" and (args.fit or args.asymptotics):
         print(
             "error: --format csv prints only the dims; "

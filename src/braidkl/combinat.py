@@ -179,29 +179,36 @@ def class_size(mu: Partition) -> int:
     return count
 
 
+def _beads(lam: tuple) -> int:
+    """The beta-set of lam as a bit mask: bead lam_i + (L-1-i) for each of
+    its L parts."""
+    L = len(lam)
+    return sum(1 << (p + L - 1 - i) for i, p in enumerate(lam))
+
+
 @lru_cache(maxsize=None)
-def _mn(lam: tuple, mu: tuple) -> int:
-    # Murnaghan-Nakayama over border strips, via first-column hook lengths:
-    # removing a strip of size k from row i means beta_i -> beta_i - k, with
-    # sign (-1)^(number of beta_j strictly between the old and new values).
+def _mn(beads: int, mu: tuple) -> int:
+    # Murnaghan-Nakayama over border strips on the beta-set: removing a strip
+    # of size k moves a bead b to an empty b - k, with sign (-1)^(number of
+    # beads strictly between).  An empty row is a bead at 0 below the others;
+    # shifting such beads off keeps one key per partition.
     if not mu:
-        return 1 if not lam else 0
+        return 0 if beads else 1
     k = mu[0]
     rest = mu[1:]
-    L = len(lam)
-    beta = tuple(lam[i] + (L - 1 - i) for i in range(L))
-    betaset = set(beta)
+    gap = (1 << (k - 1)) - 1
     total = 0
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in betaset:
-            continue
-        crossings = sum(1 for c in beta if nb < c < b)
-        newbeta = sorted((betaset - {b}) | {nb}, reverse=True)
-        newlam = tuple(
-            p for p in (newbeta[j] - (L - 1 - j) for j in range(L)) if p > 0
-        )
-        total += (-1) ** crossings * _mn(newlam, rest)
+    # the beads b >= k with b - k empty
+    movable = (beads & ~(beads << k)) >> k
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        new = beads ^ (low | low << k)
+        new >>= (new ^ (new + 1)).bit_length() - 1  # trailing ones off
+        value = _mn(new, rest)
+        if value:
+            between = beads >> low.bit_length() & gap
+            total += -value if between.bit_count() & 1 else value
     return total
 
 
@@ -209,7 +216,7 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     """Irreducible character value chi^lam(mu) by the Murnaghan-Nakayama rule."""
     if lam.n != mu.n:
         raise ValueError("lam and mu must be partitions of the same n")
-    return _mn(lam.parts, mu.parts)
+    return _mn(_beads(lam.parts), mu.parts)
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +224,7 @@ def character_table(n: int) -> tuple:
     """The irreducible characters of S_n: entry [a][b] is chi^lam(mu) for
     lam = partitions(n)[a] and mu = partitions(n)[b]."""
     parts = [p.parts for p in partitions(n)]
-    return tuple(tuple(_mn(lam, mu) for mu in parts) for lam in parts)
+    return tuple(tuple(_mn(_beads(lam), mu) for mu in parts) for lam in parts)
 
 
 def double_factorial_odd(m: int) -> int:

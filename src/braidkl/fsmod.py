@@ -108,9 +108,18 @@ def hom_fs_count(n: int, m: int) -> int:
     return count
 
 
+def _coord(c):
+    """A coordinate as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class H1Vector:
     """Vector in degree-one configuration homology of n points: a finitely
-    supported map on unordered pairs {i,j} of [n], keys normalized i < j."""
+    supported map on unordered pairs {i,j} of [n], keys normalized i < j.
+    Integral coordinates are ints and the others Fractions."""
 
     __slots__ = ("n", "coords")
 
@@ -122,10 +131,10 @@ class H1Vector:
                 if not (1 <= a <= n and 1 <= b <= n) or a == b:
                     raise ValueError(f"bad pair ({a},{b})")
                 key = (a, b) if a < b else (b, a)
-                c = Fraction(c)
+                c = _coord(c)
                 if c:
-                    clean[key] = clean.get(key, Fraction(0)) + c
-        self.coords = {k: v for k, v in clean.items() if v}
+                    clean[key] = clean.get(key, 0) + c
+        self.coords = {k: _coord(v) for k, v in clean.items() if v}
 
     @classmethod
     def basis(cls, n: int, a: int, b: int):
@@ -136,11 +145,12 @@ class H1Vector:
             return NotImplemented
         out = dict(self.coords)
         for k, v in other.coords.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return H1Vector(self.n, out)
 
     def scale(self, c):
-        return H1Vector(self.n, {k: Fraction(c) * v for k, v in self.coords.items()})
+        c = _coord(c)
+        return H1Vector(self.n, {k: c * v for k, v in self.coords.items()})
 
     def __eq__(self, other):
         if not isinstance(other, H1Vector):
@@ -160,12 +170,15 @@ def h1_pullback(f: Surjection, v: H1Vector) -> H1Vector:
     of e_ij over i in the fiber of k and j in the fiber of l."""
     if v.n != f.m:
         raise ValueError("vector must live on the target of f")
+    fibres = [[] for _ in range(f.m + 1)]
+    for x, y in enumerate(f.values, 1):
+        fibres[y].append(x)
     out: dict = {}
     for (k, l), c in v.coords.items():
-        for i in f.fiber(k):
-            for j in f.fiber(l):
+        for i in fibres[k]:
+            for j in fibres[l]:
                 key = (i, j) if i < j else (j, i)
-                out[key] = out.get(key, Fraction(0)) + c
+                out[key] = out.get(key, 0) + c
     return H1Vector(f.n, out)
 
 
@@ -200,7 +213,7 @@ def _h1_generation(n: int):
     for f in enumerate_surjections(n, 2):
         row = [0] * len(index)
         for key, c in h1_pullback(f, H1Vector.basis(2, 1, 2)).coords.items():
-            row[index[key]] = int(c)
+            row[index[key]] = c
         if _add_pivot(pivots, row):
             witnesses.append(f)
             if len(pivots) == len(index):

@@ -16,8 +16,15 @@ with l blocks is K_l, and the flats with l blocks together contribute
 
 (s signed Stirling numbers of the first kind, S of the second kind), by the
 exponential formula with sum_b chi(K_b) x^b / b! = ((1+x)^t - 1)/t.  So the
-braid row m is sum_{l<m} P(K_l) B_{m,l}, and the table up to n costs O(n^4)
-integer operations.
+braid row m is read off rhs_m = sum_{l<m} P_l B_{m,l}, with P_l = P(K_l).
+Swapping the sums over k and l, and using S(m,m) = 1,
+
+    rhs_m = sum_{k<m} (-1)^(m-k) c(m,k) G_k + (G_m - P_m),
+    G_k = sum_{l<=k} S(k,l) t^(k-l) P_l
+
+(c unsigned Stirling numbers of the first kind).  G_k needs only the rows up
+to k, so it is built once, when row k lands; a row then costs O(m^2)
+integer operations and the table up to n costs O(n^3).
 
 Every other graph goes through one recursion on pairs (H, k).  A connected
 graph G is cone(H, k): k counts its universal vertices (adjacent to all
@@ -109,10 +116,29 @@ def _solve_functional_equation(rhs_proper: list, rank: int) -> tuple:
 
 
 _BRAID: list = [None, (1,)]  # _BRAID[n] = coefficients of P for the braid matroid
+_BRAID_SUMS: list = [None, [1]]  # _BRAID_SUMS[k] = G_k of the module docstring
 _BRAID_LOCK = threading.Lock()  # extending the table must not interleave
-# The table costs O(n^4) operations on growing integers: rows up to 150 take
-# seconds, and n = 200 took 25 s on a 2-vCPU VM, so larger n fail fast.
+# The table costs O(n^3) operations on growing integers: on a 2-vCPU VM rows
+# up to 150 take 0.3-0.4 s and up to 200 took 0.9-1.2 s, so larger n fail
+# fast.
 BRAID_BOUND = 150
+# `genfun --fit` at weight i reads rows up to 2i, but its cost grows as about
+# i^8 (the fit's denominator has about 2i^2 factors): at --max-n 64 on a
+# 2-vCPU VM, i = 16 took 0.7 s, i = 24 5-7 s and i = 32 75 s, so larger i
+# fail fast.
+FIT_BOUND = 24
+
+
+def _stirling_sum(k: int, top: int) -> list:
+    """sum_{l=1..top} S(k,l) t^(k-l) P_l over the braid rows P_l: G_k when
+    top = k, and G_k - P_k when top = k - 1."""
+    s = stirling2_row(k)
+    out = [0] * k
+    for ell in range(1, top + 1):
+        scale = s[ell]
+        for i, x in enumerate(_BRAID[ell], k - ell):
+            out[i] += scale * x
+    return out
 
 
 def _braid_coeffs(n: int) -> tuple:
@@ -124,13 +150,21 @@ def _braid_coeffs(n: int) -> tuple:
         )
     if len(_BRAID) <= n:
         with _BRAID_LOCK:
+            # the sums follow the rows, also after the row table was replaced
+            del _BRAID_SUMS[len(_BRAID) :]
+            for k in range(len(_BRAID_SUMS), len(_BRAID)):
+                _BRAID_SUMS.append(_stirling_sum(k, k))
             while len(_BRAID) <= n:
                 m = len(_BRAID)
-                rhs = [0] * m
-                # l = m is the finest flat, which carries the unknown P itself
-                for ell in range(1, m):
-                    padd_into(rhs, pmul(_BRAID[ell], _flat_sum(m, ell)))
-                _BRAID.append(_solve_functional_equation(rhs, m - 1))
+                below = _stirling_sum(m, m - 1)  # G_m - P_m
+                rhs = list(below)
+                c = stirling1_row(m)
+                for k in range(1, m):
+                    padd_into(rhs, _BRAID_SUMS[k], (-1) ** (m - k) * c[k])
+                row = _solve_functional_equation(rhs, m - 1)
+                padd_into(below, row)
+                _BRAID.append(row)
+                _BRAID_SUMS.append(below)
     return _BRAID[n]
 
 

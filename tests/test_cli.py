@@ -144,6 +144,19 @@ def test_braid_table_bound_fails_fast(capsys, argv):
     assert f"n <= {klcore.BRAID_BOUND}" in captured.err and captured.out == ""
 
 
+def test_genfun_fit_bound_fails_fast(capsys):
+    i = str(klcore.FIT_BOUND + 1)
+    start = time.monotonic()
+    assert main(["genfun", "--i", i, "--max-n", "64", "--fit"]) == 2
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert f"i <= {klcore.FIT_BOUND}" in captured.err and captured.out == ""
+    # without --fit only the braid table bounds i
+    code, out = run_cli(capsys, "genfun", "--i", i, "--max-n", "64", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-1] == f"64,{klcore.d_coeff(int(i), 64)}"
+
+
 def test_closed_stdout_exits_quietly():
     # the read end is closed before the report is written, as when `head`
     # has already gone

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
@@ -278,6 +279,38 @@ def test_character_table_matches_mn_character():
         parts = partitions(n)
         assert character_table(n) == tuple(
             tuple(mn_character(lam, mu) for mu in parts) for lam in parts
+        )
+
+
+@lru_cache(maxsize=None)
+def tuple_mn(lam, mu):
+    """The older Murnaghan-Nakayama recursion on partition tuples: removing
+    a strip of size k from row i moves its first-column hook length beta_i
+    to beta_i - k, with sign (-1)^(number of beta_j strictly between)."""
+    if not mu:
+        return 1 if not lam else 0
+    k, rest = mu[0], mu[1:]
+    L = len(lam)
+    beta = tuple(lam[i] + (L - 1 - i) for i in range(L))
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta:
+            continue
+        crossings = sum(1 for c in beta if nb < c < b)
+        newbeta = sorted((set(beta) - {b}) | {nb}, reverse=True)
+        newlam = tuple(
+            p for p in (newbeta[j] - (L - 1 - j) for j in range(L)) if p > 0
+        )
+        total += (-1) ** crossings * tuple_mn(newlam, rest)
+    return total
+
+
+def test_character_table_matches_tuple_recursion():
+    for n in range(0, 13):
+        parts = [p.parts for p in partitions(n)]
+        assert character_table(n) == tuple(
+            tuple(tuple_mn(lam, mu) for mu in parts) for lam in parts
         )
 
 

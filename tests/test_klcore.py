@@ -96,6 +96,18 @@ def type_indexed_table(n):
     return table
 
 
+def flat_sum_table(n):
+    """Braid rows 1..n by the older O(n^4) loop: row m sums P_l B_{m,l} over
+    l < m, one _flat_sum product per earlier row."""
+    table = [None, (1,)]
+    for m in range(2, n + 1):
+        rhs = [0] * m
+        for ell in range(1, m):
+            padd_into(rhs, pmul(table[ell], _flat_sum(m, ell)))
+        table.append(_solve_functional_equation(rhs, m - 1))
+    return table
+
+
 _ORACLE_ROWS: dict = {}
 
 
@@ -277,6 +289,25 @@ def test_flat_sum_matches_set_partition_enumeration():
         assert sorted(by_blocks) == list(range(1, m + 1))
         for ell, want in by_blocks.items():
             assert Poly(_flat_sum(m, ell), "t") == want
+
+
+def test_braid_rows_match_flat_sum_loop(monkeypatch):
+    old = flat_sum_table(100)
+    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
+    for n in range(1, 101):
+        assert _braid_coeffs(n) == old[n]
+
+
+def test_braid_sums_follow_a_replaced_row_table(monkeypatch):
+    # a shorter table, as a reset leaves, and the full table back again
+    old = flat_sum_table(40)
+    _braid_coeffs(30)
+    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
+    assert _braid_coeffs(12) == old[12]
+    monkeypatch.setattr(klcore, "_BRAID", old[:21])
+    assert _braid_coeffs(40) == old[40]
+    assert klcore._BRAID == old
+    assert len(klcore._BRAID_SUMS) == 41
 
 
 def test_braid_rows_match_type_indexed_sum():
