@@ -72,10 +72,7 @@ _EXPORTS = {
         "Poly",
         "RatFn",
         "SeqTable",
-        "egf_form",
         "fit_rational",
-        "partial_fractions",
-        "r_extract",
         "series",
     ),
     "specseq": (

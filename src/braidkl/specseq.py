@@ -148,8 +148,9 @@ def form_fit(form: dict) -> dict:
     denominator prod_s (1 - su)^(deg Q_s + 1), so constant term 1), the
     partial fractions as (s, m, c_{s,m}) sorted with zeros dropped, the
     polynomial part, and the polynomials p_s with sum_n a_n u^n/n! =
-    sum_s p_s(u) e^(su).  The same values as polyseries' fit_rational,
-    partial_fractions and egf_form would give, with no Poly."""
+    sum_s p_s(u) e^(su).  This is the one generating-function fit of the
+    package; its oracle in tests/fit_oracle.py divides a RatFn found by
+    polyseries.fit_rational into the same values with Poly."""
     from fractions import Fraction
 
     den = [1]

@@ -5,7 +5,9 @@ cross-oracle properties.  Each check yields (name, ok, detail).
 
 Each suite imports the braidkl modules it uses at its top, so a run of one
 suite loads only those: `properties` loads neither fsmod nor specseq, `fs`
-neither eqkl nor specseq, and the other suites neither eqkl nor fsmod."""
+neither eqkl nor specseq, and the other suites neither eqkl nor fsmod.  The
+paper suites read their generating functions off specseq.form_fit and load
+no polyseries; only `properties` fits, in its polyseries round trip."""
 
 from __future__ import annotations
 
@@ -17,25 +19,48 @@ def _check(name, ok, detail=""):
     return {"name": name, "ok": bool(ok), "detail": str(detail)}
 
 
-def _h1_expected():
-    from .polyseries import Poly, RatFn, geometric_denominator
-
-    num = Poly([0, 0, 0, 0, 1], "u")
-    den = geometric_denominator({1: 3, 2: 1})
-    return RatFn(num, den)
+# The generating functions of the paper's examples, written out by hand as
+# (numerator coefficients, {pole s: order of 1/(1 - su)}).
+_H1 = ([0, 0, 0, 0, 1], {1: 3, 2: 1})
+_H2 = ([0] * 6 + [15, -50, 40, 4], {1: 5, 2: 3, 4: 1})
 
 
-def _h2_expected():
-    from .polyseries import Poly, RatFn, geometric_denominator
+def _expand(poles):
+    """prod_s (1 - su)^m as integer coefficients."""
+    from .intpoly import pmul
 
-    num = Poly([0] * 6 + [15, -50, 40, 4], "u")
-    den = geometric_denominator({1: 5, 2: 3, 4: 1})
-    return RatFn(num, den)
+    den = [1]
+    for s, m in sorted(poles.items()):
+        for _ in range(m):
+            den = pmul(den, [1, -s])
+    return den
+
+
+def _paper_fit(i, n_max, hand):
+    """form_fit of the weight-i closed form, and whether its generating
+    function is the hand-written one and its series the braid table's dims
+    for n = 1..n_max."""
+    from . import klcore, specseq
+
+    form = specseq.euler_form(i)
+    fit = specseq.form_fit(form)
+    num, poles = hand
+    ok = (
+        fit["numerator"] == num
+        and fit["denominator"] == _expand(poles)
+        and specseq.form_series(form, n_max)[1:]
+        == [klcore.d_coeff(i, n) for n in range(1, n_max + 1)]
+    )
+    return fit, ok
+
+
+def _limit_constant(fit, i):
+    """The coefficient of 1/(1 - 2iu), lim dim D_i(n)/(2i)^n."""
+    return next((c for s, m, c in fit["partial_fractions"] if (s, m) == (2 * i, 1)), 0)
 
 
 def suite_paper_i1():
-    from . import klcore, polyseries
-    from .polyseries import Poly, SeqTable
+    from . import klcore
 
     checks = []
     formula_ok = all(
@@ -45,37 +70,25 @@ def suite_paper_i1():
     checks.append(
         _check("i1-closed-form", formula_ok, "dim D_1(n) vs 2^(n-1)-1-C(n,2), n<=25")
     )
-    seq = SeqTable(1, [klcore.d_coeff(1, n) for n in range(1, 21)])
-    fit = polyseries.fit_rational(seq, {1, 2})
+    fit, ogf_ok = _paper_fit(1, 20, _H1)
+    checks.append(_check("i1-ogf-fit", ogf_ok, "u^4/((1-u)^3(1-2u))"))
+    # the u^2 term carries a minus sign: expanding sum C(n,2) u^n/n!
+    # gives (u^2/2)e^u, and the dimensions subtract it
+    expect = [[Fraction(1, 2)], [-1, 0, Fraction(-1, 2)], [Fraction(1, 2)]]
     checks.append(
-        _check(
-            "i1-ogf-fit",
-            fit == _h1_expected(),
-            "u^4/((1-u)^3(1-2u))" if fit else "no fit found",
-        )
+        _check("i1-egf-form", fit["egf_polynomials"] == expect, "(1/2, -u^2/2 - 1, 1/2)")
     )
-    if fit is not None:
-        ps = polyseries.egf_form(fit)
-        # the u^2 term carries a minus sign: expanding sum C(n,2) u^n/n!
-        # gives (u^2/2)e^u, and the dimensions subtract it
-        expect = [
-            Poly([Fraction(1, 2)], "u"),
-            Poly([-1, 0, Fraction(-1, 2)], "u"),
-            Poly([Fraction(1, 2)], "u"),
-        ]
-        checks.append(_check("i1-egf-form", ps == expect, "(1/2, -u^2/2 - 1, 1/2)"))
-        r = polyseries.r_extract(fit, 2)
-        checks.append(_check("i1-asymptotic-constant", r == Fraction(1, 2), f"r = {r}"))
-        expected = Fraction(klcore.d_coeff(0, 2), factorial(2))
-        checks.append(
-            _check("i1-dfg-constant", r == expected, f"dim D_0(2)/2! = {expected}")
-        )
+    r = _limit_constant(fit, 1)
+    checks.append(_check("i1-asymptotic-constant", r == Fraction(1, 2), f"r = {r}"))
+    expected = Fraction(klcore.d_coeff(0, 2), factorial(2))
+    checks.append(
+        _check("i1-dfg-constant", r == expected, f"dim D_0(2)/2! = {expected}")
+    )
     return checks
 
 
 def suite_paper_i2():
-    from . import combinat, klcore, polyseries, specseq
-    from .polyseries import Poly, SeqTable
+    from . import combinat, klcore, specseq
 
     checks = []
     stirling_ok = True
@@ -92,32 +105,27 @@ def suite_paper_i2():
     checks.append(
         _check("i2-closed-form", stirling_ok, "dim D_2(n) vs Stirling expression, n<=25")
     )
-    seq = SeqTable(1, [klcore.d_coeff(2, n) for n in range(1, 31)])
-    fit = polyseries.fit_rational(seq, {1, 2, 3, 4})
+    fit, ogf_ok = _paper_fit(2, 30, _H2)
     checks.append(
         _check(
             "i2-ogf-fit",
-            fit == _h2_expected(),
-            "(15u^6-50u^7+40u^8+4u^9)/((1-u)^5(1-2u)^3(1-4u))" if fit else "no fit",
+            ogf_ok,
+            "(15u^6-50u^7+40u^8+4u^9)/((1-u)^5(1-2u)^3(1-4u))",
         )
     )
-    if fit is not None:
-        r = polyseries.r_extract(fit, 4)
-        checks.append(
-            _check("i2-asymptotic-constant", r == Fraction(1, 24), f"r = {r}")
+    r = _limit_constant(fit, 2)
+    checks.append(_check("i2-asymptotic-constant", r == Fraction(1, 24), f"r = {r}"))
+    expected = Fraction(klcore.d_coeff(1, 4), factorial(4))
+    checks.append(
+        _check("i2-dfg-constant", r == expected, f"dim D_1(4)/4! = {expected}")
+    )
+    checks.append(
+        _check(
+            "i2-egf-top",
+            fit["egf_polynomials"][4] == [Fraction(1, 24)],
+            "top exponential polynomial is the constant 1/24",
         )
-        expected = Fraction(klcore.d_coeff(1, 4), factorial(4))
-        checks.append(
-            _check("i2-dfg-constant", r == expected, f"dim D_1(4)/4! = {expected}")
-        )
-        ps = polyseries.egf_form(fit)
-        checks.append(
-            _check(
-                "i2-egf-top",
-                ps[4] == Poly([Fraction(1, 24)], "u"),
-                "top exponential polynomial is the constant 1/24",
-            )
-        )
+    )
     # finite-window ratio for i=3 against dim D_2(6)/6!
     target = Fraction(klcore.d_coeff(2, 6), factorial(6))
     rows = specseq.ratio_diagnostic(3, [30])
@@ -381,11 +389,13 @@ def suite_properties():
     checks.append(_check("kl-functional-equation-graphs", graph_resid_ok, "residual zero"))
 
     fit_ok = True
-    for target in (_h1_expected(), _h2_expected()):
+    for num, poles in (_H1, _H2):
+        target = polyseries.RatFn(
+            polyseries.Poly(num, "u"), polyseries.geometric_denominator(poles)
+        )
         n_terms = 2 * target.den.degree() + 16
         ser = polyseries.series(target, n_terms)
-        poles = set(polyseries._pole_multiplicities(target.den))
-        refit = polyseries.fit_rational(ser, poles)
+        refit = polyseries.fit_rational(ser, set(poles))
         if refit != target:
             fit_ok = False
     checks.append(_check("polyseries-roundtrip", fit_ok, "series -> fit -> same function"))

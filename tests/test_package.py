@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "d_coeff",
     "d_coeff_graph",
     "double_factorial_odd",
-    "egf_form",
     "enumerate_surjections",
     "eq_char_poly",
     "eqkl",
@@ -64,11 +63,9 @@ PUBLIC_NAMES = [
     "localize",
     "mn_character",
     "os_character",
-    "partial_fractions",
     "partitions",
     "plethysm",
     "polyseries",
-    "r_extract",
     "ratio_diagnostic",
     "row_bound_check",
     "series",

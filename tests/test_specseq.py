@@ -22,7 +22,7 @@ from braidkl.graphmat import (
 )
 from braidkl.intpoly import pmul
 from braidkl.klcore import _kl_graphic_coeffs, d_coeff, d_coeff_graph
-from braidkl.polyseries import SeqTable, egf_form, fit_rational, partial_fractions, r_extract
+from braidkl.polyseries import SeqTable, fit_rational
 from braidkl.specseq import (
     b_dim,
     comp_dim,
@@ -33,6 +33,7 @@ from braidkl.specseq import (
     form_series,
     ratio_diagnostic,
 )
+from fit_oracle import egf_form, partial_fractions, r_extract
 
 
 def complete(n):
