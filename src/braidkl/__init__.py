@@ -49,14 +49,10 @@ _EXPORTS = {
     ),
     "graphmat": (
         "Graph",
-        "SetPartition",
         "canonical_key",
         "char_poly",
         "cone_extend",
         "conf_betti",
-        "connected_partitions",
-        "contract",
-        "localize",
     ),
     "intpoly": (),
     "klcore": (

@@ -208,7 +208,7 @@ def cmd_genfun(args) -> int:
         # read off the Euler identity's closed form; no search
         form = specseq.euler_form(i)
         fit = specseq.form_fit(form)
-        r = next((c for s, m, c in fit["partial_fractions"] if (s, m) == (2 * i, 1)), 0)
+        r = specseq.limit_constant(fit, i)
         expected = Fraction(klcore.d_coeff(i - 1, 2 * i), factorial(2 * i))
         outputs["fit"] = {
             "numerator": [str(c) for c in fit["numerator"]],

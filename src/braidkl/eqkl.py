@@ -18,10 +18,10 @@ Two independent computation paths are provided and cross-checked:
   signs picked up when equal-size blocks with odd cohomology are permuted
   (the graded pieces are stored with their alternating signs).
 
-* a brute-force path (small n) that enumerates honest set partitions,
-  detects which are stabilized by a class representative, and multiplies
-  the integer graded traces over block cycles directly, as intpoly lists;
-  ClassFn appears only in the result.
+* a brute-force path (small n) that enumerates honest set partitions, the
+  flats of K_n from graphmat.flat_masks, detects which are stabilized by a
+  class representative, and multiplies the integer graded traces over block
+  cycles directly, as intpoly lists; ClassFn appears only in the result.
 
 The Fraction-valued SymFn, ch, ch_inv and plethysm are the rational API and
 a test oracle for the integer kernel.  Both paths solve the same functional
@@ -46,7 +46,7 @@ from .combinat import (
     partitions,
     stirling1_unsigned,
 )
-from .graphmat import _set_partition_blocks
+from .graphmat import _mask_vertices, flat_masks
 from .intpoly import padd_into, pmul
 from .polyseries import Poly
 
@@ -623,8 +623,10 @@ def _block_cycles(blocks: tuple, sigma: tuple):
 
 
 def _all_set_partitions(n: int) -> list:
-    """Set partitions of {1, ..., n} as tuples of 1-based blocks."""
-    return [tuple(tuple(v + 1 for v in b) for b in p) for p in _set_partition_blocks(n)]
+    """Set partitions of {1, ..., n}, the flats of K_n, as tuples of 1-based blocks."""
+    full = (1 << n) - 1
+    flats = flat_masks([full ^ 1 << v for v in range(n)], full)
+    return [tuple(tuple(v + 1 for v in _mask_vertices(b)) for b in p) for p in flats]
 
 
 def _int_values(graded: GradedClassFn) -> dict:

@@ -1,7 +1,12 @@
 """Simple labeled graphs and their matroid-side combinatorics: the cone
-construction, flats as connected partitions, localization and contraction,
-reduced characteristic polynomials, canonical forms for the KL row keys, and
-configuration-space Betti numbers.
+construction, reduced characteristic polynomials, canonical forms for the KL
+row keys, and configuration-space Betti numbers.
+
+A flat of the graphic matroid is a connected partition of the vertex set,
+held as a list of block bit masks in order of their lowest vertex:
+flat_masks enumerates them (on a complete graph, every set partition), a
+block localizes to its induced subgraph, and quotient_masks gives the
+contraction.
 
 Characteristic polynomials come from colour classes: the chromatic
 polynomial is sum_l a_l (t)_l, a_l the partitions of the vertex set into l
@@ -73,44 +78,6 @@ class Graph:
         return f"Graph({self.n}, {sorted(self.edges)})"
 
 
-class SetPartition:
-    """Partition of a vertex set into disjoint nonempty blocks, stored in
-    canonical order (blocks sorted by their minimum element)."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        bs = [tuple(sorted(int(v) for v in b)) for b in blocks]
-        if any(not b for b in bs):
-            raise ValueError("blocks must be nonempty")
-        seen = set()
-        for b in bs:
-            for v in b:
-                if v in seen:
-                    raise ValueError("blocks must be disjoint")
-                seen.add(v)
-        bs.sort(key=lambda b: b[0])
-        self.blocks = tuple(bs)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def support(self) -> set:
-        return {v for b in self.blocks for v in b}
-
-    def __eq__(self, other):
-        if not isinstance(other, SetPartition):
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
-    def __repr__(self):
-        return f"SetPartition({[list(b) for b in self.blocks]})"
-
-
 def _reach(mask: int, adj: list) -> int:
     """The vertices of `mask` that its lowest vertex reaches inside it."""
     seen = frontier = mask & -mask
@@ -159,29 +126,6 @@ def cone_extend(gamma: Graph, n: int) -> Graph:
             if u != w:
                 edges.add((min(u, w), max(u, w)))
     return Graph(total, edges)
-
-
-def _set_partition_blocks(n: int):
-    """All set partitions of range(n) in restricted-growth order; blocks
-    come out sorted by minimum element."""
-    blocks = []
-
-    def rec(v):
-        if v == n:
-            yield [tuple(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(v)
-            yield from rec(v + 1)
-            b.pop()
-        blocks.append([v])
-        yield from rec(v + 1)
-        blocks.pop()
-
-    if n == 0:
-        yield []
-    else:
-        yield from rec(0)
 
 
 def flat_masks(adj: list, mask: int):
@@ -239,16 +183,6 @@ def quotient_masks(adj: list, blocks: list) -> list:
     ]
 
 
-def connected_partitions(gamma: Graph, num_blocks: int | None = None) -> list:
-    """Vertex partitions of gamma whose blocks induce connected subgraphs
-    (the flats of the graphic matroid), optionally filtered by block count."""
-    return [
-        SetPartition(_mask_vertices(b) for b in blocks)
-        for blocks in flat_masks(gamma.adjacency_masks(), (1 << gamma.n) - 1)
-        if num_blocks is None or len(blocks) == num_blocks
-    ]
-
-
 def induced_subgraph(gamma: Graph, vertices) -> Graph:
     """The subgraph induced on the given vertices, relabeled 0..k-1 in the
     order given."""
@@ -257,29 +191,6 @@ def induced_subgraph(gamma: Graph, vertices) -> Graph:
         len(index),
         [(index[u], index[v]) for u, v in gamma.edges if u in index and v in index],
     )
-
-
-def localize(gamma: Graph, pi: SetPartition) -> list:
-    """Induced subgraphs on the blocks of pi, each relabeled 0..|B|-1."""
-    out = []
-    for b in pi.blocks:
-        sub = induced_subgraph(gamma, b)
-        if not is_connected(sub):
-            raise ValueError(f"block {list(b)} is not connected: not a flat")
-        out.append(sub)
-    return out
-
-
-def contract(gamma: Graph, pi: SetPartition) -> Graph:
-    """Simple quotient graph on the blocks of pi (canonical block order)."""
-    if pi.support() != set(range(gamma.n)):
-        raise ValueError("partition does not cover the vertex set")
-    adj = gamma.adjacency_masks()
-    masks = [sum(1 << v for v in b) for b in pi.blocks]
-    for b, mask in zip(pi.blocks, masks):
-        if not _mask_connected(mask, adj):
-            raise ValueError(f"block {list(b)} is not connected: not a flat")
-    return Graph.from_masks(quotient_masks(adj, masks))
 
 
 def _perm_bits(gamma: Graph, perm: list) -> list:

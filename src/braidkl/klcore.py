@@ -412,32 +412,38 @@ def kl_cache_export() -> dict:
     }
 
 
-def _row_plausible(key: bytes, coeffs: tuple) -> bool:
-    """Cheap invariants of a KL row: constant term 1, no negative
-    coefficient, degree below rank/2.  The rank is the vertex count minus
-    one, and a row key holds the vertex count in its second byte."""
-    if len(key) < 2 or not coeffs:
+def _row_plausible(key: bytes, coeffs) -> bool:
+    """A row as kl_cache_export writes it, a list of decimal-integer
+    strings, with the cheap invariants of a KL row: constant term 1, no
+    negative coefficient, degree below rank/2.  The rank is the vertex count
+    minus one, and a row key holds the vertex count in its second byte."""
+    if not coeffs or type(coeffs) is not list:
         return False
+    if not all(type(c) is str and c.isdecimal() for c in coeffs):
+        return False  # a minus sign fails here: no coefficient is negative
     rank = key[1] - 1
     dmax = (rank - 1) // 2 if rank >= 1 else 0
-    return coeffs[0] == 1 and min(coeffs) >= 0 and len(coeffs) - 1 <= dmax
+    return int(coeffs[0]) == 1 and len(coeffs) - 1 <= dmax
 
 
 def kl_cache_import(records: dict) -> list:
     """Load graph:<hex key> records into the graph memo table; rows already
     known win.  Any other record, and a graph row whose key is not a cone
     row key (such as a braid:<n> row or a whole-graph canonical key written
-    by an older version), is ignored.  A cone row that fails _row_plausible
-    is skipped, and the keys of the skipped rows are returned."""
+    by an older version), is ignored.  A key too short for a tag and a
+    vertex count raises ValueError: no version writes one.  A cone row that
+    fails _row_plausible is skipped, and the keys of the skipped rows are
+    returned."""
     skipped = []
     for key, coeffs in records.items():
         if key.startswith("graph:"):
             raw = bytes.fromhex(key.split(":", 1)[1])
-            vals = tuple(int(c) for c in coeffs)
+            if len(raw) < 2:
+                raise ValueError(f"malformed KL cache key {key}")
             if not raw.startswith(_ROW_TAG):
                 continue
-            if _row_plausible(raw, vals):
-                _GRAPH_TABLE.setdefault(raw, vals)
+            if _row_plausible(raw, coeffs):
+                _GRAPH_TABLE.setdefault(raw, tuple(map(int, coeffs)))
             else:
                 skipped.append(key)
     return skipped

@@ -186,6 +186,12 @@ def form_fit(form: dict) -> dict:
     }
 
 
+def limit_constant(fit: dict, i: int):
+    """The coefficient of 1/(1 - 2iu) in the partial fractions of a
+    form_fit at weight i, lim dim D_i(n)/(2i)^n; 0 without that pole."""
+    return next((c for s, m, c in fit["partial_fractions"] if (s, m) == (2 * i, 1)), 0)
+
+
 def b_dim(i: int, p: int, q: int, n: int) -> int:
     """Dimension of the (p,q) cell at weight i: the unordered surjection
     count c(n, n-j) S(n-j, p+1) in degree j = 2i-p-q times the KL

@@ -54,13 +54,8 @@ def _paper_fit(i, n_max, hand):
     return fit, ok
 
 
-def _limit_constant(fit, i):
-    """The coefficient of 1/(1 - 2iu), lim dim D_i(n)/(2i)^n."""
-    return next((c for s, m, c in fit["partial_fractions"] if (s, m) == (2 * i, 1)), 0)
-
-
 def suite_paper_i1():
-    from . import klcore
+    from . import klcore, specseq
 
     checks = []
     formula_ok = all(
@@ -78,7 +73,7 @@ def suite_paper_i1():
     checks.append(
         _check("i1-egf-form", fit["egf_polynomials"] == expect, "(1/2, -u^2/2 - 1, 1/2)")
     )
-    r = _limit_constant(fit, 1)
+    r = specseq.limit_constant(fit, 1)
     checks.append(_check("i1-asymptotic-constant", r == Fraction(1, 2), f"r = {r}"))
     expected = Fraction(klcore.d_coeff(0, 2), factorial(2))
     checks.append(
@@ -113,7 +108,7 @@ def suite_paper_i2():
             "(15u^6-50u^7+40u^8+4u^9)/((1-u)^5(1-2u)^3(1-4u))",
         )
     )
-    r = _limit_constant(fit, 2)
+    r = specseq.limit_constant(fit, 2)
     checks.append(_check("i2-asymptotic-constant", r == Fraction(1, 24), f"r = {r}"))
     expected = Fraction(klcore.d_coeff(1, 4), factorial(4))
     checks.append(
@@ -433,12 +428,15 @@ def _graph_residual(g) -> bool:
     from . import graphmat, klcore
     from .intpoly import padd_into, pmul
 
+    adj = g.adjacency_masks()
     rhs = [0] * g.n
-    for pi in graphmat.connected_partitions(g):
+    for blocks in graphmat.flat_masks(adj, (1 << g.n) - 1):
         chi = [1]
-        for block in graphmat.localize(g, pi):
+        for b in blocks:
+            block = graphmat.induced_subgraph(g, graphmat._mask_vertices(b))
             chi = pmul(chi, graphmat.reduced_chromatic(block))
-        padd_into(rhs, pmul(chi, klcore._kl_graphic_coeffs(graphmat.contract(g, pi))))
+        q = graphmat.Graph.from_masks(graphmat.quotient_masks(adj, blocks))
+        padd_into(rhs, pmul(chi, klcore._kl_graphic_coeffs(q)))
     row = klcore._kl_graphic_coeffs(g)
     return [0] * (g.n - len(row)) + list(reversed(row)) == rhs
 

@@ -14,7 +14,7 @@ import braidkl.cli as cli
 import braidkl.klcore as klcore
 import braidkl.verify as verify
 from braidkl.cli import main
-from braidkl.graphmat import Graph, canonical_key, cone_extend, connected_partitions, contract
+from braidkl.graphmat import Graph, canonical_key, cone_extend, flat_masks, quotient_masks
 
 
 def run_cli(capsys, *argv):
@@ -453,7 +453,9 @@ def test_cache_unreadable_is_replaced(tmp_path, capsys, monkeypatch, content):
     assert json.loads(cache_file.read_text()) == klcore.kl_cache_export()
 
 
-@pytest.mark.parametrize("poison", [["2", "1"], ["1", "-1"], ["1", "1", "1", "1"], []])
+@pytest.mark.parametrize(
+    "poison", [["2", "1"], ["1", "-1"], ["1", "1", "1", "1"], [], "1", ["1", 1.0]]
+)
 def test_cache_implausible_row_is_skipped(tmp_path, capsys, monkeypatch, poison):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
@@ -474,6 +476,30 @@ def test_cache_implausible_row_is_skipped(tmp_path, capsys, monkeypatch, poison)
     assert json.loads(cache_file.read_text()) == records
 
 
+def test_cache_row_as_string_is_skipped_not_read_digit_by_digit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    graph = tmp_path / "p4.json"
+    graph.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
+    query = ("kl", "--graph", str(graph), "--cone", "2")
+    code, out = run_cli(capsys, *query)
+    assert code == 0
+    assert json.loads(out)["outputs"]["coefficients"] == ["1", "14", "8"]
+    cache_file = tmp_path / "kltable.json"
+    records = json.loads(cache_file.read_text())
+    # the one row on 6 vertices (second key byte) is cone(P4, 2) itself
+    (key,) = [k for k in records if bytes.fromhex(k.split(":", 1)[1])[1] == 6]
+    assert records[key] == ["1", "14", "8"]
+    cache_file.write_text(json.dumps(dict(records, **{key: "123"})))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    code = main(list(query))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["outputs"]["coefficients"] == ["1", "14", "8"]
+    assert f"skipping implausible KL cache row {key}" in captured.err
+    assert json.loads(cache_file.read_text()) == records
+
+
 def test_cache_in_older_format_changes_no_answer(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
@@ -485,7 +511,11 @@ def test_cache_in_older_format_changes_no_answer(tmp_path, capsys, monkeypatch):
     # the cone and all its contractions, here each with a wrong row that
     # passes the plausibility check
     cone = cone_extend(Graph(3, [(0, 1), (1, 2)]), 2)
-    graphs = {contract(cone, pi) for pi in connected_partitions(cone)}
+    adj = cone.adjacency_masks()
+    graphs = {
+        Graph.from_masks(quotient_masks(adj, blocks))
+        for blocks in flat_masks(adj, (1 << cone.n) - 1)
+    }
     old = {"graph:" + canonical_key(g).hex(): ["1"] for g in graphs if g.n > 1}
     cache_file = tmp_path / "kltable.json"
     cache_file.write_text(json.dumps(old))

@@ -13,22 +13,20 @@ from braidkl.combinat import bell, stirling1_unsigned
 from braidkl.intpoly import falling_factorial, pmul
 from braidkl.graphmat import (
     Graph,
-    SetPartition,
     _chromatic,
     _colour_classes,
     _falling_sum,
-    _set_partition_blocks,
     canonical_key,
     char_poly,
     components,
     cone_extend,
     conf_betti,
-    connected_partitions,
-    contract,
+    flat_masks,
+    induced_subgraph,
     is_connected,
     load_graph,
-    localize,
     matroid_rank,
+    quotient_masks,
 )
 from braidkl.polyseries import Poly
 
@@ -62,6 +60,20 @@ def relabel(g, perm):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def flats(g):
+    """The flats of g, each a list of block bit masks."""
+    return list(flat_masks(g.adjacency_masks(), (1 << g.n) - 1))
+
+
+def members(mask):
+    """The vertices of a bit mask, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def contraction(g, blocks):
+    return Graph.from_masks(quotient_masks(g.adjacency_masks(), blocks))
+
+
 # --- construction ----------------------------------------------------------
 
 
@@ -91,22 +103,16 @@ def test_cone_extend_examples():
 
 
 def test_connected_partitions_examples():
-    assert len(connected_partitions(complete(3))) == 5
-    assert len(connected_partitions(path(3))) == 4
-    excluded = SetPartition([(0, 2), (1,)])
-    assert excluded not in connected_partitions(path(3))
-    assert len(connected_partitions(Graph(1))) == 1
+    assert len(flats(complete(3))) == 5
+    assert len(flats(path(3))) == 4
+    excluded = [0b101, 0b010]  # {0, 2} is not connected in the path 0-1-2
+    assert excluded not in flats(path(3))
+    assert len(flats(Graph(1))) == 1
 
 
 def test_connected_partitions_complete_is_bell():
     for n in range(1, 9):
-        assert len(connected_partitions(complete(n))) == bell(n)
-
-
-def test_connected_partitions_block_filter():
-    parts = connected_partitions(complete(4), num_blocks=2)
-    assert len(parts) == 7
-    assert all(p.num_blocks == 2 for p in parts)
+        assert len(flats(complete(n))) == bell(n)
 
 
 # --- characteristic polynomial ------------------------------------------------
@@ -183,22 +189,16 @@ def test_char_poly_degree_is_rank():
 
 
 def test_contract_examples():
-    assert contract(complete(4), SetPartition([(0, 1), (2,), (3,)])) == complete(3)
-    finest = SetPartition([(v,) for v in range(4)])
-    assert contract(complete(4), finest) == complete(4)
+    assert contraction(complete(4), [0b0011, 0b0100, 0b1000]) == complete(3)
+    finest = [1 << v for v in range(4)]
+    assert contraction(complete(4), finest) == complete(4)
+    # contracting the middle edge of P4 leaves P3, blocks in the order given
+    assert contraction(path(4), [0b0001, 0b0110, 0b1000]) == path(3)
 
 
 def test_localize_examples():
-    blocks = localize(complete(5), SetPartition([(0, 1, 2), (3, 4)]))
+    blocks = [induced_subgraph(complete(5), members(b)) for b in (0b00111, 0b11000)]
     assert blocks == [complete(3), complete(2)]
-
-
-def test_disconnected_block_rejected():
-    pi = SetPartition([(0, 2), (1,)])
-    with pytest.raises(ValueError):
-        localize(path(3), pi)
-    with pytest.raises(ValueError):
-        contract(path(3), pi)
 
 
 def test_rank_additivity_over_flats():
@@ -214,9 +214,9 @@ def test_rank_additivity_over_flats():
         for _ in range(12):
             graphs.append(Graph(n, [e for e in pairs if rng.random() < 0.5]))
     for g in graphs:
-        for pi in connected_partitions(g):
-            block_total = sum(matroid_rank(b) for b in localize(g, pi))
-            assert matroid_rank(g) == matroid_rank(contract(g, pi)) + block_total
+        for blocks in flats(g):
+            block_total = sum(matroid_rank(induced_subgraph(g, members(b))) for b in blocks)
+            assert matroid_rank(g) == matroid_rank(contraction(g, blocks)) + block_total
 
 
 # --- canonical keys -------------------------------------------------------------
@@ -367,9 +367,10 @@ def test_colour_classes_count_independent_partitions(g, bits):
     mask = bits & ((1 << g.n) - 1)
     vertices = [v for v in range(g.n) if mask >> v & 1]
     expect = [0] * (len(vertices) + 1)
-    for blocks in _set_partition_blocks(len(vertices)):
+    k_full = (1 << len(vertices)) - 1
+    for blocks in flat_masks([k_full ^ 1 << v for v in range(len(vertices))], k_full):
         if all(not g.has_edge(vertices[a], vertices[b])
-               for block in blocks for a in block for b in block if a < b):
+               for block in blocks for a in members(block) for b in members(block) if a < b):
             expect[len(blocks)] += 1
     memo: dict = {}
     assert _colour_classes(g.adjacency_masks(), mask, memo) == tuple(expect)
@@ -378,6 +379,57 @@ def test_colour_classes_count_independent_partitions(g, bits):
     assert _colour_classes(g.adjacency_masks(), full, memo) == _colour_classes(
         g.adjacency_masks(), full, {}
     )
+
+
+def restricted_growth_partitions(n):
+    """Every set partition of range(n), from its restricted-growth string
+    (vertex v takes a label at most one above the labels before it), as a
+    tuple of blocks in order of their lowest vertex."""
+    labels = [0] * n
+
+    def rec(v, top):
+        if v == n:
+            yield tuple(
+                tuple(u for u in range(n) if labels[u] == lab) for lab in range(top + 1)
+            )
+            return
+        for lab in range(top + 2):
+            labels[v] = lab
+            yield from rec(v + 1, max(top, lab))
+
+    if n == 0:
+        yield ()
+    else:
+        yield from rec(1, 0)
+
+
+def block_connected(g, block):
+    """Breadth-first search from the first vertex of block, inside it."""
+    inside = set(block)
+    seen, queue = {block[0]}, [block[0]]
+    for u in queue:
+        for a, b in g.edges:
+            w = b if a == u else a if b == u else None
+            if w in inside and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen == inside
+
+
+@GRAPH_SETTINGS
+@given(graphs())
+def test_flat_masks_yields_each_connected_partition_once(g):
+    got = flats(g)
+    for blocks in got:
+        lows = [b & -b for b in blocks]
+        assert lows == sorted(lows) and len(set(lows)) == len(lows)
+    as_tuples = [tuple(tuple(members(b)) for b in blocks) for blocks in got]
+    assert len(set(as_tuples)) == len(as_tuples)
+    expect = [
+        pi for pi in restricted_growth_partitions(g.n)
+        if all(block_connected(g, b) for b in pi)
+    ]
+    assert sorted(as_tuples) == sorted(expect)
 
 
 @GRAPH_SETTINGS

@@ -22,11 +22,10 @@ from braidkl.graphmat import (
     char_poly,
     components,
     cone_extend,
-    connected_partitions,
-    contract,
+    flat_masks,
     induced_subgraph,
     is_connected,
-    localize,
+    quotient_masks,
     reduced_chromatic,
 )
 from braidkl.intpoly import padd_into, pmul
@@ -111,6 +110,19 @@ def flat_sum_table(n):
 _ORACLE_ROWS: dict = {}
 
 
+def graph_flats(gamma):
+    """Each flat of gamma as (vertex tuples of its blocks, localizations,
+    contraction), by plain enumeration of the block masks."""
+    adj = gamma.adjacency_masks()
+    for blocks in flat_masks(adj, (1 << gamma.n) - 1):
+        parts = [tuple(v for v in range(gamma.n) if b >> v & 1) for b in blocks]
+        yield (
+            parts,
+            [induced_subgraph(gamma, part) for part in parts],
+            Graph.from_masks(quotient_masks(adj, blocks)),
+        )
+
+
 def flat_enumeration_coeffs(gamma):
     """KL coefficients by the plain recursion over every flat of gamma,
     memoized by canonical key: an oracle independent of the cone
@@ -122,15 +134,14 @@ def flat_enumeration_coeffs(gamma):
         return _ORACLE_ROWS[key]
     chis, contractions = {}, {}
     rhs = [0] * gamma.n
-    for pi in connected_partitions(gamma):
-        if pi.num_blocks == gamma.n:
+    for parts, blocks, q in graph_flats(gamma):
+        if len(parts) == gamma.n:
             continue  # the finest flat carries the unknown P itself
         chi = [1]
-        for b in pi.blocks:
+        for b, block in zip(parts, blocks):
             if b not in chis:
-                chis[b] = [int(c) for c in char_poly(induced_subgraph(gamma, b)).coeffs]
+                chis[b] = [int(c) for c in char_poly(block).coeffs]
             chi = pmul(chi, chis[b])
-        q = contract(gamma, pi)
         if q not in contractions:
             contractions[q] = flat_enumeration_coeffs(q)
         padd_into(rhs, pmul(chi, list(contractions[q])))
@@ -193,11 +204,10 @@ def cone_flat_sum(h, k):
                         factorial(k), factorial(p)
                     )
         rest = induced_subgraph(h, [v for v in range(h.n) if not sbits >> v & 1])
-        for pi in connected_partitions(rest):
+        for _, blocks, quotient in graph_flats(rest):
             chi = Poly([1], "t")
-            for block in localize(rest, pi):
+            for block in blocks:
                 chi = chi * char_poly(block)
-            quotient = contract(rest, pi)
             for kk, weight in weights.items():
                 total = total + chi * weight * kl_graphic(cone_extend(quotient, kk))
     return total
@@ -347,11 +357,11 @@ def test_graphic_functional_equation_residual():
     for g in graphs:
         p = kl_graphic(g)
         rhs = Poly([], "t")
-        for pi in connected_partitions(g):
+        for _, blocks, quotient in graph_flats(g):
             chi = Poly([1], "t")
-            for block in localize(g, pi):
+            for block in blocks:
                 chi = chi * char_poly(block)
-            rhs = rhs + chi * kl_graphic(contract(g, pi))
+            rhs = rhs + chi * kl_graphic(quotient)
         assert p.reflect(g.n - 1) == rhs
 
 

@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "Poly",
     "RatFn",
     "SeqTable",
-    "SetPartition",
     "Surjection",
     "SymFn",
     "b_dim",
@@ -37,8 +36,6 @@ PUBLIC_NAMES = [
     "cone_extend",
     "conf_betti",
     "conjecture_top_check",
-    "connected_partitions",
-    "contract",
     "d_coeff",
     "d_coeff_graph",
     "double_factorial_odd",
@@ -60,7 +57,6 @@ PUBLIC_NAMES = [
     "kl_braid",
     "kl_graphic",
     "klcore",
-    "localize",
     "mn_character",
     "os_character",
     "partitions",
