@@ -19,7 +19,7 @@ from math import factorial
 # Only what `kl` and the cache need is imported here; each other command
 # imports its modules itself, so a fresh `kl` process never loads them.
 from . import klcore
-from .graphmat import cone_extend, load_graph
+from .graphmat import load_graph
 
 CACHE_ENV = "KL_CACHE_DIR"
 CACHE_FILE = "kltable.json"
@@ -104,9 +104,7 @@ def cmd_kl(args) -> int:
     else:
         gamma = load_graph(args.graph)
         inputs = {"graph": args.graph, "cone": str(args.cone)}
-        if args.cone:
-            gamma = cone_extend(gamma, args.cone)
-        coeffs = klcore._kl_graphic_coeffs(gamma)
+        coeffs = klcore._cone_coeffs(gamma, args.cone)
     # the integer rows are trimmed and start at 1, as the Poly API's are
     return _finish(args, "kl", inputs, {"coefficients": [str(c) for c in coeffs]})
 
@@ -241,11 +239,14 @@ def cmd_genfun(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    checks, times = [], []
+    checks, times, check_times = [], [], []
     try:
         for name in verify.SUITES if args.suite == "all" else [args.suite]:
-            start = time.monotonic()
-            checks += verify.run_suite(name)
+            start = last = time.monotonic()
+            for c in verify.run_suite(name):
+                checks.append(c)
+                check_times.append(f"TIME {name}/{c['name']} {c['at'] - last:.3f}")
+                last = c["at"]
             times.append(f"TIME {name} {time.monotonic() - start:.3f}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -259,7 +260,7 @@ def cmd_verify(args) -> int:
             failed += 1
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     if args.timing:
-        print("\n".join(times))
+        print("\n".join(times + check_times))
     return 0 if failed == 0 else 1
 
 

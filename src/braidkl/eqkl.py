@@ -18,10 +18,11 @@ Two independent computation paths are provided and cross-checked:
   signs picked up when equal-size blocks with odd cohomology are permuted
   (the graded pieces are stored with their alternating signs).
 
-* a brute-force path (small n) that enumerates honest set partitions, the
-  flats of K_n from graphmat.flat_masks, detects which are stabilized by a
-  class representative, and multiplies the integer graded traces over block
-  cycles directly, as intpoly lists; ClassFn appears only in the result.
+* a brute-force path (small n) over the flats of K_n as block bit masks.
+  A table of the images of all masks under a class representative gives
+  the cycles of blocks by lookup, the cycle type of the L-th power on a
+  block of an L-cycle is read off its mask, and the integer graded traces
+  of the Orlik-Solomon straightening oracle multiply over the cycles.
 
 The Fraction-valued SymFn, ch, ch_inv and plethysm are the rational API and
 a test oracle for the integer kernel.  Both paths solve the same functional
@@ -36,6 +37,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from operator import gt
 
 from .combinat import (
     Partition,
@@ -46,7 +48,7 @@ from .combinat import (
     partitions,
     stirling1_unsigned,
 )
-from .graphmat import _mask_vertices, flat_masks
+from .graphmat import flat_masks
 from .intpoly import padd_into, pmul
 from .polyseries import Poly
 
@@ -273,22 +275,19 @@ def h_sym(k: int) -> SymFn:
 
 
 # ---------------------------------------------------------------------------
-# Orlik-Solomon characters by explicit basis and straightening.
+# Orlik-Solomon characters by explicit basis and straightening.  The edge
+# x_ab (a < b, 1-based labels) is the int b << 4 | a, so int order is the
+# (max, min) order of the basis and a wedge is a tuple of such ints.
 
 OS_BOUND = 8
 
 
-def _sort_edges(raw):
-    """Sort wedge factors by (max, min); returns (sorted tuple, sign) or
-    (None, 0) if an edge repeats."""
-    keys = [(b, a) for a, b in raw]
-    if len(set(keys)) < len(keys):
-        return None, 0
-    inversions = sum(x > y for i, x in enumerate(keys) for y in keys[i + 1 :])
-    return tuple((a, b) for b, a in sorted(keys)), (-1) ** inversions
+def _sign(raw) -> int:
+    """The sign of the permutation that sorts the wedge factors raw."""
+    return -1 if sum(itertools.starmap(gt, itertools.combinations(raw, 2))) & 1 else 1
 
 
-def _straighten(mono, memo: dict):
+def _straighten(mono: tuple, memo: dict) -> dict:
     """Expand a sorted wedge of edges in the distinct-maxima basis using the
     three-term relation x_ab x_cb = x_ac x_cb + x_ab x_ac (a < c < b), which
     strictly lowers the multiset of maxima.  memo maps wedges already
@@ -296,60 +295,49 @@ def _straighten(mono, memo: dict):
     hit = memo.get(mono)
     if hit is not None:
         return hit
-    k = None
-    for idx in range(len(mono) - 1):
-        if mono[idx][1] == mono[idx + 1][1]:
-            k = idx
-            break
+    k = next((k for k in range(len(mono) - 1) if mono[k] >> 4 == mono[k + 1] >> 4), None)
     if k is None:
-        result = memo[mono] = {mono: 1}
-        return result
-    (a, b), (c, _) = mono[k], mono[k + 1]
+        return memo.setdefault(mono, {mono: 1})
+    ab, cb = mono[k], mono[k + 1]
+    ac = (cb & 15) << 4 | ab & 15
     out: dict = {}
-    for pair in (((a, c), (c, b)), ((a, b), (a, c))):
+    for pair in ((ac, cb), (ab, ac)):
         raw = mono[:k] + pair + mono[k + 2 :]
-        srt, sign = _sort_edges(raw)
-        if srt is None:
-            continue
-        for m2, c2 in _straighten(srt, memo).items():
+        if len(set(raw)) < len(raw):
+            continue  # a repeated edge: the wedge vanishes
+        sign = _sign(raw)
+        for m2, c2 in _straighten(tuple(sorted(raw)), memo).items():
             out[m2] = out.get(m2, 0) + sign * c2
     out = memo[mono] = {m: v for m, v in out.items() if v}
     return out
 
 
 def _monomials(n: int, i: int):
-    """Generate the monomial basis of H^i, in os_basis order."""
-    if i == 0:
-        yield ()
-        return
+    """Generate the monomial basis of H^i as coded wedges, in os_basis order."""
     for maxima in itertools.combinations(range(2, n + 1), i):
-        for mins in itertools.product(*[range(1, b) for b in maxima]):
-            yield tuple(zip(mins, maxima))
+        yield from itertools.product(*[range(b << 4 | 1, b << 4 | b) for b in maxima])
 
 
 def os_basis(n: int, i: int) -> tuple:
     """Monomial basis x_{a1 b1}...x_{ai bi} with a_k < b_k and strictly
     increasing maxima b_1 < ... < b_i; labels are 1-based."""
-    return tuple(_monomials(n, i))
+    return tuple(tuple((e & 15, e >> 4) for e in m) for m in _monomials(n, i))
 
 
 def _flat(n: int, mono) -> tuple:
-    """The flat a basis monomial spans: position v-1 holds the least label
-    of the block of v.  Edges come in increasing maxima, so the minimum of
-    each edge already carries its final block when the edge is read."""
+    """The flat a coded basis wedge spans: position v-1 holds the least
+    label of the block of v.  Edges come in increasing maxima, so the
+    minimum of each edge already carries its final block when it is read."""
     least = list(range(n + 1))
-    for a, b in mono:
-        least[b] = least[a]
+    for e in mono:
+        least[e >> 4] = least[e & 15]
     return tuple(least[1:])
 
 
 def _fixes(sigma: tuple, flat: tuple) -> bool:
     """Whether sigma maps every block of the flat onto a block: it does when
     each label lands in the block where the least label of its block lands."""
-    return all(
-        flat[sigma[v] - 1] == flat[sigma[least - 1] - 1]
-        for v, least in enumerate(flat)
-    )
+    return all(flat[sigma[v] - 1] == flat[sigma[least - 1] - 1] for v, least in enumerate(flat))
 
 
 def _class_rep_perm(mu: Partition) -> tuple:
@@ -365,12 +353,12 @@ def _class_rep_perm(mu: Partition) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def os_character(n: int, i: int) -> ClassFn:
-    """Character of S_n on H^i of the configuration space of n points in
-    the plane, from the straightened monomial basis.  The three-term
-    relation keeps the flat the edges span, so sigma.m has no component on
-    m unless sigma fixes the flat of m: only the sigma-stable flats are
-    straightened."""
+def _os_traces(n: int, i: int) -> dict:
+    """Class tuple -> integer trace of its representative on H^i, from the
+    straightened monomial basis.  The three-term relation keeps the flat
+    the edges span, so sigma.m has no component on m unless sigma fixes the
+    flat of m: only the sigma-stable flats are straightened, and of those
+    only images whose maxima repeat."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > OS_BOUND:
@@ -382,43 +370,48 @@ def os_character(n: int, i: int) -> ClassFn:
     if sum(map(len, by_flat.values())) != expected:
         raise ArithmeticError("basis size disagrees with Whitney number")
     memo: dict = {}
-    values = {}
+    traces = {}
     for mu in partitions(n):
         sigma = _class_rep_perm(mu)
+        image = {}  # edge code -> code of its image under sigma
+        for (e,) in _monomials(n, 1):
+            x, y = sorted((sigma[(e & 15) - 1], sigma[(e >> 4) - 1]))
+            image[e] = y << 4 | x
         tr = 0
         for flat, monos in by_flat.items():
             if not _fixes(sigma, flat):
                 continue
             for mono in monos:
-                raw = []
-                for a, b in mono:
-                    x, y = sigma[a - 1], sigma[b - 1]
-                    raw.append((x, y) if x < y else (y, x))
-                image = {b: a for a, b in raw}
-                if len(image) < i:
-                    srt, sign = _sort_edges(raw)
-                    tr += sign * _straighten(srt, memo).get(mono, 0)
-                elif all(image.get(b) == a for a, b in mono):
-                    # distinct maxima make a basis monomial: only mono counts
-                    tr += _sort_edges(raw)[1]
-        values[mu] = Fraction(tr)
-    return ClassFn(n, values)
+                raw = tuple(map(image.__getitem__, mono))
+                srt = tuple(sorted(raw))
+                if srt == mono:
+                    tr += _sign(raw)
+                elif len({e >> 4 for e in srt}) < i:
+                    tr += _sign(raw) * _straighten(srt, memo).get(mono, 0)
+                # else srt is a basis wedge other than mono: no component
+        traces[mu.parts] = tr
+    return traces
+
+
+def os_character(n: int, i: int) -> ClassFn:
+    """Character of S_n on H^i of the configuration space of n points in
+    the plane, from the straightened monomial basis."""
+    return ClassFn(n, _os_traces(n, i))
+
+
+def _eq_char_values(n: int) -> dict:
+    """Class values of eq_char_poly(n): class tuple -> integer coefficients
+    of t^0, ..., t^(n-1)."""
+    traces = [_os_traces(n, i) for i in range(n)]
+    return {mu: tuple((-1) ** i * traces[i][mu] for i in reversed(range(n)))
+            for mu in _os_traces(n, 0)}
 
 
 def eq_char_poly(n: int) -> GradedClassFn:
     """Graded virtual character sum_i (-1)^i [OS^i] t^(n-1-i); evaluates at
     the identity to the reduced characteristic polynomial of the braid
     matroid, and to zero at t=1 (the group acts freely)."""
-    if not 1 <= n <= OS_BOUND:
-        raise ValueError(f"brute-force path bounded at n = {OS_BOUND}")
-    coeffs = []
-    for k in range(n):
-        i = n - 1 - k
-        cf = os_character(n, i)
-        if i % 2:
-            cf = -cf
-        coeffs.append(cf)
-    return GradedClassFn(n, coeffs)
+    return _graded(n, _eq_char_values(n))
 
 
 # ---------------------------------------------------------------------------
@@ -587,90 +580,96 @@ def _graded(n: int, q: dict) -> GradedClassFn:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle (explicit set partitions and graded traces).
+# Brute-force oracle on the flats of K_n as lists of block bit masks (bit v-1
+# for label v), with graded traces over the cycles of their blocks.
 
 BRUTE_BOUND = 6
 
 
-def _perm_power_cycle_type(sigma: tuple, power: int, block: tuple) -> Partition:
-    tau = {v: v for v in block}
-    for _ in range(power):
-        tau = {v: sigma[tau[v] - 1] for v in block}
-    return Partition(sorted((length for _, length in _cycles(tau)), reverse=True))
+def _mask_images(sigma: tuple) -> list:
+    """Entry m: the bit mask of the image under sigma of the set with mask m."""
+    image = [0] * (1 << len(sigma))
+    for m in range(1, len(image)):
+        low = m & -m
+        image[m] = image[m ^ low] | 1 << (sigma[low.bit_length() - 1] - 1)
+    return image
 
 
-def _cycles(img: dict) -> list:
-    """(first element, length) of each cycle of the permutation img."""
-    out, seen = [], set()
-    for v in img:
-        w, length = v, 0
-        while w not in seen:
-            seen.add(w)
-            w, length = img[w], length + 1
-        if length:
-            out.append((v, length))
+def _block_orbits(blocks: list, image: list):
+    """(block, length) of each cycle in which the permutation with mask
+    images image permutes the blocks; None if it does not stabilize them."""
+    inside = set(blocks)
+    out, seen = [], 0
+    for b in blocks:
+        if b & seen:
+            continue
+        length, c = 1, image[b]
+        while c != b:
+            if c not in inside:
+                return None
+            seen |= c
+            length, c = length + 1, image[c]
+        out.append((b, length))
     return out
 
 
-def _block_cycles(blocks: tuple, sigma: tuple):
-    """(one block, length) of each cycle in which sigma permutes the blocks;
-    None if sigma does not stabilize the partition."""
-    index = {frozenset(b): i for i, b in enumerate(blocks)}
-    img = [index.get(frozenset(sigma[v - 1] for v in b)) for b in blocks]
-    if None in img:
-        return None
-    return [(blocks[i], length) for i, length in _cycles(dict(enumerate(img)))]
+def _power_type(block: int, cycles: list) -> tuple:
+    """Cycle type of sigma^L on a block that sigma moves around L blocks, with
+    cycles the masks of sigma's cycles, longest first.  A cycle C meeting the
+    block meets each of the L blocks in |C|/L points, one cycle of sigma^L,
+    so the parts come out sorted."""
+    return tuple((block & c).bit_count() for c in cycles if block & c)
 
 
-def _all_set_partitions(n: int) -> list:
-    """Set partitions of {1, ..., n}, the flats of K_n, as tuples of 1-based blocks."""
-    full = (1 << n) - 1
-    flats = flat_masks([full ^ 1 << v for v in range(n)], full)
-    return [tuple(tuple(v + 1 for v in _mask_vertices(b)) for b in p) for p in flats]
-
-
-def _int_values(graded: GradedClassFn) -> dict:
-    """Class -> integer coefficients of an integer-valued GradedClassFn."""
-    return {mu: [int(c.values[mu]) for c in graded.coeffs] for mu in partitions(graded.n)}
+def eqkl_braid_bruteforce(n: int) -> GradedClassFn:
+    """Independent oracle for eqkl_braid: enumerate the flats of K_n, keep
+    those stabilized by a class representative, and take graded traces over
+    block cycles (t -> t^len on the signed characteristic data handles the
+    Koszul signs of permuted odd factors)."""
+    if not 1 <= n <= BRUTE_BOUND:
+        raise ValueError(f"brute-force path bounded at n = {BRUTE_BOUND}")
+    return _graded(n, _brute_values(n))
 
 
 @lru_cache(maxsize=None)
-def eqkl_braid_bruteforce(n: int) -> GradedClassFn:
-    """Independent oracle for eqkl_braid: enumerate honest set partitions,
-    keep those stabilized by a class representative, and take graded traces
-    over block cycles (t -> t^len on the signed characteristic data handles
-    the Koszul signs of permuted odd factors)."""
-    if not 1 <= n <= BRUTE_BOUND:
-        raise ValueError(f"brute-force path bounded at n = {BRUTE_BOUND}")
+def _brute_values(n: int) -> dict:
+    """Class values of eqkl_braid_bruteforce(n).  The characteristic data
+    come from the straightening oracle, never from Lehrer's formula."""
     if n == 1:
-        return GradedClassFn(1, [ClassFn.trivial(1)])
-    chardata = {m: _int_values(eq_char_poly(m)) for m in range(1, n + 1)}
-    contrdata = {m: _int_values(eqkl_braid_bruteforce(m)) for m in range(1, n)}
-    all_parts = [p for p in _all_set_partitions(n) if len(p) < n]
+        return {(1,): (1,)}
+    chardata = {m: _eq_char_values(m) for m in range(1, n + 1)}
+    contrdata = {m: _brute_values(m) for m in range(1, n)}
+    full = (1 << n) - 1
+    flats = [p for p in flat_masks([full ^ 1 << v for v in range(n)], full) if len(p) < n]
     rank = n - 1
     dmax = (rank - 1) // 2
     out = {}
     for mu in partitions(n):
-        sigma = _class_rep_perm(mu)
+        ends = itertools.accumulate(mu.parts)  # sigma's cycles, as masks
+        cycles = [(1 << e) - (1 << e - p) for p, e in zip(mu.parts, ends)]
+        image = _mask_images(_class_rep_perm(mu))
+        spread: dict = {}  # block -> its trace factor, t spread to t^length
         total = [0] * (rank + 1)
-        for blocks in all_parts:
-            cycles = _block_cycles(blocks, sigma)
-            if cycles is None:
+        for blocks in flats:
+            orbits = _block_orbits(blocks, image)
+            if orbits is None:
                 continue
             loc = [1]
-            for rep, length in cycles:
-                v = chardata[len(rep)][_perm_power_cycle_type(sigma, length, rep)]
-                spread = [0] * (length * (len(v) - 1) + 1)
-                spread[::length] = v
-                loc = pmul(loc, spread)
-            ghat = Partition(sorted((length for _, length in cycles), reverse=True))
+            for b, length in orbits:
+                s = spread.get(b)
+                if s is None:
+                    v = chardata[b.bit_count()][_power_type(b, cycles)]
+                    s = spread[b] = [0] * (length * (len(v) - 1) + 1)
+                    s[::length] = v
+                loc = pmul(loc, s)
+            ghat = tuple(sorted((length for _, length in orbits), reverse=True))
             padd_into(total, pmul(loc, contrdata[len(blocks)][ghat]))
         if any(total[i] + total[rank - i] for i in range(dmax + 1)):
             raise ArithmeticError("brute-force recursion inconsistent (low read)")
         if any(total[dmax + 1 : rank - dmax]):
             raise ArithmeticError("brute-force recursion inconsistent (middle)")
-        out[mu] = [total[rank - i] for i in range(dmax + 1)]
-    return _graded(n, _trimmed(out))
+        out[mu.parts] = [total[rank - i] for i in range(dmax + 1)]
+    return _trimmed(out)
 
 
 # ---------------------------------------------------------------------------

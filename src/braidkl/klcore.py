@@ -180,6 +180,11 @@ def kl_braid(n: int) -> Poly:
 # then canonical_key(H) without its tag (|H| in one byte, then H's canonical
 # adjacency bits).
 _ROW_TAG = b"K"
+# A row of cone(H, k) costs about k^4.5 at fixed H: in-process on a 2-vCPU
+# VM, cone(P4, 60) took 1.7 s, cone(P4, 96) 7.4 s, cone(P4, 120) 24 s and
+# cone(P3, 200) 72 s, while K_100 took 0.6 s; so graphs on more vertices
+# fail fast, before the cone is built.
+VERTEX_BOUND = 100
 _GRAPH_TABLE: dict = {}  # row key of (H, k) -> KL coefficients of cone(H, k)
 _BASES: dict = {}  # canonical key of H -> _ConeBase of H
 
@@ -321,7 +326,16 @@ def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
     return coeffs
 
 
+def _check_vertex_count(n: int) -> None:
+    if n > VERTEX_BOUND:
+        raise ValueError(
+            f"graph on {n} vertices is out of reach: "
+            f"the graphic recursion handles at most {VERTEX_BOUND}"
+        )
+
+
 def _kl_graphic_coeffs(gamma: Graph) -> tuple:
+    _check_vertex_count(gamma.n)
     if gamma.n < 1:
         raise ValueError("graph must have at least one vertex")
     if not is_connected(gamma):
@@ -358,8 +372,14 @@ def d_coeff(i: int, n: int) -> int:
 def d_coeff_graph(gamma: Graph, i: int, n: int) -> int:
     """t^i coefficient of the KL polynomial of the cone graph on gamma with
     n new universal vertices, by the cone recursion."""
-    cs = _kl_graphic_coeffs(cone_extend(gamma, n))
+    cs = _cone_coeffs(gamma, n)
     return cs[i] if 0 <= i < len(cs) else 0
+
+
+def _cone_coeffs(gamma: Graph, k: int) -> tuple:
+    """KL coefficients of cone(gamma, k), checking the vertex bound first."""
+    _check_vertex_count(gamma.n + k)
+    return _kl_graphic_coeffs(cone_extend(gamma, k))
 
 
 def c1_count(gamma: Graph) -> int:

@@ -1,7 +1,8 @@
 """Named verification suites tying the library together: closed forms,
 generating-function fits, Euler identities, FS checks, the top-coefficient
 conjecture report, the relative (cone-graph) checks, and assorted
-cross-oracle properties.  Each check yields (name, ok, detail).
+cross-oracle properties.  Each check is a dict of name, ok, detail and the
+monotonic time it was made at.
 
 Each suite imports the braidkl modules it uses at its top, so a run of one
 suite loads only those: `properties` loads neither fsmod nor specseq, `fs`
@@ -11,12 +12,13 @@ no polyseries; only `properties` fits, in its polyseries round trip."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import comb, factorial
 
 
 def _check(name, ok, detail=""):
-    return {"name": name, "ok": bool(ok), "detail": str(detail)}
+    return {"name": name, "ok": bool(ok), "detail": str(detail), "at": time.monotonic()}
 
 
 # The generating functions of the paper's examples, written out by hand as
@@ -430,13 +432,18 @@ def _graph_residual(g) -> bool:
 
     adj = g.adjacency_masks()
     rhs = [0] * g.n
+    chis, rows = {}, {}  # block mask -> chi, quotient adjacency -> KL row
     for blocks in graphmat.flat_masks(adj, (1 << g.n) - 1):
         chi = [1]
         for b in blocks:
-            block = graphmat.induced_subgraph(g, graphmat._mask_vertices(b))
-            chi = pmul(chi, graphmat.reduced_chromatic(block))
-        q = graphmat.Graph.from_masks(graphmat.quotient_masks(adj, blocks))
-        padd_into(rhs, pmul(chi, klcore._kl_graphic_coeffs(q)))
+            if b not in chis:
+                block = graphmat.induced_subgraph(g, graphmat._mask_vertices(b))
+                chis[b] = graphmat.reduced_chromatic(block)
+            chi = pmul(chi, chis[b])
+        q = tuple(graphmat.quotient_masks(adj, blocks))
+        if q not in rows:
+            rows[q] = klcore._kl_graphic_coeffs(graphmat.Graph.from_masks(q))
+        padd_into(rhs, pmul(chi, rows[q]))
     row = klcore._kl_graphic_coeffs(g)
     return [0] * (g.n - len(row)) + list(reversed(row)) == rhs
 

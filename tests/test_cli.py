@@ -224,10 +224,10 @@ def test_e1_relative_graph(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdicts"]["euler_identity"] is True
     assert report["outputs"]["euler_rhs"] == "1"
-    # past the one-byte vertex count of a row key: exit 2 at once
+    # past the vertex bound of the graphic recursion: exit 2 at once
     start = time.monotonic()
     assert main(["e1", "--i", "1", "--n", "300", "--graph", str(p)]) == 2
-    assert "one byte" in capsys.readouterr().err
+    assert f"at most {klcore.VERTEX_BOUND}" in capsys.readouterr().err
     assert time.monotonic() - start < 1
 
 
@@ -279,18 +279,37 @@ def test_verify_prints_pass_lines(capsys):
     assert out.count("PASS") == 3
 
 
+def _timed(out):
+    return [line.split()[1:] for line in out.splitlines() if line.startswith("TIME ")]
+
+
 def test_verify_timing_adds_one_line_per_suite(capsys):
     plain = run_cli(capsys, "verify", "--suite", "fs")[1]
     code, out = run_cli(capsys, "verify", "--suite", "fs", "--timing")
     assert code == 0
-    lines = out.splitlines()
-    assert "\n".join(lines[:-1]) + "\n" == plain
-    name, seconds = lines[-1].split()[1:]
-    assert lines[-1].startswith("TIME ") and name == "fs" and float(seconds) >= 0
+    lines, timed = out.splitlines(), _timed(out)
+    assert "\n".join(lines[: -len(timed)]) + "\n" == plain
+    name, seconds = timed[0]
+    assert lines[-len(timed)].startswith("TIME ") and name == "fs" and float(seconds) >= 0
     code, out = run_cli(capsys, "verify", "--suite", "all", "--timing")
     assert code == 0
-    timed = [line.split()[1] for line in out.splitlines() if line.startswith("TIME ")]
-    assert timed == list(verify.SUITES)
+    suites = [name for name, _ in _timed(out) if "/" not in name]
+    assert suites == list(verify.SUITES)
+
+
+def test_verify_timing_adds_one_line_per_check(capsys):
+    """After the suite lines, one TIME <suite>/<check> line per check, in
+    report order; the check times of a suite add up to its time."""
+    code, out = run_cli(capsys, "verify", "--suite", "properties", "--timing")
+    assert code == 0
+    checks = [line.split()[1] for line in out.splitlines() if line.startswith("PASS ")]
+    (suite, total), *per_check = _timed(out)
+    assert suite == "properties"
+    assert [name for name, _ in per_check] == [f"properties/{c}" for c in checks]
+    seconds = [float(s) for _, s in per_check]
+    assert min(seconds) >= 0
+    # each printed time is rounded to the millisecond
+    assert abs(sum(seconds) - float(total)) <= 0.0005 * (len(seconds) + 1)
 
 
 def _cone_query(tmp_path, cone=2):
@@ -531,7 +550,23 @@ def test_cache_in_older_format_changes_no_answer(tmp_path, capsys, monkeypatch):
 def test_kl_cone_beyond_key_byte_fails_fast(tmp_path, capsys):
     code = main(list(_cone_query(tmp_path, cone=300)))
     assert code == 2
-    assert "one byte" in capsys.readouterr().err
+    assert f"at most {klcore.VERTEX_BOUND}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cone", [98, 250, 10**9])
+def test_cone_past_the_vertex_bound_exits_at_once(tmp_path, capsys, cone):
+    """cone(P3, 98) is one vertex past the bound; 250 would run for minutes
+    and 10**9 would not fit in memory if the cone were built."""
+    start = time.monotonic()
+    assert main(list(_cone_query(tmp_path, cone=cone))) == 2
+    err = capsys.readouterr().err
+    assert f"graph on {3 + cone} vertices is out of reach" in err
+    assert f"at most {klcore.VERTEX_BOUND}" in err
+    assert time.monotonic() - start < 1
+    graph = _cone_query(tmp_path)[2]
+    assert main(["e1", "--i", "1", "--n", str(cone), "--graph", graph]) == 2
+    assert f"at most {klcore.VERTEX_BOUND}" in capsys.readouterr().err
+    assert time.monotonic() - start < 2
 
 
 def test_timing_flag_adds_field(capsys):

@@ -9,6 +9,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidkl.eqkl as eqkl
 
@@ -23,7 +25,6 @@ from braidkl.combinat import (
 from braidkl.eqkl import (
     EQKL_BOUND,
     ClassFn,
-    GradedClassFn,
     SymFn,
     ch,
     ch_inv,
@@ -200,6 +201,111 @@ def test_char_poly_symfn_matches_straightening():
             assert ch(graded.coeffs[k]) == sym.t_coeff(k)
 
 
+# Set-based copies of the brute-force oracle's block bookkeeping, which works
+# on bit masks: labels are 1-based and sigma is a tuple whose position v-1
+# holds the image of v, as eqkl._class_rep_perm gives it.
+
+
+def _cycles(img):
+    """(first element, length) of each cycle of the permutation img (a dict)."""
+    out, seen = [], set()
+    for v in img:
+        w, length = v, 0
+        while w not in seen:
+            seen.add(w)
+            w, length = img[w], length + 1
+        if length:
+            out.append((v, length))
+    return out
+
+
+def _block_cycles(blocks, sigma):
+    """(one block, length) of each cycle in which sigma permutes the blocks;
+    None if sigma does not stabilize the partition."""
+    index = {frozenset(b): i for i, b in enumerate(blocks)}
+    img = [index.get(frozenset(sigma[v - 1] for v in b)) for b in blocks]
+    if None in img:
+        return None
+    return [(blocks[i], length) for i, length in _cycles(dict(enumerate(img)))]
+
+
+def _perm_power_cycle_type(sigma, power, block):
+    """Cycle type of sigma^power restricted to a block it maps onto itself."""
+    tau = {v: v for v in block}
+    for _ in range(power):
+        tau = {v: sigma[tau[v] - 1] for v in block}
+    return tuple(sorted((length for _, length in _cycles(tau)), reverse=True))
+
+
+def _set_partitions(n):
+    """Set partitions of {1, ..., n} as tuples of 1-based blocks, each label
+    joining an earlier block or opening a new one."""
+    out, blocks = [], []
+
+    def rec(v):
+        if v > n:
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(v)
+            rec(v + 1)
+            b.pop()
+        blocks.append([v])
+        rec(v + 1)
+        blocks.pop()
+
+    rec(1)
+    return out
+
+
+def test_set_partitions_count_bell_numbers():
+    assert [len(_set_partitions(n)) for n in range(1, 9)] == [1, 2, 5, 15, 52, 203, 877, 4140]
+
+
+def _masks(blocks):
+    return [sum(1 << (v - 1) for v in b) for b in blocks]
+
+
+def _cycle_masks(sigma):
+    """The cycles of sigma as bit masks, longest first."""
+    out = set()
+    for v in range(1, len(sigma) + 1):
+        m, w = 1 << (v - 1), sigma[v - 1]
+        while w != v:
+            m, w = m | 1 << (w - 1), sigma[w - 1]
+        out.add(m)
+    return sorted(out, key=lambda c: -c.bit_count())
+
+
+@st.composite
+def perms_and_partitions(draw):
+    """A random permutation of {1..n} (n <= 7) and a random set partition,
+    its blocks in order of their least label."""
+    n = draw(st.integers(1, 7))
+    sigma = tuple(draw(st.permutations(range(1, n + 1))))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = {}
+    for v, lab in enumerate(labels, start=1):
+        blocks.setdefault(lab, []).append(v)
+    return sigma, tuple(sorted(map(tuple, blocks.values())))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(perms_and_partitions())
+def test_mask_block_orbits_and_power_types_match_the_set_based_copies(case):
+    sigma, blocks = case
+    cycles = _block_cycles(blocks, sigma)
+    orbits = eqkl._block_orbits(_masks(blocks), eqkl._mask_images(sigma))
+    if cycles is None:
+        assert orbits is None
+        return
+    assert orbits == [(_masks([block])[0], length) for block, length in cycles]
+    cycle_masks = _cycle_masks(sigma)
+    for block, length in cycles:
+        want = _perm_power_cycle_type(sigma, length, block)
+        assert eqkl._power_type(_masks([block])[0], cycle_masks) == want
+
+
 # The fixed-point trace formula, enumerated over all set partitions: the trace
 # of sigma on the alternating OS sum is the sum, over the sigma-stable
 # partitions X, of mu(bottom, X) in the sigma-fixed subposet weighted by
@@ -208,13 +314,13 @@ def test_char_poly_symfn_matches_straightening():
 
 
 def _mu_product(blocks, sigma):
-    cycles = eqkl._block_cycles(blocks, sigma)
+    cycles = _block_cycles(blocks, sigma)
     if cycles is None:
         return None
     prod = 1
     for block, length in cycles:
-        ret = eqkl._perm_power_cycle_type(sigma, length, block)
-        prod *= _mu_top(len(block), ret.parts)
+        ret = _perm_power_cycle_type(sigma, length, block)
+        prod *= _mu_top(len(block), ret)
     return prod
 
 
@@ -224,7 +330,7 @@ def _fixed_flat_sums(n, tau):
     [n] with k >= 2 blocks stabilized by a permutation of type tau."""
     sigma = eqkl._class_rep_perm(Partition(tau))
     sums = [0] * (n + 1)
-    for blocks in eqkl._all_set_partitions(n):
+    for blocks in _set_partitions(n):
         v = _mu_product(blocks, sigma) if len(blocks) > 1 else None
         if v is not None:
             sums[len(blocks)] += v
@@ -363,29 +469,99 @@ def test_bruteforce_consistency_checks_catch_a_perturbed_class_value(
     """One class value of the characteristic data of S_n, at the identity
     in the given t-degree, off by one: the flat sum of the whole set moves
     in that degree alone, and the check of that degree fails."""
-    real = eqkl.eq_char_poly
+    real = eqkl._eq_char_values
 
     def perturbed(m):
-        graded = real(m)
+        values = real(m)
         if m != n:
-            return graded
-        coeffs = list(graded.coeffs)
-        coeffs[degree] = coeffs[degree] + ClassFn(m, {Partition((1,) * m): 1})
-        return GradedClassFn(m, coeffs)
+            return values
+        identity = list(values[(1,) * m])
+        identity[degree] += 1
+        return {**values, (1,) * m: tuple(identity)}
 
-    monkeypatch.setattr(eqkl, "eq_char_poly", perturbed)
-    eqkl_braid_bruteforce.cache_clear()
+    monkeypatch.setattr(eqkl, "_eq_char_values", perturbed)
+    eqkl._brute_values.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match=message):
             eqkl_braid_bruteforce(n)
     finally:
-        eqkl_braid_bruteforce.cache_clear()
+        eqkl._brute_values.cache_clear()
+
+
+# Tuple-coded copies of the straightening, which eqkl runs on edges coded as
+# the ints b << 4 | a: a wedge is a tuple of pairs (a, b), a < b.
+
+
+def _sort_edges(raw):
+    """Sort wedge factors by (max, min); returns (sorted tuple, sign) or
+    (None, 0) if an edge repeats."""
+    keys = [(b, a) for a, b in raw]
+    if len(set(keys)) < len(keys):
+        return None, 0
+    inversions = sum(x > y for i, x in enumerate(keys) for y in keys[i + 1 :])
+    return tuple((a, b) for b, a in sorted(keys)), (-1) ** inversions
+
+
+def _straighten_pairs(mono, memo):
+    """Expansion of a sorted wedge in the distinct-maxima basis by the
+    three-term relation x_ab x_cb = x_ac x_cb + x_ab x_ac (a < c < b)."""
+    hit = memo.get(mono)
+    if hit is not None:
+        return hit
+    k = next((k for k in range(len(mono) - 1) if mono[k][1] == mono[k + 1][1]), None)
+    if k is None:
+        return memo.setdefault(mono, {mono: 1})
+    (a, b), (c, _) = mono[k], mono[k + 1]
+    out = {}
+    for pair in (((a, c), (c, b)), ((a, b), (a, c))):
+        srt, sign = _sort_edges(mono[:k] + pair + mono[k + 2 :])
+        if srt is None:
+            continue
+        for m2, c2 in _straighten_pairs(srt, memo).items():
+            out[m2] = out.get(m2, 0) + sign * c2
+    out = memo[mono] = {m: v for m, v in out.items() if v}
+    return out
+
+
+def _code(mono):
+    return tuple(b << 4 | a for a, b in mono)
+
+
+def _pairs(mono):
+    return tuple((e & 15, e >> 4) for e in mono)
+
+
+@st.composite
+def wedges(draw):
+    """A wedge of distinct edges of K_n (n <= 8), in a random order."""
+    n = draw(st.integers(2, 8))
+    edges = [(a, b) for b in range(2, n + 1) for a in range(1, b)]
+    return tuple(draw(st.lists(st.sampled_from(edges), max_size=n - 1, unique=True)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(wedges())
+def test_coded_straightening_matches_the_tuple_coded_copy(raw):
+    srt, sign = _sort_edges(raw)
+    assert _code(srt) == tuple(sorted(_code(raw)))
+    assert eqkl._sign(_code(raw)) == sign
+    want = _straighten_pairs(srt, {})
+    got = eqkl._straighten(_code(srt), {})
+    assert {_pairs(m): c for m, c in got.items()} == want
+
+
+def test_straightening_worked_example():
+    """x_13 x_23 = x_12 x_23 + x_13 x_12 = x_12 x_23 - x_12 x_13."""
+    want = {((1, 2), (2, 3)): 1, ((1, 2), (1, 3)): -1}
+    assert _straighten_pairs(((1, 3), (2, 3)), {}) == want
+    got = eqkl._straighten(_code(((1, 3), (2, 3))), {})
+    assert {_pairs(m): c for m, c in got.items()} == want
 
 
 def _image(sigma, mono):
     """sigma . mono as a sorted wedge of edges, with its sign."""
     raw = tuple(tuple(sorted((sigma[a - 1], sigma[b - 1]))) for a, b in mono)
-    return eqkl._sort_edges(raw)
+    return _sort_edges(raw)
 
 
 def test_os_character_matches_straightening_every_image():
@@ -400,7 +576,7 @@ def test_os_character_matches_straightening_every_image():
                 tr = 0
                 for mono in os_basis(n, i):
                     srt, sign = _image(sigma, mono)
-                    tr += sign * eqkl._straighten(srt, memo).get(mono, 0)
+                    tr += sign * _straighten_pairs(srt, memo).get(mono, 0)
                 assert os_character(n, i).value(mu) == tr
 
 
@@ -418,7 +594,7 @@ def test_flat_and_fixes_match_the_set_partition_definition():
     for n in range(1, 7):
         for i in range(n):
             for mono in os_basis(n, i):
-                flat = eqkl._flat(n, mono)
+                flat = eqkl._flat(n, _code(mono))
                 blocks = _blocks(n, mono)
                 assert {frozenset(v for v in range(1, n + 1) if flat[v - 1] == r)
                         for r in flat} == blocks
@@ -439,20 +615,21 @@ def test_moved_flat_contributes_nothing_to_the_trace():
             for mu in partitions(n):
                 sigma = eqkl._class_rep_perm(mu)
                 for mono in os_basis(n, i):
-                    if eqkl._fixes(sigma, eqkl._flat(n, mono)):
+                    if eqkl._fixes(sigma, eqkl._flat(n, _code(mono))):
                         continue
                     moved += 1
                     srt, _ = _image(sigma, mono)
-                    image = eqkl._straighten(srt, memo)
-                    assert image.get(mono, 0) == 0
-                    assert {_blocks(n, m) for m in image} == {_blocks(n, srt)}
+                    image = eqkl._straighten(_code(srt), memo)
+                    assert image.get(_code(mono), 0) == 0
+                    assert {_blocks(n, _pairs(m)) for m in image} == {_blocks(n, srt)}
     assert moved > 0
 
 
 def test_os_oracle_keeps_no_table_after_it_returns():
-    """The straightening memo lives for one os_character call, and the basis
-    is not cached: after eq_char_poly(7) returns, little memory stays."""
-    eqkl.os_character.cache_clear()
+    """The straightening memo lives for one call of the cached traces, and
+    the basis is not cached: after eq_char_poly(7) returns, little memory
+    stays."""
+    eqkl._os_traces.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

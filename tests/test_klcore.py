@@ -29,6 +29,7 @@ from braidkl.graphmat import (
     reduced_chromatic,
 )
 from braidkl.intpoly import padd_into, pmul
+import braidkl.graphmat as graphmat
 import braidkl.klcore as klcore
 from braidkl.klcore import (
     _braid_coeffs,
@@ -501,11 +502,15 @@ def test_flat_groups_one_per_contraction():
 
 
 def test_vertex_count_beyond_key_byte_fails_fast():
+    # the vertex bound of the recursion sits below the key byte's limit
     base = Graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="one byte"):
+    assert klcore.VERTEX_BOUND < graphmat.KEY_VERTEX_LIMIT
+    with pytest.raises(ValueError, match="at most 100"):
         d_coeff_graph(base, 1, 253)
-    with pytest.raises(ValueError, match="one byte"):
+    with pytest.raises(ValueError, match="at most 100"):
         kl_graphic(complete(300))
+    with pytest.raises(ValueError, match="one byte"):
+        graphmat._count_byte(graphmat.KEY_VERTEX_LIMIT + 1)
 
 
 @st.composite
