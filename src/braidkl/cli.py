@@ -4,6 +4,11 @@ ledgers, generating-function fits, and the verification suites.
 Reports are JSON with every exact value rendered as a decimal string
 (big integers overflow native JSON numbers).  Output is byte-stable across
 runs; wall-clock timing is only included when --timing is passed.
+
+Each command imports the modules it uses in its own handler, so a fresh
+process loads only what its command runs.  Only `kl`, `e1` and `verify`
+read or extend klcore's graph table, so only they load and save the
+persisted table under KL_CACHE_DIR; `eqkl` and `genfun` never touch it.
 """
 
 from __future__ import annotations
@@ -16,13 +21,9 @@ import sys
 import time
 from math import factorial
 
-# Only what `kl` and the cache need is imported here; each other command
-# imports its modules itself, so a fresh `kl` process never loads them.
-from . import klcore
-from .graphmat import load_graph
-
 CACHE_ENV = "KL_CACHE_DIR"
 CACHE_FILE = "kltable.json"
+CACHE_COMMANDS = ("kl", "e1", "verify")  # the users of klcore's graph table
 
 
 def _load_cache() -> dict | None:
@@ -32,6 +33,8 @@ def _load_cache() -> dict | None:
     root = os.environ.get(CACHE_ENV)
     if not root:
         return {}
+    from . import klcore
+
     path = os.path.join(root, CACHE_FILE)
     try:
         with open(path) as fh:
@@ -59,6 +62,8 @@ def _save_cache(on_disk: dict | None) -> None:
     root = os.environ.get(CACHE_ENV)
     if not root:
         return
+    from . import klcore
+
     records = klcore.kl_cache_export()
     if on_disk is not None and all(
         on_disk.get(key) == coeffs for key, coeffs in records.items()
@@ -89,6 +94,9 @@ def _save_cache(on_disk: dict | None) -> None:
 
 
 def cmd_kl(args) -> int:
+    from . import klcore
+    from .graphmat import load_graph
+
     if (args.n is None) == (args.graph is None):
         print("error: give exactly one of --n or --graph", file=sys.stderr)
         return 2
@@ -142,6 +150,8 @@ def cmd_e1(args) -> int:
     from . import specseq
 
     if args.graph:
+        from .graphmat import load_graph
+
         gamma = load_graph(args.graph)
         rep = specseq.euler_identity_graph(gamma, args.i, args.n)
         inputs = {"i": str(args.i), "n": str(args.n), "graph": args.graph}
@@ -164,6 +174,8 @@ def cmd_e1(args) -> int:
 
 
 def cmd_genfun(args) -> int:
+    from . import klcore
+
     i, n_max = args.i, args.max_n
     if i < 0:
         print("error: --i must be nonnegative", file=sys.stderr)
@@ -323,7 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    on_disk = _load_cache()
+    cached = args.command in CACHE_COMMANDS
+    on_disk = _load_cache() if cached else {}
     args._start = time.monotonic()
     try:
         code = args.func(args)
@@ -331,7 +344,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        _save_cache(on_disk)
+        if cached:
+            _save_cache(on_disk)
     return code
 
 

@@ -79,11 +79,17 @@ def _partition_tuples(n: int, maxpart: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _partition_objects(n: int) -> tuple:
+    return tuple(Partition(t) for t in _partition_tuples(n, n if n else 1))
+
+
 def partitions(n: int) -> list:
-    """All partitions of n in graded reverse-lexicographic order."""
+    """All partitions of n in graded reverse-lexicographic order, as a new
+    list of Partition objects built once per n and shared between calls."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition(t) for t in _partition_tuples(n, n if n else 1)]
+    return list(_partition_objects(n))
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,16 @@ Two independent computation paths are provided and cross-checked:
   signs picked up when equal-size blocks with odd cohomology are permuted
   (the graded pieces are stored with their alternating signs).
 
+  The powers g^m of the characteristic data g = sum_r chi_{S_r}, which
+  p_{1^m}[g] needs, have a closed form.  Let F_j(mu) = prod_i prod_{k < m_i}
+  (j E_i(t) - k i), Lehrer's product with each E_i scaled by j.  Then
+  F_1 = 1 + t g, and F_x F_y = F_{x+y} by Vandermonde's identity for
+  falling factorials, so F_j = (1 + t g)^j: written in the binomial basis
+  C(j, m), F_j(mu) has the coefficients t^m g^m(mu).  _char_powers gets
+  F_j(mu) from F_j of mu without its largest part times one more factor,
+  and _plethysm_part takes p_{1^m}[g] = g^m from it instead of multiplying
+  by g m times.
+
 * a brute-force path (small n) over the flats of K_n as block bit masks.
   A table of the images of all masks under a class representative gives
   the cycles of blocks by lookup, the cycle type of the L-th power on a
@@ -48,9 +58,13 @@ from .combinat import (
     partitions,
     stirling1_unsigned,
 )
-from .graphmat import flat_masks
 from .intpoly import padd_into, pmul
-from .polyseries import Poly
+
+# polyseries loads only where the rational API builds a Poly (at_identity,
+# SymFn, char_poly_symfn); the integer kernel never needs it.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .polyseries import Poly
 
 
 class ClassFn:
@@ -126,6 +140,8 @@ class GradedClassFn:
         self.coeffs = coeffs
 
     def at_identity(self) -> Poly:
+        from .polyseries import Poly
+
         return Poly([c.dim() for c in self.coeffs], "t")
 
     def eval_t(self, x) -> ClassFn:
@@ -152,6 +168,8 @@ class SymFn:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        from .polyseries import Poly
+
         clean = {}
         if terms:
             for mu, c in terms.items():
@@ -162,7 +180,7 @@ class SymFn:
 
     @classmethod
     def one(cls):
-        return cls({(): Poly([1], "t")})
+        return cls({(): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -170,14 +188,13 @@ class SymFn:
     def __add__(self, other):
         out = dict(self.terms)
         for mu, c in other.terms.items():
-            out[mu] = out.get(mu, Poly([], "t")) + c
+            out[mu] = out[mu] + c if mu in out else c
         return SymFn(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = c if isinstance(c, Poly) else Poly([c], "t")
         return SymFn({mu: co * c for mu, co in self.terms.items()})
 
     def mul(self, other: "SymFn", cap: int | None = None) -> "SymFn":
@@ -189,19 +206,19 @@ class SymFn:
                     continue
                 key = tuple(sorted(mu + nu, reverse=True))
                 prod = a * b
-                out[key] = out.get(key, Poly([], "t")) + prod
+                out[key] = out[key] + prod if key in out else prod
         return SymFn(out)
 
     def homogeneous_part(self, n: int) -> "SymFn":
         return SymFn({mu: c for mu, c in self.terms.items() if sum(mu) == n})
 
     def t_coeff(self, j: int) -> "SymFn":
-        return SymFn(
-            {mu: Poly([c.coeff(j)], "t") for mu, c in self.terms.items()}
-        )
+        return SymFn({mu: c.coeff(j) for mu, c in self.terms.items()})
 
     def pleth_pk(self, k: int, cap: int | None = None) -> "SymFn":
         """p_k[self]: every p_j becomes p_{jk} and t becomes t^k."""
+        from .polyseries import Poly
+
         out = {}
         for mu, c in self.terms.items():
             if cap is not None and k * sum(mu) > cap:
@@ -222,13 +239,7 @@ class SymFn:
 
 def ch(f: ClassFn) -> SymFn:
     """Frobenius characteristic: sum over mu of f(mu) p_mu / z_mu."""
-    return SymFn(
-        {
-            mu.parts: Poly([Fraction(v, centralizer_order(mu))], "t")
-            for mu, v in f.values.items()
-            if v
-        }
-    )
+    return SymFn({mu.parts: v / centralizer_order(mu) for mu, v in f.values.items()})
 
 
 def ch_inv(s: SymFn, n: int) -> ClassFn:
@@ -266,12 +277,7 @@ def plethysm(f: SymFn, g: SymFn, cap: int | None = None) -> SymFn:
 @lru_cache(maxsize=None)
 def h_sym(k: int) -> SymFn:
     """Complete homogeneous symmetric function h_k = sum p_mu / z_mu."""
-    return SymFn(
-        {
-            mu.parts: Poly([Fraction(1, centralizer_order(mu))], "t")
-            for mu in partitions(k)
-        }
-    )
+    return SymFn({mu.parts: Fraction(1, centralizer_order(mu)) for mu in partitions(k)})
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +441,59 @@ def _trimmed(acc: dict, divisor: int = 1) -> dict:
     return out
 
 
+def _necklace(i: int) -> list:
+    """The necklace polynomial E_i(t) = sum_{d | i} mobius(i/d) t^d."""
+    return [0] + [mobius(i // d) if i % d == 0 else 0 for d in range(1, i + 1)]
+
+
 @lru_cache(maxsize=None)
 def _char_values(n: int) -> dict:
     """Class values of the graded characteristic data of S_n, by Lehrer's
-    product formula (1/t) prod_i prod_{k < m_i} (E_i(t) - k i), with the
-    necklace polynomial E_i(t) = sum_{d | i} mobius(i/d) t^d."""
+    product formula (1/t) prod_i prod_{k < m_i} (E_i(t) - k i)."""
     out = {}
     for mu in partitions(n):
         prod = [1]
         for i, m in mu.multiplicities().items():
-            e = [mobius(i // d) if i % d == 0 else 0 for d in range(1, i + 1)]
+            e = _necklace(i)
             for k in range(m):
-                prod = pmul(prod, (-k * i, *e))
+                prod = pmul(prod, (e[0] - k * i, *e[1:]))
         out[mu.parts] = tuple(prod[1:])
     return out
+
+
+@lru_cache(maxsize=None)
+def _char_powers(d: int) -> tuple:
+    """Class values of the degree-d parts of the powers g^m, m = 0..d, of the
+    characteristic data g = sum_r chi_{S_r}: entry m maps partition tuples
+    to integer polynomials in t, zeros left out.  F_j(mu) = (1 + t g)^j(mu)
+    is a product of factors j E_i(t) - k i (module docstring), and its
+    coefficient of the binomial C(j, m) is t^m g^m(mu).  F_j of mu is F_j of
+    mu without its largest part i, read from the table of degree d - i,
+    times one more factor."""
+    if d == 0:
+        return ({(): (1,)},)
+    rows = [{} for _ in range(d + 1)]
+    for mu in partitions(d):
+        i, rest = mu.parts[0], mu.parts[1:]
+        below = _char_powers(d - i)
+        e = _necklace(i)
+        ki = rest.count(i) * i
+        f = [[] for _ in range(len(mu) + 1)]  # f[r]: the coefficient of C(j, r)
+        for r in range(len(rest) + 1):
+            c = [0] * r + list(below[r].get(rest, ()))
+            # (j e - k i) C(j, r) = (r + 1) e C(j, r + 1) + (r e - k i) C(j, r)
+            ec = pmul(e, c)
+            padd_into(f[r + 1], ec, r + 1)
+            padd_into(f[r], ec, r)
+            padd_into(f[r], c, -ki)
+        for m, c in enumerate(f):
+            if any(c[:m]):
+                raise ArithmeticError(f"F_j{mu.parts} at C(j, {m}) is not divisible by t^{m}")
+            while c and not c[-1]:
+                c.pop()
+            if c[m:]:
+                rows[m][mu.parts] = tuple(c[m:])
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -492,14 +537,18 @@ def _class_pk(g: list, k: int, cap: int) -> list:
     return out
 
 
-def _plethysm_part(fs: dict, g: list, n: int) -> dict:
+def _plethysm_part(fs: dict, n: int) -> dict:
     """Class values of the degree-n part of sum_k f_k[g], where fs maps k to
     the class values of a degree-k f_k (t in f_k does not transform) and g is
-    degree-graded with no degree-0 part.  f_k[g] is (1/k!) sum_mu chi_f(mu)
-    (k!/z_mu) prod_j p_{mu_j}[g]: the products are shared along a walk that
-    extends mu one part at a time, and each k! must divide its sum exactly."""
+    the characteristic data sum_r chi_{S_r}.  f_k[g] is (1/k!) sum_mu
+    chi_f(mu) (k!/z_mu) prod_j p_{mu_j}[g]: the products are shared along a
+    walk that extends mu one part at a time, and each k! must divide its sum
+    exactly.  Along mu = 1^m the product g^m is read from _char_powers."""
     top = max(fs)
-    pk = [None] + [_class_pk(g, c, n) for c in range(1, top + 1)]
+    # p_c[g] for c >= 2 reaches degree n from the degrees <= n // 2 of g
+    g = [{}] + [_char_values(r) for r in range(1, n // 2 + 1)]
+    pk = [None, None] + [_class_pk(g, c, n) for c in range(2, top + 1)]
+    powers = [_char_powers(d) for d in range(n + 1)]
     acc: dict = {k: {} for k in fs}
 
     def walk(mu: tuple, prod: list, k: int, z: int) -> None:
@@ -509,10 +558,13 @@ def _plethysm_part(fs: dict, g: list, n: int) -> dict:
                 padd_into(acc[k].setdefault(lam, []), pmul(f, v), scale)
         # a new part is at least the largest one, so each mu is reached once
         for c in range(mu[0] if mu else 1, top - k + 1):
-            z_next = z * c * (mu.count(c) + 1)
-            walk((c,) + mu, _class_mul(prod, pk[c], n), k + c, z_next)
+            if c == 1:  # mu = 1^k, and the product grows to g^(k+1)
+                nxt = [p[k + 1] if k + 1 < len(p) else {} for p in powers]
+            else:
+                nxt = _class_mul(prod, pk[c], n)
+            walk((c,) + mu, nxt, k + c, z * c * (mu.count(c) + 1))
 
-    walk((), [{(): (1,)}] + [{} for _ in range(n)], 0, 1)
+    walk((), [p[0] for p in powers], 0, 1)
     total: dict = {}
     for k, terms in acc.items():
         for lam, v in _trimmed(terms, factorial(k)).items():
@@ -527,6 +579,8 @@ def char_poly_symfn(n: int) -> SymFn:
     is the class value from Lehrer's product formula (1/t) prod_i
     prod_{k < m_i} (E_i(t) - k i) divided by z_mu.  Cross-checked against
     the straightening path."""
+    from .polyseries import Poly
+
     if n < 1:
         raise ValueError("n must be positive")
     return SymFn(
@@ -542,8 +596,7 @@ def _eqkl_values(n: int) -> dict:
     """Class values of the equivariant KL polynomial of the braid matroid."""
     if n == 1:
         return {(1,): (1,)}
-    g = [{}] + [_char_values(r) for r in range(1, n + 1)]
-    flats = _plethysm_part({k: _eqkl_values(k) for k in range(1, n)}, g, n)
+    flats = _plethysm_part({k: _eqkl_values(k) for k in range(1, n)}, n)
     rank = n - 1
     dmax = (rank - 1) // 2
     out = {}
@@ -635,6 +688,8 @@ def eqkl_braid_bruteforce(n: int) -> GradedClassFn:
 def _brute_values(n: int) -> dict:
     """Class values of eqkl_braid_bruteforce(n).  The characteristic data
     come from the straightening oracle, never from Lehrer's formula."""
+    from .graphmat import flat_masks
+
     if n == 1:
         return {(1,): (1,)}
     chardata = {m: _eq_char_values(m) for m in range(1, n + 1)}

@@ -57,7 +57,6 @@ from functools import lru_cache
 
 from .combinat import double_factorial_odd, stirling1_row, stirling2_row
 from .graphmat import (
-    CANON_BOUND,
     Graph,
     _colour_classes,
     _count_byte,
@@ -185,6 +184,12 @@ _ROW_TAG = b"K"
 # cone(P3, 200) 72 s, while K_100 took 0.6 s; so graphs on more vertices
 # fail fast, before the cone is built.
 VERTEX_BOUND = 100
+# The table of a cone base H is exponential in |H|: with k = 4, in-process on
+# a 2-vCPU VM, cone(P8, 4) took 0.26 s, cone(P10, 4) 4.0 s, cone(P11, 4)
+# 18 s and cone(P12, 4) 70 s, and cycles took about 0.7 of that; so a graph
+# with more than BASE_BOUND vertices left once its universal ones are split
+# off fails fast.  graphmat.CANON_BOUND only limits the canonical-key search.
+BASE_BOUND = 10
 _GRAPH_TABLE: dict = {}  # row key of (H, k) -> KL coefficients of cone(H, k)
 _BASES: dict = {}  # canonical key of H -> _ConeBase of H
 
@@ -344,10 +349,10 @@ def _kl_graphic_coeffs(gamma: Graph) -> tuple:
             "compute each component separately"
         )
     h, k = _split_cone(gamma.adjacency_masks())
-    if h.n > CANON_BOUND:
+    if h.n > BASE_BOUND:
         raise ValueError(
             f"graph is out of reach: after removing its {k} universal "
-            f"vertices, {h.n} remain (the recursion handles <= {CANON_BOUND})"
+            f"vertices, {h.n} remain (the recursion handles <= {BASE_BOUND})"
         )
     return _cone_row(canonical_key(h), h, k)
 

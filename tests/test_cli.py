@@ -553,6 +553,20 @@ def test_kl_cone_beyond_key_byte_fails_fast(tmp_path, capsys):
     assert f"at most {klcore.VERTEX_BOUND}" in capsys.readouterr().err
 
 
+def test_cone_past_the_base_bound_exits_at_once(tmp_path, capsys):
+    """cone(P12, 4) is inside the vertex bound and the canonical-key search
+    bound, and its base table would take more than a minute."""
+    graph = tmp_path / "p12.json"
+    graph.write_text(json.dumps({"n": 12, "edges": [[v, v + 1] for v in range(11)]}))
+    bound = f"12 remain (the recursion handles <= {klcore.BASE_BOUND})"
+    start = time.monotonic()
+    assert main(["kl", "--graph", str(graph), "--cone", "4"]) == 2
+    assert bound in capsys.readouterr().err
+    assert main(["e1", "--i", "1", "--n", "4", "--graph", str(graph)]) == 2
+    assert bound in capsys.readouterr().err
+    assert time.monotonic() - start < 1
+
+
 @pytest.mark.parametrize("cone", [98, 250, 10**9])
 def test_cone_past_the_vertex_bound_exits_at_once(tmp_path, capsys, cone):
     """cone(P3, 98) is one vertex past the bound; 250 would run for minutes
@@ -657,6 +671,36 @@ def test_genfun_loads_only_the_modules_it_uses(tmp_path):
     argv = ["genfun", "--i", "2", "--max-n", "30", "--fit", "--asymptotics"]
     unused = ("braidkl.eqkl", "braidkl.fsmod", "braidkl.polyseries", "braidkl.verify", "dataclasses")
     _assert_not_loaded(argv, unused, _probe_env(tmp_path))
+
+
+def test_eqkl_loads_only_the_modules_it_uses(tmp_path):
+    # the plethystic path runs on integer class values: no graph table,
+    # no flats and no Poly
+    unused = (
+        "braidkl.klcore",
+        "braidkl.graphmat",
+        "braidkl.polyseries",
+        "braidkl.specseq",
+        "braidkl.fsmod",
+        "braidkl.verify",
+        "dataclasses",
+    )
+    env = _probe_env(tmp_path)
+    for argv in (["eqkl", "--n", "6"], ["eqkl", "--n", "5", "--format", "csv"]):
+        _assert_not_loaded(argv, unused, env)
+
+
+def test_eqkl_leaves_the_kl_cache_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    cache_file = tmp_path / "kltable.json"
+    cache_file.write_bytes(b"{not json")
+    assert main(["eqkl", "--n", "5"]) == 0
+    assert capsys.readouterr().err == ""
+    assert cache_file.read_bytes() == b"{not json"
+    assert os.listdir(tmp_path) == ["kltable.json"]
+    # a command that uses the table reads the same file and warns
+    assert main(["kl", "--n", "4"]) == 0
+    assert "ignoring unreadable KL cache" in capsys.readouterr().err
 
 
 # Modules a verify suite has no use for; each suite imports its own.

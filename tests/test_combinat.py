@@ -121,6 +121,26 @@ def test_partitions_are_valid_and_sorted():
         assert ps == sorted(ps)
 
 
+def oracle_partition_tuples(n, maxpart):
+    """Partitions of n with parts <= maxpart, largest first part first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, maxpart), 0, -1):
+        for rest in oracle_partition_tuples(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_are_built_once_per_n_in_the_same_order():
+    for n in range(13):
+        first, second = partitions(n), partitions(n)
+        assert [p.parts for p in first] == list(oracle_partition_tuples(n, n))
+        assert first == [Partition(t) for t in oracle_partition_tuples(n, n)]
+        assert first is not second and all(a is b for a, b in zip(first, second))
+        first.clear()  # each call gets a list of its own
+        assert partitions(n) == second
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition((1, 2))

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from braidkl.eqkl import (
     row_bound_check,
     specht_decompose,
 )
+from braidkl.intpoly import padd_into, pmul
 from braidkl.klcore import d_coeff, kl_braid
 from braidkl.polyseries import Poly
 
@@ -52,8 +54,6 @@ def sign_char(n):
 
 
 def regular(n):
-    from math import factorial
-
     return ClassFn(n, {Partition((1,) * n): factorial(n)})
 
 
@@ -387,35 +387,165 @@ def class_values(sym):
     return out
 
 
-def test_integer_plethysm_matches_fraction_plethysm():
+def char_data_symfn(top):
+    """The characteristic data sum_r ch(chi_{S_r}) for r <= top."""
     g_sym = SymFn()
-    for r in range(1, 7):
+    for r in range(1, top + 1):
         g_sym = g_sym + char_poly_symfn(r)
-    g = [{}] + [eqkl._char_values(r) for r in range(1, 7)]
+    return g_sym
+
+
+def test_integer_plethysm_matches_fraction_plethysm():
+    g_sym = char_data_symfn(7)  # in full up to the largest cap
     for k in range(1, 5):
         fs = [h_sym(k)] + [char_poly_symfn(k).t_coeff(j) for j in range(k)]
         for f in fs:
             for cap in range(1, 8):
                 want = class_values(plethysm(f, g_sym, cap).homogeneous_part(cap))
-                got = eqkl._plethysm_part({k: class_values(f)}, g, cap)
+                got = eqkl._plethysm_part({k: class_values(f)}, cap)
                 assert got == want, (k, cap)
 
 
 def test_integer_plethysm_sums_over_degrees():
-    g_sym = char_poly_symfn(1) + char_poly_symfn(2) + char_poly_symfn(3)
-    g = [{}] + [eqkl._char_values(r) for r in range(1, 4)]
+    g_sym = char_data_symfn(6)
     fs = {k: class_values(h_sym(k)) for k in range(1, 4)}
     for n in range(1, 7):
         want = SymFn()
         for k in fs:
             want = want + plethysm(h_sym(k), g_sym, n).homogeneous_part(n)
-        assert eqkl._plethysm_part(fs, g, n) == class_values(want)
+        assert eqkl._plethysm_part(fs, n) == class_values(want)
 
 
 def test_inexact_class_value_division_raises():
     with pytest.raises(ArithmeticError):
         eqkl._trimmed({(2,): [4, 3]}, 2)
     assert eqkl._trimmed({(2,): [4, 6, 0]}, 2) == {(2,): (2, 3)}
+
+
+# --- closed-form powers of the characteristic data --------------------------
+
+
+def test_char_powers_match_repeated_class_mul():
+    cap = 10
+    g = [{}] + [eqkl._char_values(r) for r in range(1, cap + 1)]
+    prod = [{(): (1,)}] + [{} for _ in range(cap)]
+    for m in range(cap + 1):
+        for d in range(cap + 1):
+            want = prod[d]
+            got = eqkl._char_powers(d)[m] if m <= d else {}
+            assert got == want, (d, m)
+        prod = eqkl._class_mul(prod, g, cap)
+
+
+def test_char_powers_first_row_is_char_values():
+    for d in range(1, 21):
+        assert eqkl._char_powers(d)[1] == eqkl._char_values(d), d
+
+
+def _walk_plethysm_part(fs, n):
+    """The plethystic walk with every product multiplied out by _class_mul,
+    g^m along mu = 1^m included: the path the closed form replaced."""
+    g = [{}] + [eqkl._char_values(r) for r in range(1, n + 1)]
+    top = max(fs)
+    pk = [None] + [eqkl._class_pk(g, c, n) for c in range(1, top + 1)]
+    acc = {k: {} for k in fs}
+
+    def walk(mu, prod, k, z):
+        if k in fs and mu in fs[k]:
+            for lam, v in prod[n].items():
+                cur = acc[k].setdefault(lam, [])
+                padd_into(cur, pmul(fs[k][mu], v), factorial(k) // z)
+        for c in range(mu[0] if mu else 1, top - k + 1):
+            nxt = eqkl._class_mul(prod, pk[c], n)
+            walk((c,) + mu, nxt, k + c, z * c * (mu.count(c) + 1))
+
+    walk((), [{(): (1,)}] + [{} for _ in range(n)], 0, 1)
+    total = {}
+    for k, terms in acc.items():
+        for lam, v in eqkl._trimmed(terms, factorial(k)).items():
+            padd_into(total.setdefault(lam, []), v)
+    return eqkl._trimmed(total)
+
+
+def test_eqkl_values_match_the_multiplied_out_walk():
+    want = {1: {(1,): (1,)}}
+    for n in range(2, 14):
+        flats = _walk_plethysm_part({k: want[k] for k in range(1, n)}, n)
+        rank, out = n - 1, {}
+        for mu in partitions(n):
+            s = list(flats.get(mu.parts, ())) + [0] * (rank + 1)
+            out[mu.parts] = [s[rank - i] for i in range((rank - 1) // 2 + 1)]
+        want[n] = eqkl._trimmed(out)
+        assert eqkl._eqkl_values(n) == want[n], n
+
+
+def _clear_char_memos():
+    for memo in (eqkl._char_powers, eqkl._char_values, eqkl._eqkl_values):
+        memo.cache_clear()
+
+
+def test_char_powers_division_by_t_power_raises(monkeypatch):
+    """A necklace polynomial with a constant term makes F_1 at the class
+    (1) a unit at t = 0, so the C(j, 1) row is not divisible by t."""
+    real = eqkl._necklace
+
+    def with_constant(i):
+        e = real(i)
+        e[0] += 1
+        return e
+
+    monkeypatch.setattr(eqkl, "_necklace", with_constant)
+    _clear_char_memos()
+    try:
+        with pytest.raises(ArithmeticError, match="not divisible by t"):
+            eqkl._char_powers(1)
+        with pytest.raises(ArithmeticError, match="not divisible by t"):
+            eqkl_braid(5)
+    finally:
+        _clear_char_memos()
+
+
+def test_plethysm_part_per_degree_division_raises(monkeypatch):
+    """f = p_2 / 2 has class value 1 at (2), and f[g] = p_2[g] / 2; with
+    p_2[g] at the class (2) off by one, 3 is not divisible by 2!."""
+    real = eqkl._class_pk
+
+    def perturbed(g, k, cap):
+        out = real(g, k, cap)
+        if k == 2:
+            out[2] = {(2,): (3,)}
+        return out
+
+    assert eqkl._plethysm_part({2: {(2,): (1,)}}, 2) == {(2,): (1,)}
+    monkeypatch.setattr(eqkl, "_class_pk", perturbed)
+    with pytest.raises(ArithmeticError, match="not divisible by 2"):
+        eqkl._plethysm_part({2: {(2,): (1,)}}, 2)
+
+
+@pytest.mark.parametrize(
+    "n, degree, message", [(4, 0, "low read"), (5, 2, "middle"), (6, 0, "low read")]
+)
+def test_eqkl_consistency_checks_catch_a_perturbed_flat_sum(
+    monkeypatch, n, degree, message
+):
+    """The flat sum of S_n at the identity, off by one in one t-degree."""
+    real = eqkl._plethysm_part
+
+    def perturbed(fs, m):
+        values = real(fs, m)
+        if m != n:
+            return values
+        identity = list(values[(1,) * m]) + [0] * m
+        identity[degree] += 1
+        return {**values, (1,) * m: tuple(identity)}
+
+    monkeypatch.setattr(eqkl, "_plethysm_part", perturbed)
+    eqkl._eqkl_values.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=message):
+            eqkl_braid(n)
+    finally:
+        eqkl._eqkl_values.cache_clear()
 
 
 # --- the equivariant KL polynomial ------------------------------------------

@@ -203,7 +203,7 @@ def test_euler_identity_graph_noncomplete_base():
 
 
 def test_euler_identity_graph_bounds():
-    # |H| past CANON_BOUND after the cone vertices are split off
+    # |H| past BASE_BOUND after the cone vertices are split off
     path13 = Graph(13, [(v, v + 1) for v in range(12)])
     start = time.monotonic()
     with pytest.raises(ValueError, match="out of reach"):
