@@ -23,6 +23,7 @@ _EXPORTS = {
         "stirling1_unsigned",
         "stirling2",
     ),
+    "eqcore": (),
     "eqkl": (
         "ClassFn",
         "GradedClassFn",
@@ -83,7 +84,9 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = sorted([*_EXPORTS, *_OWNER])
+# eqcore, the integer kernel under eqkl, loads as `braidkl.eqcore` but stays
+# out of `from braidkl import *`, whose names eqkl already covers.
+__all__ = sorted({*_EXPORTS, *_OWNER} - {"eqcore"})
 
 
 def __getattr__(name):

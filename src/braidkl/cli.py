@@ -118,32 +118,33 @@ def cmd_kl(args) -> int:
 
 
 def cmd_eqkl(args) -> int:
-    from . import eqkl
+    from . import eqcore
 
-    graded = eqkl.eqkl_braid(args.n)
+    n = args.n
+    values = eqcore.eqkl_values(n)
+    identity = values.get((1,) * n, ())
     degrees = []
     verdicts = {}
-    for i, coeff in enumerate(graded.coeffs):
-        dec = eqkl.specht_decompose(coeff)
+    # rows in partitions(n) order, which is the sorted order of Partition
+    for i, dec in enumerate(eqcore.specht_multiplicities(n, values)):
         degrees.append(
             {
                 "degree": i,
-                "dimension": str(coeff.dim()),
+                "dimension": str(identity[i] if i < len(identity) else 0),
                 "specht_multiplicities": {
-                    ",".join(map(str, lam.parts)): str(m)
-                    for lam, m in sorted(dec.items())
+                    ",".join(map(str, lam.parts)): str(m) for lam, m in dec.items()
                 },
             }
         )
         if i >= 1:
-            verdicts[f"row_bound_degree_{i}"] = eqkl._within_row_bound(dec, i)
+            verdicts[f"row_bound_degree_{i}"] = eqcore._within_row_bound(dec, i)
     if args.format == "csv":
         print("degree,partition,multiplicity")
         for row in degrees:
             for key, m in row["specht_multiplicities"].items():
                 print(f"{row['degree']},\"{key}\",{m}")
         return 0
-    return _finish(args, "eqkl", {"n": str(args.n)}, {"degrees": degrees}, verdicts)
+    return _finish(args, "eqkl", {"n": str(n)}, {"degrees": degrees}, verdicts)
 
 
 def cmd_e1(args) -> int:

@@ -1,44 +1,25 @@
 """Equivariant Kazhdan-Lusztig polynomials of braid matroids as graded
-class functions of the symmetric group.
+class functions of the symmetric group: the Fraction-valued API and the
+independent oracles, built on the integer kernel in `eqcore`.
 
-Two independent computation paths are provided and cross-checked:
+* The rational API: ClassFn and GradedClassFn (class functions, graded by
+  t), SymFn in the power-sum basis with Poly coefficients, the Frobenius
+  characteristic ch and its inverse, plethysm, and specht_decompose, which
+  divides eqcore's integer Specht sums into Fractions.  eqkl_braid and
+  char_poly_symfn wrap eqcore's class values (eqkl_values, _char_values),
+  and the Fraction plethysm is a test oracle for eqcore's integer one.
 
-* a plethystic path on integer class values.  A graded symmetric function
-  sum_mu c_mu(t) p_mu is held as chi_mu = z_mu c_mu, one integer polynomial
-  in t per partition.  The characteristic data of S_r come from Lehrer's
-  product formula for the graded trace on the Orlik-Solomon algebra: a
-  permutation with m_i cycles of length i has trace
-  (1/t) prod_i prod_{k < m_i} (E_i(t) - k i), E_i the necklace polynomial.
-  Flats of the braid matroid grouped by block-size type induce from
-  wreath-product stabilizers, and induction of a product over blocks is
-  plethysm into the sum of the characteristic data.  In class values a
-  product multiplies by binomials of cycle counts, p_k[g] sends chi_mu(t)
-  to k^len(mu) chi_mu(t^k), and f[g] for f of degree k is an integer sum
-  divided exactly by k!.  Carrying t to t^k also accounts for the Koszul
-  signs picked up when equal-size blocks with odd cohomology are permuted
-  (the graded pieces are stored with their alternating signs).
+* Orlik-Solomon characters by straightening (small n): the trace of a class
+  representative on the monomial basis of H^i, straightened by the
+  three-term relation on the flats the class fixes.  eq_char_poly is the
+  characteristic data from this oracle, never from Lehrer's formula.
 
-  The powers g^m of the characteristic data g = sum_r chi_{S_r}, which
-  p_{1^m}[g] needs, have a closed form.  Let F_j(mu) = prod_i prod_{k < m_i}
-  (j E_i(t) - k i), Lehrer's product with each E_i scaled by j.  Then
-  F_1 = 1 + t g, and F_x F_y = F_{x+y} by Vandermonde's identity for
-  falling factorials, so F_j = (1 + t g)^j: written in the binomial basis
-  C(j, m), F_j(mu) has the coefficients t^m g^m(mu).  _char_powers gets
-  F_j(mu) from F_j of mu without its largest part times one more factor,
-  and _plethysm_part takes p_{1^m}[g] = g^m from it instead of multiplying
-  by g m times.
-
-* a brute-force path (small n) over the flats of K_n as block bit masks.
+* A brute-force path (small n) over the flats of K_n as block bit masks.
   A table of the images of all masks under a class representative gives
   the cycles of blocks by lookup, the cycle type of the L-th power on a
   block of an L-cycle is read off its mask, and the integer graded traces
-  of the Orlik-Solomon straightening oracle multiply over the cycles.
-
-The Fraction-valued SymFn, ch, ch_inv and plethysm are the rational API and
-a test oracle for the integer kernel.  Both paths solve the same functional
-equation as the non-equivariant recursion: the top t-coefficients of the
-proper-flat sum are the low coefficients of the unknown polynomial, read off
-degree by degree.
+  of the straightening oracle multiply over the cycles.  It solves the
+  same functional equation as eqcore's plethystic recursion.
 """
 
 from __future__ import annotations
@@ -46,22 +27,28 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from operator import gt
 
 from .combinat import (
     Partition,
     centralizer_order,
-    character_table,
     class_size,
-    mobius,
     partitions,
     stirling1_unsigned,
+)
+from .eqcore import EQKL_BOUND  # noqa: F401  the bound of eqkl_braid
+from .eqcore import (
+    _char_values,
+    _specht_sums,
+    _trimmed,
+    _within_row_bound,
+    eqkl_values,
 )
 from .intpoly import padd_into, pmul
 
 # polyseries loads only where the rational API builds a Poly (at_identity,
-# SymFn, char_poly_symfn); the integer kernel never needs it.
+# SymFn, char_poly_symfn).
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .polyseries import Poly
@@ -420,158 +407,6 @@ def eq_char_poly(n: int) -> GradedClassFn:
     return _graded(n, _eq_char_values(n))
 
 
-# ---------------------------------------------------------------------------
-# Plethystic path on integer class values: a dict from partition tuples to
-# integer polynomials in t (ascending coefficient tuples without trailing
-# zeros; zero is left out), or a list of such dicts indexed by degree.
-
-EQKL_BOUND = 18
-
-
-def _trimmed(acc: dict, divisor: int = 1) -> dict:
-    """Freeze accumulated lists into trimmed tuples, divided exactly."""
-    out = {}
-    for key, cs in acc.items():
-        while cs and not cs[-1]:
-            cs.pop()
-        if divisor > 1 and any(c % divisor for c in cs):
-            raise ArithmeticError(f"class values not divisible by {divisor}")
-        if cs:
-            out[key] = tuple(c // divisor for c in cs) if divisor > 1 else tuple(cs)
-    return out
-
-
-def _necklace(i: int) -> list:
-    """The necklace polynomial E_i(t) = sum_{d | i} mobius(i/d) t^d."""
-    return [0] + [mobius(i // d) if i % d == 0 else 0 for d in range(1, i + 1)]
-
-
-@lru_cache(maxsize=None)
-def _char_values(n: int) -> dict:
-    """Class values of the graded characteristic data of S_n, by Lehrer's
-    product formula (1/t) prod_i prod_{k < m_i} (E_i(t) - k i)."""
-    out = {}
-    for mu in partitions(n):
-        prod = [1]
-        for i, m in mu.multiplicities().items():
-            e = _necklace(i)
-            for k in range(m):
-                prod = pmul(prod, (e[0] - k * i, *e[1:]))
-        out[mu.parts] = tuple(prod[1:])
-    return out
-
-
-@lru_cache(maxsize=None)
-def _char_powers(d: int) -> tuple:
-    """Class values of the degree-d parts of the powers g^m, m = 0..d, of the
-    characteristic data g = sum_r chi_{S_r}: entry m maps partition tuples
-    to integer polynomials in t, zeros left out.  F_j(mu) = (1 + t g)^j(mu)
-    is a product of factors j E_i(t) - k i (module docstring), and its
-    coefficient of the binomial C(j, m) is t^m g^m(mu).  F_j of mu is F_j of
-    mu without its largest part i, read from the table of degree d - i,
-    times one more factor."""
-    if d == 0:
-        return ({(): (1,)},)
-    rows = [{} for _ in range(d + 1)]
-    for mu in partitions(d):
-        i, rest = mu.parts[0], mu.parts[1:]
-        below = _char_powers(d - i)
-        e = _necklace(i)
-        ki = rest.count(i) * i
-        f = [[] for _ in range(len(mu) + 1)]  # f[r]: the coefficient of C(j, r)
-        for r in range(len(rest) + 1):
-            c = [0] * r + list(below[r].get(rest, ()))
-            # (j e - k i) C(j, r) = (r + 1) e C(j, r + 1) + (r e - k i) C(j, r)
-            ec = pmul(e, c)
-            padd_into(f[r + 1], ec, r + 1)
-            padd_into(f[r], ec, r)
-            padd_into(f[r], c, -ki)
-        for m, c in enumerate(f):
-            if any(c[:m]):
-                raise ArithmeticError(f"F_j{mu.parts} at C(j, {m}) is not divisible by t^{m}")
-            while c and not c[-1]:
-                c.pop()
-            if c[m:]:
-                rows[m][mu.parts] = tuple(c[m:])
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _merge(a: tuple, b: tuple) -> tuple:
-    """The partition a + b and the factor z_{a+b} / (z_a z_b)."""
-    key = tuple(sorted(a + b, reverse=True))
-    factor = 1
-    for part in set(b):
-        factor *= comb(key.count(part), b.count(part))
-    return key, factor
-
-
-def _class_mul(a: list, b: list, cap: int) -> list:
-    """Product of two degree-graded class-value functions up to degree cap."""
-    acc = [{} for _ in range(cap + 1)]
-    for da, terms_a in enumerate(a):
-        items_a = list(terms_a.items())
-        for db in range(1, min(len(b) - 1, cap - da) + 1):
-            out = acc[da + db]
-            for kb, vb in b[db].items():
-                for ka, va in items_a:
-                    key, factor = _merge(ka, kb)
-                    cur = out.setdefault(key, [])
-                    cur.extend([0] * (len(va) + len(vb) - 1 - len(cur)))
-                    for j, y in enumerate(vb):
-                        if y:  # p_k[g] has nonzero terms only at multiples of k
-                            fy = factor * y
-                            for i, x in enumerate(va, j):
-                                cur[i] += fy * x
-    return [_trimmed(terms) for terms in acc]
-
-
-def _class_pk(g: list, k: int, cap: int) -> list:
-    """p_k[g]: chi_{k mu}(t) = k^len(mu) chi_mu(t^k), up to degree cap."""
-    out = [{} for _ in range(cap + 1)]
-    for d in range(1, min(len(g) - 1, cap // k) + 1):
-        for mu, v in g[d].items():
-            spread = [0] * (k * (len(v) - 1) + 1)
-            spread[::k] = [k ** len(mu) * c for c in v]
-            out[k * d][tuple(k * p for p in mu)] = tuple(spread)
-    return out
-
-
-def _plethysm_part(fs: dict, n: int) -> dict:
-    """Class values of the degree-n part of sum_k f_k[g], where fs maps k to
-    the class values of a degree-k f_k (t in f_k does not transform) and g is
-    the characteristic data sum_r chi_{S_r}.  f_k[g] is (1/k!) sum_mu
-    chi_f(mu) (k!/z_mu) prod_j p_{mu_j}[g]: the products are shared along a
-    walk that extends mu one part at a time, and each k! must divide its sum
-    exactly.  Along mu = 1^m the product g^m is read from _char_powers."""
-    top = max(fs)
-    # p_c[g] for c >= 2 reaches degree n from the degrees <= n // 2 of g
-    g = [{}] + [_char_values(r) for r in range(1, n // 2 + 1)]
-    pk = [None, None] + [_class_pk(g, c, n) for c in range(2, top + 1)]
-    powers = [_char_powers(d) for d in range(n + 1)]
-    acc: dict = {k: {} for k in fs}
-
-    def walk(mu: tuple, prod: list, k: int, z: int) -> None:
-        if k in fs and mu in fs[k]:
-            f, scale = fs[k][mu], factorial(k) // z
-            for lam, v in prod[n].items():
-                padd_into(acc[k].setdefault(lam, []), pmul(f, v), scale)
-        # a new part is at least the largest one, so each mu is reached once
-        for c in range(mu[0] if mu else 1, top - k + 1):
-            if c == 1:  # mu = 1^k, and the product grows to g^(k+1)
-                nxt = [p[k + 1] if k + 1 < len(p) else {} for p in powers]
-            else:
-                nxt = _class_mul(prod, pk[c], n)
-            walk((c,) + mu, nxt, k + c, z * c * (mu.count(c) + 1))
-
-    walk((), [p[0] for p in powers], 0, 1)
-    total: dict = {}
-    for k, terms in acc.items():
-        for lam, v in _trimmed(terms, factorial(k)).items():
-            padd_into(total.setdefault(lam, []), v)
-    return _trimmed(total)
-
-
 @lru_cache(maxsize=None)
 def char_poly_symfn(n: int) -> SymFn:
     """Frobenius characteristic of the graded characteristic data
@@ -591,35 +426,11 @@ def char_poly_symfn(n: int) -> SymFn:
     )
 
 
-@lru_cache(maxsize=None)
-def _eqkl_values(n: int) -> dict:
-    """Class values of the equivariant KL polynomial of the braid matroid."""
-    if n == 1:
-        return {(1,): (1,)}
-    flats = _plethysm_part({k: _eqkl_values(k) for k in range(1, n)}, n)
-    rank = n - 1
-    dmax = (rank - 1) // 2
-    out = {}
-    for mu in partitions(n):
-        s = list(flats.get(mu.parts, ())) + [0] * (rank + 1)
-        # the low t-coefficients of the flat sum must be minus the unknown,
-        # and the middle band must vanish
-        if any(s[i] + s[rank - i] for i in range(dmax + 1)):
-            raise ArithmeticError("equivariant recursion inconsistent (low read)")
-        if any(s[j] for j in range(dmax + 1, rank - dmax)):
-            raise ArithmeticError("equivariant recursion inconsistent (middle)")
-        out[mu.parts] = [s[rank - i] for i in range(dmax + 1)]
-    return _trimmed(out)
-
-
 def eqkl_braid(n: int) -> GradedClassFn:
     """Equivariant Kazhdan-Lusztig polynomial of the braid matroid as a
-    graded class function of S_n (plethystic recursion)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > EQKL_BOUND:
-        raise ValueError(f"plethystic path bounded at n = {EQKL_BOUND}")
-    return _graded(n, _eqkl_values(n))
+    graded class function of S_n (plethystic recursion), for
+    1 <= n <= EQKL_BOUND."""
+    return _graded(n, eqkl_values(n))
 
 
 def _graded(n: int, q: dict) -> GradedClassFn:
@@ -732,26 +543,10 @@ def _brute_values(n: int) -> dict:
 
 def specht_decompose(f: ClassFn) -> dict:
     """Multiplicities <f, chi^lam> for every irreducible; zeros dropped."""
-    # sum in integers over the common denominator of the values
+    # eqcore's integer sums over the common denominator of the values
     den = lcm(*(v.denominator for v in f.values.values()))
-    parts = partitions(f.n)
-    weights = [
-        (b, int(class_size(mu) * f.values[mu] * den))
-        for b, mu in enumerate(parts)
-        if f.values[mu]
-    ]
-    out = {}
-    for lam, row in zip(parts, character_table(f.n)):
-        tot = sum(w * row[b] for b, w in weights)
-        if tot:
-            out[lam] = Fraction(tot, factorial(f.n) * den)
-    return out
-
-
-def _within_row_bound(dec: dict, i: int) -> bool:
-    """True iff every Specht summand of the decomposition dec has at most
-    2i rows."""
-    return all(len(lam) <= 2 * i for lam in dec)
+    sums = _specht_sums(f.n, {mu.parts: int(v * den) for mu, v in f.values.items()})
+    return {lam: Fraction(tot, factorial(f.n) * den) for lam, tot in sums.items()}
 
 
 def row_bound_check(i: int, n: int) -> bool:

@@ -338,16 +338,27 @@ def _falling_sum(classes) -> tuple:
     return tuple(out)
 
 
+# _colour_classes is exponential in the core it colours, and sparse cores are
+# the slowest: in-process on a 2-vCPU VM, the cycle C14 took 0.04 s, C16
+# 0.22 s, C18 1.6 s and C20 12 s (about 7.5x per two vertices); in another
+# session C16 took 0.40 s, C18 3.0 s and the 18-vertex ladder 3.4 s, while a
+# dense 20-vertex core (K_20 less a perfect matching) took 0.01 s.  So
+# _chromatic fails fast on a core of more than CHROMATIC_BOUND vertices.  The
+# KL recursion colours its cone bases through _colour_classes directly.
+CHROMATIC_BOUND = 18
+
+
 def _chromatic(g: Graph) -> tuple:
     """Chromatic polynomial as ascending integer coefficients: the product
     over the connected components, which keeps the recursion off independent
     sets that span several of them.  Vertices of degree 1 are peeled off
     first, each a factor t - 1, so trees cost linear work.  Each of the k
     universal vertices of what remains, C, is a colour class of its own, so
-    a_l(C) is a_(l-k) of the rest of C: the recursion runs on the rest only."""
+    a_l(C) is a_(l-k) of the rest of C: the recursion runs on the rest only,
+    the core, and every core is checked against CHROMATIC_BOUND first."""
     adj = g.adjacency_masks()
-    memo: dict = {}
     out = [1]
+    cores = []  # (universal vertex count, core mask) per component
     left = (1 << g.n) - 1
     while left:
         comp = _reach(left, adj)
@@ -361,7 +372,15 @@ def _chromatic(g: Graph) -> tuple:
                 out = pmul(out, [-1, 1])
                 stack.append(near.bit_length() - 1)
         rest = sum(1 << v for v in _mask_vertices(comp) if adj[v] & comp | 1 << v != comp)
-        k = comp.bit_count() - rest.bit_count()
+        if rest.bit_count() > CHROMATIC_BOUND:
+            raise ValueError(
+                f"chromatic polynomial is out of reach: a component keeps "
+                f"{rest.bit_count()} vertices once its pendant and universal "
+                f"vertices are removed (the recursion handles <= {CHROMATIC_BOUND})"
+            )
+        cores.append((comp.bit_count() - rest.bit_count(), rest))
+    memo: dict = {}
+    for k, rest in cores:
         out = pmul(out, _falling_sum((0,) * k + _colour_classes(adj, rest, memo)))
     return tuple(out)
 

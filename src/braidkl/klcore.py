@@ -190,6 +190,18 @@ VERTEX_BOUND = 100
 # with more than BASE_BOUND vertices left once its universal ones are split
 # off fails fast.  graphmat.CANON_BOUND only limits the canonical-key search.
 BASE_BOUND = 10
+# The two bounds do not compose: past its table, cone(H, k) costs about
+# 2^|H| k^3, the rows up to k summing the table's groups over up to k blocks.
+# In-process on a 2-vCPU VM (one session, each run killed at 60 s), cone(P4,
+# 96) (2^|H| k^3 = 14e6) took 7.4 s, cone(P5, 95) (27e6) 27 s, cone(P8, 48)
+# (28e6) 18 s, cone(P7, 64) (34e6) 24 s, cone(P6, 90) (47e6) 48 s, cone(P9,
+# 48) (57e6) 35 s and cone(P8, 64) (67e6) 53 s; cone(P7, 90), cone(P9, 64)
+# and cone(P10, 48) were killed, and cone(P10, 90) had run for 120 s.  So a
+# graph with 2^|H| k^3 above that of cone(P4, 96), which VERTEX_BOUND admits,
+# fails fast.  At the bound cone(P7, 48) took 9.7 s and cone(P10, 24) 19 s:
+# a base of ten carries its table too (cone(P10, k) took 14 s at k = 16 and
+# 28 s at k = 32 in that session, 6.7 s and 17 s in an earlier one).
+CONE_WORK_BOUND = 2**4 * 96**3
 _GRAPH_TABLE: dict = {}  # row key of (H, k) -> KL coefficients of cone(H, k)
 _BASES: dict = {}  # canonical key of H -> _ConeBase of H
 
@@ -353,6 +365,12 @@ def _kl_graphic_coeffs(gamma: Graph) -> tuple:
         raise ValueError(
             f"graph is out of reach: after removing its {k} universal "
             f"vertices, {h.n} remain (the recursion handles <= {BASE_BOUND})"
+        )
+    if 2**h.n * k**3 > CONE_WORK_BOUND:
+        raise ValueError(
+            f"graph is out of reach: its {k} universal vertices over the "
+            f"{h.n} others cost 2^{h.n} * {k}^3 = {2**h.n * k**3} "
+            f"(the recursion handles 2^|H| k^3 <= {CONE_WORK_BOUND})"
         )
     return _cone_row(canonical_key(h), h, k)
 

@@ -322,14 +322,13 @@ def suite_properties():
     )
     checks.append(_check("oracle-os-dimensions", os_ok, "basis counts, n <= 7"))
 
-    vanish_ok = all(
-        eqkl.eq_char_poly(n).eval_t(1).is_zero() for n in range(2, 7)
-    )
+    # each graded object is built once per n and shared by the checks below
+    char_polys = {n: eqkl.eq_char_poly(n) for n in range(1, 7)}
+    vanish_ok = all(char_polys[n].eval_t(1).is_zero() for n in range(2, 7))
     checks.append(_check("oracle-free-action-vanishing", vanish_ok, "t=1, n in [2,6]"))
 
     sym_ok = all(
-        eqkl.ch(eqkl.eq_char_poly(n).coeffs[k])
-        == eqkl.char_poly_symfn(n).t_coeff(k)
+        eqkl.ch(char_polys[n].coeffs[k]) == eqkl.char_poly_symfn(n).t_coeff(k)
         for n in range(1, 7)
         for k in range(n)
     )
@@ -337,26 +336,17 @@ def suite_properties():
         _check("oracle-char-poly-plethystic", sym_ok, "straightening vs flat sum, n <= 6")
     )
 
-    eq_ok = True
-    for n in range(1, 7):
-        if eqkl.eqkl_braid(n) != eqkl.eqkl_braid_bruteforce(n):
-            eq_ok = False
+    braids = {n: eqkl.eqkl_braid(n) for n in range(1, 8)}
+    eq_ok = all(braids[n] == eqkl.eqkl_braid_bruteforce(n) for n in range(1, 7))
     checks.append(_check("oracle-eqkl-two-paths", eq_ok, "plethystic vs brute force, n <= 6"))
 
-    dims_ok = True
-    for n in range(1, 8):
-        graded = eqkl.eqkl_braid(n)
-        want = klcore.kl_braid(n)
-        got = graded.at_identity()
-        if got != want:
-            dims_ok = False
+    dims_ok = all(braids[n].at_identity() == klcore.kl_braid(n) for n in range(1, 8))
     checks.append(_check("eqkl-dimension-consistency", dims_ok, "identity evaluation, n <= 7"))
 
     honest_ok = True
     trivial_ok = True
     rows_ok = True
-    for n in range(1, 8):
-        graded = eqkl.eqkl_braid(n)
+    for n, graded in braids.items():
         for i, coeff in enumerate(graded.coeffs):
             dec = eqkl.specht_decompose(coeff)
             for lam, m in dec.items():

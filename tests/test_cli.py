@@ -86,6 +86,46 @@ def test_eqkl_json_and_csv(capsys):
     assert any(line.startswith("1,") for line in lines[1:])
 
 
+def _rational_eqkl_report(n: int, fmt: str) -> str:
+    """The `eqkl` report rebuilt from the Fraction API: graded class
+    functions, Specht decompositions as Fractions and sorted partitions."""
+    from braidkl import eqkl
+
+    degrees, verdicts = [], {}
+    for i, coeff in enumerate(eqkl.eqkl_braid(n).coeffs):
+        dec = eqkl.specht_decompose(coeff)
+        degrees.append(
+            {
+                "degree": i,
+                "dimension": str(coeff.dim()),
+                "specht_multiplicities": {
+                    ",".join(map(str, lam.parts)): str(m)
+                    for lam, m in sorted(dec.items())
+                },
+            }
+        )
+        if i >= 1:
+            verdicts[f"row_bound_degree_{i}"] = all(len(lam) <= 2 * i for lam in dec)
+    if fmt == "csv":
+        lines = ["degree,partition,multiplicity"]
+        for row in degrees:
+            for key, m in row["specht_multiplicities"].items():
+                lines.append(f"{row['degree']},\"{key}\",{m}")
+        return "\n".join(lines) + "\n"
+    report = {"command": "eqkl", "inputs": {"n": str(n)}, "outputs": {"degrees": degrees}}
+    if verdicts:
+        report["verdicts"] = verdicts
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_eqkl_integer_report_matches_the_rational_api(capsys, n):
+    for fmt in ("json", "csv"):
+        code, out = run_cli(capsys, "eqkl", "--n", str(n), "--format", fmt)
+        assert code == 0
+        assert out == _rational_eqkl_report(n, fmt), (n, fmt)
+
+
 def test_genfun_fit_report(capsys):
     code, out = run_cli(capsys, "genfun", "--i", "1", "--max-n", "20", "--fit")
     assert code == 0
@@ -567,6 +607,20 @@ def test_cone_past_the_base_bound_exits_at_once(tmp_path, capsys):
     assert time.monotonic() - start < 1
 
 
+def test_cone_past_the_joint_bound_exits_at_once(tmp_path, capsys):
+    """cone(P10, 90) is inside the vertex bound and the base bound, and ran
+    for more than two minutes before 2^|H| k^3 was bounded."""
+    graph = tmp_path / "p10.json"
+    graph.write_text(json.dumps({"n": 10, "edges": [[v, v + 1] for v in range(9)]}))
+    bound = f"2^10 * 90^3 = {2**10 * 90**3} (the recursion handles 2^|H| k^3 <= "
+    start = time.monotonic()
+    assert main(["kl", "--graph", str(graph), "--cone", "90"]) == 2
+    assert bound in capsys.readouterr().err
+    assert main(["e1", "--i", "1", "--n", "90", "--graph", str(graph)]) == 2
+    assert bound in capsys.readouterr().err
+    assert time.monotonic() - start < 1
+
+
 @pytest.mark.parametrize("cone", [98, 250, 10**9])
 def test_cone_past_the_vertex_bound_exits_at_once(tmp_path, capsys, cone):
     """cone(P3, 98) is one vertex past the bound; 250 would run for minutes
@@ -674,8 +728,8 @@ def test_genfun_loads_only_the_modules_it_uses(tmp_path):
 
 
 def test_eqkl_loads_only_the_modules_it_uses(tmp_path):
-    # the plethystic path runs on integer class values: no graph table,
-    # no flats and no Poly
+    # the plethystic path and the Specht multiplicities run on integers in
+    # eqcore: no graph table, no flats, no Poly and no Fraction
     unused = (
         "braidkl.klcore",
         "braidkl.graphmat",
@@ -683,6 +737,9 @@ def test_eqkl_loads_only_the_modules_it_uses(tmp_path):
         "braidkl.specseq",
         "braidkl.fsmod",
         "braidkl.verify",
+        "braidkl.eqkl",
+        "fractions",
+        "decimal",
         "dataclasses",
     )
     env = _probe_env(tmp_path)

@@ -4,6 +4,7 @@ import concurrent.futures
 import sys
 from math import comb
 
+import braidkl.eqcore as eqcore
 import braidkl.eqkl as eqkl
 import braidkl.klcore as klcore
 from braidkl.graphmat import Graph, cone_extend
@@ -35,7 +36,7 @@ def test_braid_table_concurrent_fill(monkeypatch):
 def test_eqkl_memo_concurrent_fill():
     targets = [8, 5, 7, 2, 6, 8, 4, 7, 3, 6] * 3
     expected = {n: eqkl.eqkl_braid(n) for n in targets}
-    for memo in (eqkl._eqkl_values, eqkl._char_values, eqkl._char_powers, eqkl._merge):
+    for memo in (eqcore._eqkl_values, eqcore._char_values, eqcore._char_powers, eqcore._merge):
         memo.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidkl.eqcore as eqcore
 import braidkl.eqkl as eqkl
 
 from braidkl.combinat import (
@@ -356,7 +357,7 @@ def fixed_flat_class_value(mu):
 
 def test_product_formula_matches_fixed_flat_enumeration():
     for n in range(1, 9):
-        values = eqkl._char_values(n)
+        values = eqcore._char_values(n)
         for mu in partitions(n):
             assert values[mu.parts] == fixed_flat_class_value(mu), (n, mu)
 
@@ -365,7 +366,7 @@ def test_char_values_identity_and_free_action():
     # beyond the oracles' range: the identity column is the reduced
     # characteristic polynomial, and every class value vanishes at t = 1
     for n in range(2, 21):
-        values = eqkl._char_values(n)
+        values = eqcore._char_values(n)
         expect = Poly([1], "t")
         for k in range(1, n):
             expect = expect * Poly([-k, 1], "t")
@@ -402,7 +403,7 @@ def test_integer_plethysm_matches_fraction_plethysm():
         for f in fs:
             for cap in range(1, 8):
                 want = class_values(plethysm(f, g_sym, cap).homogeneous_part(cap))
-                got = eqkl._plethysm_part({k: class_values(f)}, cap)
+                got = eqcore._plethysm_part({k: class_values(f)}, cap)
                 assert got == want, (k, cap)
 
 
@@ -413,13 +414,13 @@ def test_integer_plethysm_sums_over_degrees():
         want = SymFn()
         for k in fs:
             want = want + plethysm(h_sym(k), g_sym, n).homogeneous_part(n)
-        assert eqkl._plethysm_part(fs, n) == class_values(want)
+        assert eqcore._plethysm_part(fs, n) == class_values(want)
 
 
 def test_inexact_class_value_division_raises():
     with pytest.raises(ArithmeticError):
-        eqkl._trimmed({(2,): [4, 3]}, 2)
-    assert eqkl._trimmed({(2,): [4, 6, 0]}, 2) == {(2,): (2, 3)}
+        eqcore._trimmed({(2,): [4, 3]}, 2)
+    assert eqcore._trimmed({(2,): [4, 6, 0]}, 2) == {(2,): (2, 3)}
 
 
 # --- closed-form powers of the characteristic data --------------------------
@@ -427,27 +428,27 @@ def test_inexact_class_value_division_raises():
 
 def test_char_powers_match_repeated_class_mul():
     cap = 10
-    g = [{}] + [eqkl._char_values(r) for r in range(1, cap + 1)]
+    g = [{}] + [eqcore._char_values(r) for r in range(1, cap + 1)]
     prod = [{(): (1,)}] + [{} for _ in range(cap)]
     for m in range(cap + 1):
         for d in range(cap + 1):
             want = prod[d]
-            got = eqkl._char_powers(d)[m] if m <= d else {}
+            got = eqcore._char_powers(d)[m] if m <= d else {}
             assert got == want, (d, m)
-        prod = eqkl._class_mul(prod, g, cap)
+        prod = eqcore._class_mul(prod, g, cap)
 
 
 def test_char_powers_first_row_is_char_values():
     for d in range(1, 21):
-        assert eqkl._char_powers(d)[1] == eqkl._char_values(d), d
+        assert eqcore._char_powers(d)[1] == eqcore._char_values(d), d
 
 
 def _walk_plethysm_part(fs, n):
     """The plethystic walk with every product multiplied out by _class_mul,
     g^m along mu = 1^m included: the path the closed form replaced."""
-    g = [{}] + [eqkl._char_values(r) for r in range(1, n + 1)]
+    g = [{}] + [eqcore._char_values(r) for r in range(1, n + 1)]
     top = max(fs)
-    pk = [None] + [eqkl._class_pk(g, c, n) for c in range(1, top + 1)]
+    pk = [None] + [eqcore._class_pk(g, c, n) for c in range(1, top + 1)]
     acc = {k: {} for k in fs}
 
     def walk(mu, prod, k, z):
@@ -456,15 +457,15 @@ def _walk_plethysm_part(fs, n):
                 cur = acc[k].setdefault(lam, [])
                 padd_into(cur, pmul(fs[k][mu], v), factorial(k) // z)
         for c in range(mu[0] if mu else 1, top - k + 1):
-            nxt = eqkl._class_mul(prod, pk[c], n)
+            nxt = eqcore._class_mul(prod, pk[c], n)
             walk((c,) + mu, nxt, k + c, z * c * (mu.count(c) + 1))
 
     walk((), [{(): (1,)}] + [{} for _ in range(n)], 0, 1)
     total = {}
     for k, terms in acc.items():
-        for lam, v in eqkl._trimmed(terms, factorial(k)).items():
+        for lam, v in eqcore._trimmed(terms, factorial(k)).items():
             padd_into(total.setdefault(lam, []), v)
-    return eqkl._trimmed(total)
+    return eqcore._trimmed(total)
 
 
 def test_eqkl_values_match_the_multiplied_out_walk():
@@ -475,30 +476,30 @@ def test_eqkl_values_match_the_multiplied_out_walk():
         for mu in partitions(n):
             s = list(flats.get(mu.parts, ())) + [0] * (rank + 1)
             out[mu.parts] = [s[rank - i] for i in range((rank - 1) // 2 + 1)]
-        want[n] = eqkl._trimmed(out)
-        assert eqkl._eqkl_values(n) == want[n], n
+        want[n] = eqcore._trimmed(out)
+        assert eqcore._eqkl_values(n) == want[n], n
 
 
 def _clear_char_memos():
-    for memo in (eqkl._char_powers, eqkl._char_values, eqkl._eqkl_values):
+    for memo in (eqcore._char_powers, eqcore._char_values, eqcore._eqkl_values):
         memo.cache_clear()
 
 
 def test_char_powers_division_by_t_power_raises(monkeypatch):
     """A necklace polynomial with a constant term makes F_1 at the class
     (1) a unit at t = 0, so the C(j, 1) row is not divisible by t."""
-    real = eqkl._necklace
+    real = eqcore._necklace
 
     def with_constant(i):
         e = real(i)
         e[0] += 1
         return e
 
-    monkeypatch.setattr(eqkl, "_necklace", with_constant)
+    monkeypatch.setattr(eqcore, "_necklace", with_constant)
     _clear_char_memos()
     try:
         with pytest.raises(ArithmeticError, match="not divisible by t"):
-            eqkl._char_powers(1)
+            eqcore._char_powers(1)
         with pytest.raises(ArithmeticError, match="not divisible by t"):
             eqkl_braid(5)
     finally:
@@ -508,7 +509,7 @@ def test_char_powers_division_by_t_power_raises(monkeypatch):
 def test_plethysm_part_per_degree_division_raises(monkeypatch):
     """f = p_2 / 2 has class value 1 at (2), and f[g] = p_2[g] / 2; with
     p_2[g] at the class (2) off by one, 3 is not divisible by 2!."""
-    real = eqkl._class_pk
+    real = eqcore._class_pk
 
     def perturbed(g, k, cap):
         out = real(g, k, cap)
@@ -516,10 +517,10 @@ def test_plethysm_part_per_degree_division_raises(monkeypatch):
             out[2] = {(2,): (3,)}
         return out
 
-    assert eqkl._plethysm_part({2: {(2,): (1,)}}, 2) == {(2,): (1,)}
-    monkeypatch.setattr(eqkl, "_class_pk", perturbed)
+    assert eqcore._plethysm_part({2: {(2,): (1,)}}, 2) == {(2,): (1,)}
+    monkeypatch.setattr(eqcore, "_class_pk", perturbed)
     with pytest.raises(ArithmeticError, match="not divisible by 2"):
-        eqkl._plethysm_part({2: {(2,): (1,)}}, 2)
+        eqcore._plethysm_part({2: {(2,): (1,)}}, 2)
 
 
 @pytest.mark.parametrize(
@@ -529,7 +530,7 @@ def test_eqkl_consistency_checks_catch_a_perturbed_flat_sum(
     monkeypatch, n, degree, message
 ):
     """The flat sum of S_n at the identity, off by one in one t-degree."""
-    real = eqkl._plethysm_part
+    real = eqcore._plethysm_part
 
     def perturbed(fs, m):
         values = real(fs, m)
@@ -539,13 +540,13 @@ def test_eqkl_consistency_checks_catch_a_perturbed_flat_sum(
         identity[degree] += 1
         return {**values, (1,) * m: tuple(identity)}
 
-    monkeypatch.setattr(eqkl, "_plethysm_part", perturbed)
-    eqkl._eqkl_values.cache_clear()
+    monkeypatch.setattr(eqcore, "_plethysm_part", perturbed)
+    eqcore._eqkl_values.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match=message):
             eqkl_braid(n)
     finally:
-        eqkl._eqkl_values.cache_clear()
+        eqcore._eqkl_values.cache_clear()
 
 
 # --- the equivariant KL polynomial ------------------------------------------
@@ -818,3 +819,58 @@ def test_row_bound_two_rows_at_degree_one():
     for n in range(4, 8):
         dec = specht_decompose(eqkl_braid(n).coeffs[1])
         assert all(len(lam) <= 2 for lam in dec)
+
+
+# --- integer Specht multiplicities --------------------------------------------
+
+
+def test_integer_specht_multiplicities_match_specht_decompose():
+    for n in range(1, 13):
+        graded = eqkl_braid(n)
+        got = eqcore.specht_multiplicities(n, eqcore.eqkl_values(n))
+        assert len(got) == len(graded.coeffs)
+        for dec, coeff in zip(got, graded.coeffs):
+            want = specht_decompose(coeff)
+            assert dec == want, n
+            assert all(type(m) is int for m in dec.values())
+            # partitions(n) order, which the CLI's CSV rows follow
+            assert list(dec) == sorted(want)
+
+
+def test_integer_specht_multiplicities_of_characters():
+    # t^0 the regular character, t^1 the sign, t^2 five times the indicator
+    # of the 24 five-cycles, whose multiplicities are chi^lam((5))
+    n, idc, cyc = 5, Partition((1,) * 5), Partition((5,))
+    values = {}
+    for mu in partitions(n):
+        v = [factorial(n) if mu == idc else 0, (-1) ** (n - len(mu)), 5 if mu == cyc else 0]
+        values[mu.parts] = tuple(v[: 3 if mu == cyc else 2])
+    assert eqcore.specht_multiplicities(n, values) == [
+        {lam: mn_character(lam, idc) for lam in partitions(n)},
+        {idc: 1},
+        {lam: mn_character(lam, cyc) for lam in partitions(n) if mn_character(lam, cyc)},
+    ]
+
+
+def test_integer_specht_multiplicities_reject_a_non_character():
+    # the indicator of the 3-cycles: class size 2, so <f, trivial> = 2 / 3!
+    with pytest.raises(ArithmeticError, match=r"\(3,\) at degree 0 is not an integer"):
+        eqcore.specht_multiplicities(3, {(3,): (1,)})
+    # off by one at the identity in degree 1 only
+    values = dict(eqcore.eqkl_values(6))
+    identity = list(values[(1,) * 6])
+    identity[1] += 1
+    values[(1,) * 6] = tuple(identity)
+    with pytest.raises(ArithmeticError, match="at degree 1 is not an integer"):
+        eqcore.specht_multiplicities(6, values)
+    # the rational API divides the same sums into Fractions
+    f = ClassFn(3, {Partition((3,)): 1})
+    assert specht_decompose(f)[Partition((3,))] == Fraction(1, 3)
+
+
+def test_eqkl_values_bounds():
+    with pytest.raises(ValueError, match="n must be positive"):
+        eqcore.eqkl_values(0)
+    with pytest.raises(ValueError, match=f"bounded at n = {EQKL_BOUND}"):
+        eqcore.eqkl_values(EQKL_BOUND + 1)
+    assert eqcore.eqkl_values(6) is eqcore._eqkl_values(6)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from braidkl.combinat import bell, stirling1_unsigned
 from braidkl.intpoly import falling_factorial, pmul
 from braidkl.graphmat import (
+    CHROMATIC_BOUND,
     Graph,
     _chromatic,
     _colour_classes,
@@ -341,6 +343,34 @@ def test_chromatic_long_path_peels_pendants():
     for _ in range(39):
         expect = pmul(expect, [-1, 1])
     assert _chromatic(path(40)) == tuple(expect)
+
+
+def test_chromatic_fails_fast_above_the_core_bound():
+    assert CHROMATIC_BOUND == 18
+    # C20 takes about 12 s to colour; a pendant vertex or two universal ones
+    # leave the same 20-vertex core
+    hung = Graph(21, [*cycle(20).edges, (0, 20)])
+    for g in (cycle(20), hung, cone_extend(cycle(20), 2)):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="keeps 20 vertices .* handles <= 18"):
+            _chromatic(g)
+        with pytest.raises(ValueError, match="out of reach"):
+            conf_betti(g, 1)
+        assert time.monotonic() - start < 1.0
+    # a small component before the big one is not coloured first
+    with pytest.raises(ValueError, match="keeps 20 vertices"):
+        _chromatic(Graph(23, [(0, 1), (1, 2), (0, 2)] + [(3 + u, 3 + v) for u, v in cycle(20).edges]))
+
+
+def test_chromatic_computes_below_the_core_bound():
+    # chi(C_n) = (t - 1)^n + (-1)^n (t - 1)
+    for n in (15, 16):
+        expect = [1]
+        for _ in range(n):
+            expect = pmul(expect, [-1, 1])
+        expect[0] += (-1) ** n * -1
+        expect[1] += (-1) ** n
+        assert _chromatic(cycle(n)) == tuple(expect)
 
 
 @st.composite

@@ -513,6 +513,23 @@ def test_vertex_count_beyond_key_byte_fails_fast():
         graphmat._count_byte(graphmat.KEY_VERTEX_LIMIT + 1)
 
 
+@pytest.mark.parametrize(
+    "h, k, admitted",
+    [(4, 96, True), (10, 24, True), (10, 25, False), (7, 48, True), (7, 49, False), (5, 95, False)],
+)
+def test_joint_cone_bound(monkeypatch, h, k, admitted):
+    """2^|H| k^3 is bounded by its value at cone(P4, 96); the rows are not
+    built, only the check is made."""
+    assert klcore.CONE_WORK_BOUND == 2**4 * 96**3
+    monkeypatch.setattr(klcore, "_cone_row", lambda hkey, base, kk: ("built", base.n, kk))
+    path = Graph(h, [(v, v + 1) for v in range(h - 1)])
+    if admitted:
+        assert klcore._cone_coeffs(path, k) == ("built", h, k)
+    else:
+        with pytest.raises(ValueError, match=r"handles 2\^\|H\| k\^3 <= 14155776"):
+            klcore._cone_coeffs(path, k)
+
+
 @st.composite
 def relabelled_cones(draw):
     """A random connected graph H on at most 5 vertices, k <= 4 and a random
