@@ -29,8 +29,9 @@ _plethysm_part takes p_{1^m}[g] = g^m from it instead of multiplying by g
 m times.
 
 The recursion solves the same functional equation as the non-equivariant
-one: the top t-coefficients of the proper-flat sum are the low
-coefficients of the unknown polynomial, read off degree by degree.
+one, class by class, with the same read-off (intpoly.read_off): the top
+t-coefficients of the proper-flat sum are the low coefficients of the
+unknown polynomial.
 
 Class values are dicts from partition tuples to integer polynomials in t
 (ascending coefficient tuples without trailing zeros; zero is left out), or
@@ -43,7 +44,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .combinat import character_table, class_size, mobius, partitions
-from .intpoly import padd_into, pmul
+from .intpoly import padd_into, pmul, read_off
 
 EQKL_BOUND = 18
 
@@ -198,18 +199,7 @@ def _eqkl_values(n: int) -> dict:
     if n == 1:
         return {(1,): (1,)}
     flats = _plethysm_part({k: _eqkl_values(k) for k in range(1, n)}, n)
-    rank = n - 1
-    dmax = (rank - 1) // 2
-    out = {}
-    for mu in partitions(n):
-        s = list(flats.get(mu.parts, ())) + [0] * (rank + 1)
-        # the low t-coefficients of the flat sum must be minus the unknown,
-        # and the middle band must vanish
-        if any(s[i] + s[rank - i] for i in range(dmax + 1)):
-            raise ArithmeticError("equivariant recursion inconsistent (low read)")
-        if any(s[j] for j in range(dmax + 1, rank - dmax)):
-            raise ArithmeticError("equivariant recursion inconsistent (middle)")
-        out[mu.parts] = [s[rank - i] for i in range(dmax + 1)]
+    out = {mu.parts: read_off(flats.get(mu.parts, ()), n - 1) for mu in partitions(n)}
     return _trimmed(out)
 
 

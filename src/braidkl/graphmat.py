@@ -16,7 +16,7 @@ _colour_classes, gives the a_l of every induced subgraph.
 
 from __future__ import annotations
 
-from .intpoly import pmul
+from .intpoly import falling_sum, pmul
 
 # polyseries loads only through the Poly API (char_poly), which the
 # CLI's `kl` and `e1` never call: they work on the integer rows.
@@ -237,13 +237,13 @@ def _twin_ids(gamma: Graph) -> list:
     return ids
 
 
-def canonical_key(gamma: Graph) -> bytes | None:
+def canonical_key(gamma: Graph) -> bytes:
     """Lexicographically minimal adjacency encoding over all relabelings;
-    equal keys iff isomorphic.  None above CANON_BOUND vertices, where the
-    search is out of reach."""
+    equal keys iff isomorphic.  Above CANON_BOUND vertices the search is out
+    of reach and raises ValueError."""
     n = gamma.n
     if n > CANON_BOUND:
-        return None
+        raise ValueError(f"canonical key: the search handles n <= CANON_BOUND = {CANON_BOUND}")
     if n <= 1 or gamma.is_complete() or not gamma.edges:
         return _pack_key(b"C", n, _perm_bits(gamma, list(range(n))))
 
@@ -328,16 +328,6 @@ def _colour_classes(adj: list, mask: int, memo: dict) -> tuple:
     return hit
 
 
-def _falling_sum(classes) -> tuple:
-    """sum_l classes[l] (t)_l as ascending integer coefficients, by Horner's
-    rule in the falling-factorial basis."""
-    out = [classes[-1]]
-    for ell in range(len(classes) - 2, -1, -1):
-        out = pmul(out, [-ell, 1])
-        out[0] += classes[ell]
-    return tuple(out)
-
-
 # _colour_classes is exponential in the core it colours, and sparse cores are
 # the slowest: in-process on a 2-vCPU VM, the cycle C14 took 0.04 s, C16
 # 0.22 s, C18 1.6 s and C20 12 s (about 7.5x per two vertices); in another
@@ -381,7 +371,8 @@ def _chromatic(g: Graph) -> tuple:
         cores.append((comp.bit_count() - rest.bit_count(), rest))
     memo: dict = {}
     for k, rest in cores:
-        out = pmul(out, _falling_sum((0,) * k + _colour_classes(adj, rest, memo)))
+        classes = (0,) * k + _colour_classes(adj, rest, memo)
+        out = pmul(out, falling_sum([[c] for c in classes]))
     return tuple(out)
 
 

@@ -8,9 +8,11 @@ r = (vertices - 1):
 together with deg P < r/2 and P = 1 in rank 0, determines P uniquely: the
 coefficients of t^j on the right for j > r/2 are exactly the low-order
 coefficients of P, so they can be read off top-down once every proper
-contraction is known.  Flats of a graphic matroid are the vertex partitions
-with connected blocks.  For the complete graph K_m the contraction at a flat
-with l blocks is K_l, and the flats with l blocks together contribute
+contraction is known (intpoly.read_off; constant term 1 and no negative
+coefficient are checked here).  Flats of a graphic matroid are the vertex
+partitions with connected blocks.  For the complete graph K_m the
+contraction at a flat with l blocks is K_l, and the flats with l blocks
+together contribute
 
     B_{m,l}(t) = sum_k s(m,k) S(k,l) t^(k-l)
 
@@ -28,7 +30,9 @@ integer operations and the table up to n costs O(n^3).
 
 Every other graph goes through one recursion on pairs (H, k).  A connected
 graph G is cone(H, k): k counts its universal vertices (adjacent to all
-others) and H, the rest, has none.  A flat of cone(H, k) is made of
+others) and H, the rest, has none; for cone(gamma, k), gamma's universal
+vertices join the k new ones, and the cone is never built.  A flat of
+cone(H, k) is made of
 
   * a set S of H-vertices that go into blocks with cone vertices,
   * a flat pi' of H[V - S], whose blocks B localize to H[B], and
@@ -60,16 +64,14 @@ from .graphmat import (
     Graph,
     _colour_classes,
     _count_byte,
-    _falling_sum,
     _mask_connected,
     canonical_key,
-    cone_extend,
     flat_masks,
     induced_subgraph,
     is_connected,
     quotient_masks,
 )
-from .intpoly import falling_factorial, padd_into, pmul
+from .intpoly import falling_factorial, falling_sum, padd_into, pmul, read_off
 
 # polyseries loads only through the Poly API (kl_braid and kl_graphic),
 # which the CLI's `kl` and `e1` never call: they work on the integer rows.
@@ -88,26 +90,10 @@ def _flat_sum(m: int, ell: int) -> list:
 
 
 def _solve_functional_equation(rhs_proper: list, rank: int) -> tuple:
-    """Given the flat sum over all proper (non-minimal) flats, read off the
-    KL coefficients from the top of t^r P(1/t) - P = rhs and check the
-    forced structure of the remaining coefficients."""
-    s = rhs_proper + [0] * (rank + 1 - len(rhs_proper))
-    dmax = (rank - 1) // 2 if rank >= 1 else 0
-    coeffs = [s[rank - i] for i in range(dmax + 1)]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        coeffs = [0]
-    # the low coefficients of the sum must be -P, and the middle must vanish
-    for i in range(dmax + 1):
-        low = -s[i]
-        want = coeffs[i] if i < len(coeffs) else 0
-        if low != want:
-            raise ArithmeticError("functional equation is inconsistent (low read)")
-    for j in range(dmax + 1, rank - dmax):
-        if s[j] != 0:
-            raise ArithmeticError("functional equation is inconsistent (middle)")
-    if coeffs[0] != 1:
+    """The KL coefficients read off the flat sum over all proper
+    (non-minimal) flats, with constant term 1 and none negative."""
+    coeffs = read_off(rhs_proper, rank)
+    if not coeffs or coeffs[0] != 1:
         raise ArithmeticError("constant term of a KL polynomial must be 1")
     if any(c < 0 for c in coeffs):
         raise ArithmeticError("negative KL coefficient")
@@ -182,13 +168,14 @@ _ROW_TAG = b"K"
 # A row of cone(H, k) costs about k^4.5 at fixed H: in-process on a 2-vCPU
 # VM, cone(P4, 60) took 1.7 s, cone(P4, 96) 7.4 s, cone(P4, 120) 24 s and
 # cone(P3, 200) 72 s, while K_100 took 0.6 s; so graphs on more vertices
-# fail fast, before the cone is built.
+# fail fast, before any row is built.
 VERTEX_BOUND = 100
 # The table of a cone base H is exponential in |H|: with k = 4, in-process on
 # a 2-vCPU VM, cone(P8, 4) took 0.26 s, cone(P10, 4) 4.0 s, cone(P11, 4)
 # 18 s and cone(P12, 4) 70 s, and cycles took about 0.7 of that; so a graph
 # with more than BASE_BOUND vertices left once its universal ones are split
-# off fails fast.  graphmat.CANON_BOUND only limits the canonical-key search.
+# off fails fast.  It sits below graphmat.CANON_BOUND, so every base that
+# passes has a canonical key.
 BASE_BOUND = 10
 # The two bounds do not compose: past its table, cone(H, k) costs about
 # 2^|H| k^3, the rows up to k summing the table's groups over up to k blocks.
@@ -213,12 +200,12 @@ def _ff_reduced(m: int) -> tuple:
     return tuple(falling_factorial(m)[1:])
 
 
-def _split_cone(adj: list) -> tuple:
-    """Write the graph with adjacency masks adj as cone(H, k): k counts its
-    universal vertices and H, the rest, has none.  Returns (H, k)."""
-    full = (1 << len(adj)) - 1
-    rest = [v for v, m in enumerate(adj) if m | 1 << v != full]
-    return induced_subgraph(Graph.from_masks(adj), rest), len(adj) - len(rest)
+def _split_cone(g: Graph) -> tuple:
+    """Write g as cone(H, k): k counts its universal vertices and H, the
+    rest, has none.  Returns (H, k)."""
+    full = (1 << g.n) - 1
+    rest = [v for v, m in enumerate(g.adjacency_masks()) if m | 1 << v != full]
+    return induced_subgraph(g, rest), g.n - len(rest)
 
 
 class _ConeBase:
@@ -244,7 +231,7 @@ class _ConeBase:
         """Chromatic polynomial of H[a], ascending integer coefficients."""
         hit = self._chrom.get(a)
         if hit is None:
-            hit = self._chrom[a] = _falling_sum(self.classes(a))
+            hit = self._chrom[a] = falling_sum([[c] for c in self.classes(a)])
         return hit
 
     def flats(self, r: int) -> list:
@@ -261,7 +248,7 @@ class _ConeBase:
             padd_into(by_quotient.setdefault(q, []), chi)
         grouped: dict = {}
         for q, chi in by_quotient.items():
-            h, u = _split_cone(list(q))
+            h, u = _split_cone(Graph.from_masks(list(q)))
             hkey = canonical_key(h)
             padd_into(grouped.setdefault((hkey, u), [hkey, h, u, []])[3], chi)
         return list(grouped.values())
@@ -282,16 +269,6 @@ class _ConeBase:
                             padd_into(xs[n], chi, a)
             self._table = table
         return self._table
-
-
-def _falling_at(xs: list, k: int, kk: int) -> list:
-    """sum_N xs[N] (kk t - k)_N for polynomials xs[N], by Horner's rule in
-    the falling-factorial basis."""
-    out = list(xs[-1])
-    for n in range(len(xs) - 2, -1, -1):
-        out = pmul(out, [-k - n, kk])
-        padd_into(out, xs[n])
-    return out
 
 
 def _cone_base(hkey: bytes, h: Graph) -> _ConeBase:
@@ -316,7 +293,7 @@ def _flat_groups(base: _ConeBase, k: int) -> list:
         blocks = _flat_sum(k, kk)
         for (qkey, u), (q, xs) in base.table().items():
             group = out.setdefault((qkey, u + kk), [qkey, q, u + kk, []])
-            padd_into(group[3], pmul(_falling_at(xs, k, kk), blocks))
+            padd_into(group[3], pmul(falling_sum(xs, k, kk), blocks))
     return [g for g in out.values() if any(g[3])]
 
 
@@ -343,24 +320,27 @@ def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
     return coeffs
 
 
-def _check_vertex_count(n: int) -> None:
+def _cone_input(gamma: Graph, k: int) -> tuple:
+    """cone(gamma, k) as (canonical key of H, H, k'), without building the
+    cone: gamma's universal vertices join the k new ones in k', and H is the
+    rest of gamma.  Every bound is checked here, before any row is built."""
+    n = gamma.n + k
     if n > VERTEX_BOUND:
         raise ValueError(
             f"graph on {n} vertices is out of reach: "
             f"the graphic recursion handles at most {VERTEX_BOUND}"
         )
-
-
-def _kl_graphic_coeffs(gamma: Graph) -> tuple:
-    _check_vertex_count(gamma.n)
-    if gamma.n < 1:
+    if k < 0:
+        raise ValueError("n must be nonnegative")
+    if n < 1:
         raise ValueError("graph must have at least one vertex")
-    if not is_connected(gamma):
+    if not k and not is_connected(gamma):
         raise ValueError(
             "disconnected graph: KL polynomials multiply over components, "
             "compute each component separately"
         )
-    h, k = _split_cone(gamma.adjacency_masks())
+    h, u = _split_cone(gamma)
+    k += u
     if h.n > BASE_BOUND:
         raise ValueError(
             f"graph is out of reach: after removing its {k} universal "
@@ -372,7 +352,11 @@ def _kl_graphic_coeffs(gamma: Graph) -> tuple:
             f"{h.n} others cost 2^{h.n} * {k}^3 = {2**h.n * k**3} "
             f"(the recursion handles 2^|H| k^3 <= {CONE_WORK_BOUND})"
         )
-    return _cone_row(canonical_key(h), h, k)
+    return canonical_key(h), h, k
+
+
+def _kl_graphic_coeffs(gamma: Graph) -> tuple:
+    return _cone_row(*_cone_input(gamma, 0))
 
 
 def kl_graphic(gamma: Graph) -> Poly:
@@ -400,9 +384,8 @@ def d_coeff_graph(gamma: Graph, i: int, n: int) -> int:
 
 
 def _cone_coeffs(gamma: Graph, k: int) -> tuple:
-    """KL coefficients of cone(gamma, k), checking the vertex bound first."""
-    _check_vertex_count(gamma.n + k)
-    return _kl_graphic_coeffs(cone_extend(gamma, k))
+    """KL coefficients of cone(gamma, k), checking every bound first."""
+    return _cone_row(*_cone_input(gamma, k))
 
 
 def c1_count(gamma: Graph) -> int:

@@ -43,8 +43,10 @@ signs, so the Betti product is (-1)^j [t^(N-b-j)] prod_B chi_B: the signs
 cancel, and with m = i-q the index is N-1-i-m, free of b.  So the ledger is
 sum_m chi[N-1-i-m] row[m] over the flats grouped by contraction (chi their
 summed products, row the contraction's KL coefficients), as klcore groups
-them.  The independent check, the per-block Betti enumeration over every
-connected partition, is the oracle in tests/test_specseq.py.
+them; the cone resolves to its pair (H, k) once, and dim D_i of the cone is
+read from the row built for it.  The independent check, the per-block Betti
+enumeration over every connected partition, is the oracle in
+tests/test_specseq.py.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ from __future__ import annotations
 from math import comb, factorial, lcm
 
 from .combinat import stirling1_unsigned, stirling2
-from .graphmat import Graph, canonical_key, cone_extend
-from .klcore import _cone_base, _cone_row, _flat_groups, _split_cone
-from .klcore import d_coeff, d_coeff_graph
+from .graphmat import Graph
+from .klcore import _cone_base, _cone_input, _cone_row, _flat_groups, d_coeff
 
 
 def _orbit_dim(p: int, j: int, n: int) -> int:
@@ -231,12 +232,12 @@ def euler_identity_graph(gamma: Graph, i: int, n: int) -> dict:
     equation, so lhs = rhs checks that the solve is consistent."""
     if i < 1 or n < 0:
         raise ValueError("need i >= 1 and n >= 0")
-    rhs = d_coeff_graph(gamma, i, n)  # checks the bounds, builds every row
-    cone = cone_extend(gamma, n)
-    h, k = _split_cone(cone.adjacency_masks())
-    top = cone.n - 1 - i
+    hkey, h, k = _cone_input(gamma, n)  # checks the bounds
+    own = _cone_row(hkey, h, k)  # builds every row the ledger reads
+    rhs = own[i] if i < len(own) else 0
+    top = h.n + k - 1 - i
     lhs = 0
-    for qkey, q, c, chi in _flat_groups(_cone_base(canonical_key(h), h), k):
+    for qkey, q, c, chi in _flat_groups(_cone_base(hkey, h), k):
         row = _cone_row(qkey, q, c)
         for m in range(min(i + 1, len(row), top + 1)):
             if top - m < len(chi):

@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidkl.combinat import bell, stirling1_unsigned
-from braidkl.intpoly import falling_factorial, pmul
+from braidkl.intpoly import falling_factorial, falling_sum, pmul
 from braidkl.graphmat import (
     CHROMATIC_BOUND,
     Graph,
     _chromatic,
     _colour_classes,
-    _falling_sum,
     canonical_key,
     char_poly,
     components,
@@ -247,7 +246,8 @@ def test_canonical_key_isomorphism_invariance():
 
 def test_canonical_key_fallback_above_bound():
     big = path(13)
-    assert canonical_key(big) is None
+    with pytest.raises(ValueError, match="CANON_BOUND = 12"):
+        canonical_key(big)
 
 
 # --- Betti numbers ---------------------------------------------------------------
@@ -387,8 +387,8 @@ def graphs_with_pendant_trees(draw):
 @GRAPH_SETTINGS
 @given(graphs_with_pendant_trees())
 def test_chromatic_peeling_matches_unpeeled_recursion(g):
-    unpeeled = _falling_sum(_colour_classes(g.adjacency_masks(), (1 << g.n) - 1, {}))
-    assert _chromatic(g) == unpeeled
+    classes = _colour_classes(g.adjacency_masks(), (1 << g.n) - 1, {})
+    assert list(_chromatic(g)) == falling_sum([[c] for c in classes])
 
 
 @GRAPH_SETTINGS

@@ -28,7 +28,7 @@ from braidkl.graphmat import (
     quotient_masks,
     reduced_chromatic,
 )
-from braidkl.intpoly import padd_into, pmul
+from braidkl.intpoly import falling_sum, padd_into, pmul
 import braidkl.graphmat as graphmat
 import braidkl.klcore as klcore
 from braidkl.klcore import (
@@ -46,6 +46,7 @@ from braidkl.klcore import (
     kl_graphic,
 )
 from braidkl.polyseries import Poly
+from braidkl.specseq import euler_identity_graph
 
 
 def complete(n):
@@ -447,7 +448,7 @@ def test_cone_blocks_match_first_cone_vertex_peeling():
                 xs = [[a] for a in base.classes(s)]
                 got = {}
                 for kk in range(j + 1):
-                    f = Poly(pmul(klcore._falling_at(xs, j, kk), _flat_sum(j, kk)), "t")
+                    f = Poly(pmul(falling_sum(xs, j, kk), _flat_sum(j, kk)), "t")
                     if f:
                         got[kk] = f
                 want = {kk: f for kk, f in peeled_cone_blocks(h, s, j, memo).items() if f}
@@ -467,9 +468,9 @@ def test_falling_at_matches_power_basis():
             for n, x in enumerate(xs):
                 padd_into(want, pmul(x, falling))
                 falling = pmul(falling, [-k - n, kk])
-            assert Poly(klcore._falling_at(xs, k, kk), "t") == Poly(want, "t")
+            assert Poly(falling_sum(xs, k, kk), "t") == Poly(want, "t")
             for s in range(1 << h.n):
-                got = klcore._falling_at([[a] for a in base.classes(s)], k, kk)
+                got = falling_sum([[a] for a in base.classes(s)], k, kk)
                 sub = induced_subgraph(h, [v for v in range(h.n) if s >> v & 1])
                 # reduced_chromatic divides by t once per component
                 t_power = [0] * len(components(sub)) + [1]
@@ -553,7 +554,96 @@ def test_cone_recursion_matches_flat_enumeration(case):
         got = _kl_graphic_coeffs(cone)
     with fresh_tables():
         assert _kl_graphic_coeffs(cone_extend(h, k)) == got
+    with fresh_tables():
+        assert klcore._cone_coeffs(h, k) == got
     assert got == flat_enumeration_coeffs(cone)
+
+
+@st.composite
+def bases_that_are_not_cone_free(draw):
+    """A base gamma on at most 7 vertices that is disconnected or has
+    universal vertices of its own, randomly relabelled, and k in 1..4: the
+    inputs where resolving (gamma, k) without the cone must merge gamma's
+    universal vertices into k and must not ask whether gamma is connected."""
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    core = Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else ())
+    if draw(st.booleans()):
+        other = draw(st.integers(1, 2))  # a disjoint path: gamma is disconnected
+        path = {(v, v + 1) for v in range(n, n + other - 1)}
+        gamma = Graph(n + other, set(core.edges) | path)
+    else:
+        gamma = cone_extend(core, draw(st.integers(1, 2)))
+    gamma = relabel(gamma, draw(st.permutations(range(gamma.n))))
+    return gamma, draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(bases_that_are_not_cone_free())
+def test_cone_input_resolves_bases_with_universal_vertices_or_components(case):
+    gamma, k = case
+    cone = cone_extend(gamma, k)
+    assert not is_connected(gamma) or any(
+        m | 1 << v == (1 << gamma.n) - 1 for v, m in enumerate(gamma.adjacency_masks())
+    )
+    with fresh_tables():
+        got = klcore._cone_coeffs(gamma, k)
+    with fresh_tables():
+        assert _kl_graphic_coeffs(cone) == got
+    for i in range(1, len(got) + 1):
+        rep = euler_identity_graph(gamma, i, k)
+        assert rep["equal"] and rep["rhs"] == (got[i] if i < len(got) else 0), (i, rep)
+
+
+def test_cone_input_errors():
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        klcore._cone_coeffs(p4, -1)
+    with pytest.raises(ValueError, match="^graph must have at least one vertex$"):
+        klcore._cone_coeffs(Graph(0), 0)
+    with pytest.raises(ValueError, match="^disconnected graph: KL polynomials multiply"):
+        klcore._cone_coeffs(Graph(4, [(0, 1), (2, 3)]), 0)
+    with pytest.raises(ValueError, match="^disconnected graph"):
+        _kl_graphic_coeffs(Graph(3, [(0, 1)]))
+    # with a cone vertex the empty and the disconnected graph are admitted
+    assert klcore._cone_coeffs(Graph(0), 3) == _braid_coeffs(3)
+    assert klcore._cone_coeffs(Graph(4, [(0, 1), (2, 3)]), 1) == _kl_graphic_coeffs(
+        cone_extend(Graph(4, [(0, 1), (2, 3)]), 1)
+    )
+
+
+@pytest.mark.parametrize("row", ["braid", "cone"])
+@pytest.mark.parametrize(
+    "n, shift, message",
+    [
+        (4, {0: 1}, "low read"),
+        (5, {2: 1}, "middle"),
+        (6, {4: 1}, "low read"),
+        (6, {0: -1, 5: 1}, "constant term"),
+        (6, {1: 10**6, 4: -(10**6)}, "negative KL coefficient"),
+    ],
+)
+def test_kl_consistency_checks_catch_a_perturbed_flat_sum(monkeypatch, row, n, shift, message):
+    """The flat sum of K_n, or of cone(P3, n - 3), shifted in some t-degrees
+    before the read-off; the shifts of the last two keep the low read
+    consistent and break the constant term or the sign."""
+    real = klcore._solve_functional_equation
+
+    def perturbed(rhs, rank):
+        rhs = list(rhs)
+        if rank == n - 1:
+            for degree, delta in shift.items():
+                rhs[degree] += delta
+        return real(rhs, rank)
+
+    monkeypatch.setattr(klcore, "_solve_functional_equation", perturbed)
+    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
+    monkeypatch.setattr(klcore, "_BRAID_SUMS", [None, [1]])
+    with fresh_tables(), pytest.raises(ArithmeticError, match=message):
+        if row == "braid":
+            _braid_coeffs(n)
+        else:
+            klcore._cone_coeffs(Graph(3, [(0, 1), (1, 2)]), n - 3)
 
 
 def test_cone_recursion_matches_flat_enumeration_examples():

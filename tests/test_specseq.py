@@ -14,13 +14,12 @@ from braidkl.fsmod import enumerate_surjections
 from braidkl.graphmat import (
     Graph,
     _colour_classes,
-    _falling_sum,
     conf_betti,
     cone_extend,
     flat_masks,
     quotient_masks,
 )
-from braidkl.intpoly import pmul
+from braidkl.intpoly import falling_sum, pmul
 from braidkl.klcore import _kl_graphic_coeffs, d_coeff, d_coeff_graph
 from braidkl.polyseries import SeqTable, fit_rational
 from braidkl.specseq import (
@@ -228,7 +227,7 @@ def _flat_terms(gamma, n):
             vec = betti.get(b)
             if vec is None:
                 # a connected block: Betti numbers from chi / t, top down
-                chi = _falling_sum(_colour_classes(adj, b, classes))
+                chi = falling_sum([[c] for c in _colour_classes(adj, b, classes)])
                 vec = betti[b] = [abs(c) for c in reversed(chi[1:])]
             conv = pmul(conv, vec)
         q = tuple(quotient_masks(adj, blocks))
