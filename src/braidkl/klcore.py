@@ -10,29 +10,13 @@ coefficients of t^j on the right for j > r/2 are exactly the low-order
 coefficients of P, so they can be read off top-down once every proper
 contraction is known (intpoly.read_off; constant term 1 and no negative
 coefficient are checked here).  Flats of a graphic matroid are the vertex
-partitions with connected blocks.  For the complete graph K_m the
-contraction at a flat with l blocks is K_l, and the flats with l blocks
-together contribute
+partitions with connected blocks.
 
-    B_{m,l}(t) = sum_k s(m,k) S(k,l) t^(k-l)
-
-(s signed Stirling numbers of the first kind, S of the second kind), by the
-exponential formula with sum_b chi(K_b) x^b / b! = ((1+x)^t - 1)/t.  So the
-braid row m is read off rhs_m = sum_{l<m} P_l B_{m,l}, with P_l = P(K_l).
-Swapping the sums over k and l, and using S(m,m) = 1,
-
-    rhs_m = sum_{k<m} (-1)^(m-k) c(m,k) G_k + (G_m - P_m),
-    G_k = sum_{l<=k} S(k,l) t^(k-l) P_l
-
-(c unsigned Stirling numbers of the first kind).  G_k needs only the rows up
-to k, so it is built once, when row k lands; a row then costs O(m^2)
-integer operations and the table up to n costs O(n^3).
-
-Every other graph goes through one recursion on pairs (H, k).  A connected
-graph G is cone(H, k): k counts its universal vertices (adjacent to all
-others) and H, the rest, has none; for cone(gamma, k), gamma's universal
-vertices join the k new ones, and the cone is never built.  A flat of
-cone(H, k) is made of
+Every graph goes through one recursion on pairs (H, k).  A connected graph G
+is cone(H, k): k counts its universal vertices (adjacent to all others) and
+H, the rest, has none; for cone(gamma, k), gamma's universal vertices join
+the k new ones, and the cone is never built.  A flat of cone(H, k) is made
+of
 
   * a set S of H-vertices that go into blocks with cone vertices,
   * a flat pi' of H[V - S], whose blocks B localize to H[B], and
@@ -45,19 +29,52 @@ subgraphs of H recur, and the work is exponential in |H| and polynomial in
 k.  The cone-block weights, the sums over the third part of the blocks'
 characteristic polynomials, are in closed form.  Over the ways S spreads
 across the k' blocks, prod chi_{H[T]}(t - c) sums to the colourings of H[S]
-from k' disjoint palettes of t - c colours each, chi_{H[S]}(k' t - k), and
-prod (t)_c / t over the partitions of the cone vertices sums to B_{k,k'}.
-So the weight is B_{k,k'}(t) sum_N a_N(S) (k' t - k)_N, with a_N(S) the
-partitions of S into N independent sets (the colour-class recursion of
-graphmat).  The flats of every H[r], weighted by a_N(V - r), make one table
-per H that does not depend on k.  With H empty the rows are the braid rows,
-and with k = 0 only S = {} remains: the plain sum over the flats of H.
+from k' disjoint palettes of t - c colours each, chi_{H[S]}(k' t - k).  Over
+the partitions of the cone vertices, prod (t)_c / t sums to
+
+    B_{k,k'}(t) = sum_j s(k,j) S(j,k') t^(j-k')
+
+(s signed Stirling numbers of the first kind, S of the second kind), the
+flats of K_k with k' blocks, by the exponential formula with
+sum_b chi(K_b) x^b / b! = ((1+x)^t - 1)/t.  So the weight is
+B_{k,k'}(t) sum_N a_N(S) (k' t - k)_N, with a_N(S) the partitions of S into
+N independent sets (the colour-class recursion of graphmat).  The flats of
+every H[r], weighted by a_N(V - r), make one table per H that does not
+depend on k: entry (Q, u) sums xs[N] over the flats that contract to
+cone(Q, u).  With k = 0 only S = {} remains: the plain sum over the flats
+of H.
+
+For k >= 1 the sum splits into partial sums that do not depend on k.  By
+Vandermonde, (k' t - k)_N = sum_a C(N,a) (k' t)_(N-a) (-1)^a k^(a), with
+k^(a) = k(k+1)...(k+a-1) the rising factorial and a <= |H|.  Swapping the
+sums over k' and j, with c(k,j) = |s(k,j)|,
+
+    rhs_k = sum_a (-1)^a k^(a) sum_{j<=k} (-1)^(k-j) c(k,j) G_{j,a},
+    G_{j,a} = sum_{k'<=j} S(j,k') t^(j-k') R_{k',a},
+    R_{k',a} = sum over the entries (Q, u) of
+               [sum_N C(N,a) xs[N] (k' t)_(N-a)] P(cone(Q, u + k')).
+
+R_{k',a} needs only rows of at most |H| + k' vertices, and G_{j,a} only the
+R up to j, so each is built once, when row k' (row j) lands: a row then
+costs O(|H| k^2) integer operations besides the products in R.  The finest
+flat, the entry (H, 0) at k' = k, carries the unknown P(cone(H, k)) itself,
+so it joins R_{k,0} and G_{k,0} only when its row lands.
+
+The braid rows are the case H = {}: its table is the one entry ({}, 0) with
+xs = [1], so only a = 0 remains, R_l = P_l = P(K_l) and, with S(m,m) = 1,
+
+    rhs_m = sum_{k<m} (-1)^(m-k) c(m,k) G_k + (G_m - P_m),
+    G_k = sum_{l<=k} S(k,l) t^(k-l) P_l,
+
+the flat sum sum_{l<m} B_{m,l} P_l over the flats of K_m; the table up to n
+costs O(n^3).
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from math import comb
 
 from .combinat import double_factorial_odd, stirling1_row, stirling2_row
 from .graphmat import (
@@ -100,30 +117,15 @@ def _solve_functional_equation(rhs_proper: list, rank: int) -> tuple:
     return tuple(coeffs)
 
 
-_BRAID: list = [None, (1,)]  # _BRAID[n] = coefficients of P for the braid matroid
-_BRAID_SUMS: list = [None, [1]]  # _BRAID_SUMS[k] = G_k of the module docstring
-_BRAID_LOCK = threading.Lock()  # extending the table must not interleave
-# The table costs O(n^3) operations on growing integers: on a 2-vCPU VM rows
-# up to 150 take 0.3-0.4 s and up to 200 took 0.9-1.2 s, so larger n fail
-# fast.
+# The braid rows are the rows of cone({}, n), at O(n^3) operations on growing
+# integers: in-process on a 2-vCPU VM rows up to 150 take 0.3-0.5 s and up to
+# 200 took 1.7 s, so larger n fail fast.
 BRAID_BOUND = 150
 # `genfun --fit` at weight i reads rows up to 2i, but its cost grows as about
 # i^8 (the fit's denominator has about 2i^2 factors): at --max-n 64 on a
 # 2-vCPU VM, i = 16 took 0.7 s, i = 24 5-7 s and i = 32 75 s, so larger i
 # fail fast.
 FIT_BOUND = 24
-
-
-def _stirling_sum(k: int, top: int) -> list:
-    """sum_{l=1..top} S(k,l) t^(k-l) P_l over the braid rows P_l: G_k when
-    top = k, and G_k - P_k when top = k - 1."""
-    s = stirling2_row(k)
-    out = [0] * k
-    for ell in range(1, top + 1):
-        scale = s[ell]
-        for i, x in enumerate(_BRAID[ell], k - ell):
-            out[i] += scale * x
-    return out
 
 
 def _braid_coeffs(n: int) -> tuple:
@@ -133,29 +135,13 @@ def _braid_coeffs(n: int) -> tuple:
         raise ValueError(
             f"n = {n} is out of reach: the braid table handles n <= {BRAID_BOUND}"
         )
-    if len(_BRAID) <= n:
-        with _BRAID_LOCK:
-            # the sums follow the rows, also after the row table was replaced
-            del _BRAID_SUMS[len(_BRAID) :]
-            for k in range(len(_BRAID_SUMS), len(_BRAID)):
-                _BRAID_SUMS.append(_stirling_sum(k, k))
-            while len(_BRAID) <= n:
-                m = len(_BRAID)
-                below = _stirling_sum(m, m - 1)  # G_m - P_m
-                rhs = list(below)
-                c = stirling1_row(m)
-                for k in range(1, m):
-                    padd_into(rhs, _BRAID_SUMS[k], (-1) ** (m - k) * c[k])
-                row = _solve_functional_equation(rhs, m - 1)
-                padd_into(below, row)
-                _BRAID.append(row)
-                _BRAID_SUMS.append(below)
-    return _BRAID[n]
+    return _cone_row(_EMPTY_KEY, _EMPTY, n)
 
 
 def kl_braid(n: int) -> Poly:
     """Kazhdan-Lusztig polynomial of the braid matroid (complete graph on n
-    vertices), computed by the Stirling closed form of the flat sum."""
+    vertices): the row of cone({}, n), read off the Stirling partial sums of
+    the flat sum."""
     from .polyseries import Poly
 
     return Poly(_braid_coeffs(n), "t")
@@ -165,10 +151,12 @@ def kl_braid(n: int) -> Poly:
 # then canonical_key(H) without its tag (|H| in one byte, then H's canonical
 # adjacency bits).
 _ROW_TAG = b"K"
-# A row of cone(H, k) costs about k^4.5 at fixed H: in-process on a 2-vCPU
-# VM, cone(P4, 60) took 1.7 s, cone(P4, 96) 7.4 s, cone(P4, 120) 24 s and
-# cone(P3, 200) 72 s, while K_100 took 0.6 s; so graphs on more vertices
-# fail fast, before any row is built.
+# Past its base's table, cone(H, k) costs about k^3 to k^4 at fixed H, the
+# integers growing with k: in-process on a 2-vCPU VM, cone(P4, 60) took
+# 0.2 s, cone(P4, 96) 0.9 s, cone(P4, 120) 1.9 s, cone(P4, 150) 5.2 s and
+# cone(P3, 200) 4.3 s, while K_100 took 0.1 s.  Graphs on more vertices fail
+# fast, before any row is built; the bound stays until a benchmark cone job
+# can set it, below the row key's one-byte vertex count.
 VERTEX_BOUND = 100
 # The table of a cone base H is exponential in |H|: with k = 4, in-process on
 # a 2-vCPU VM, cone(P8, 4) took 0.26 s, cone(P10, 4) 4.0 s, cone(P11, 4)
@@ -178,19 +166,28 @@ VERTEX_BOUND = 100
 # passes has a canonical key.
 BASE_BOUND = 10
 # The two bounds do not compose: past its table, cone(H, k) costs about
-# 2^|H| k^3, the rows up to k summing the table's groups over up to k blocks.
+# 2^|H| k^3, the rows up to k reading partial sums over up to |H| + 1
+# rising factorials and multiplying the table's entries into them.
 # In-process on a 2-vCPU VM (one session, each run killed at 60 s), cone(P4,
-# 96) (2^|H| k^3 = 14e6) took 7.4 s, cone(P5, 95) (27e6) 27 s, cone(P8, 48)
-# (28e6) 18 s, cone(P7, 64) (34e6) 24 s, cone(P6, 90) (47e6) 48 s, cone(P9,
-# 48) (57e6) 35 s and cone(P8, 64) (67e6) 53 s; cone(P7, 90), cone(P9, 64)
-# and cone(P10, 48) were killed, and cone(P10, 90) had run for 120 s.  So a
-# graph with 2^|H| k^3 above that of cone(P4, 96), which VERTEX_BOUND admits,
-# fails fast.  At the bound cone(P7, 48) took 9.7 s and cone(P10, 24) 19 s:
-# a base of ten carries its table too (cone(P10, k) took 14 s at k = 16 and
-# 28 s at k = 32 in that session, 6.7 s and 17 s in an earlier one).
+# 96) (2^|H| k^3 = 14e6) took 0.9 s, cone(P5, 95) (27e6) 2.8 s, cone(P8, 48)
+# (28e6) 3.3 s, cone(P7, 64) (34e6) 3.3 s, cone(P6, 90) (47e6) 5.2 s, cone(P9,
+# 48) (57e6) 6.8 s, cone(P8, 64) (67e6) 7.0 s, cone(P7, 90) (93e6) 9.2 s,
+# cone(P10, 48) (113e6) 18 s and cone(P9, 64) (134e6) 12 s; cone(P10, 90)
+# was killed.  So a graph with 2^|H| k^3 above that of cone(P4, 96), which
+# VERTEX_BOUND admits, fails fast, until a benchmark cone job can set the
+# bound.  At the bound cone(P7, 48) took 2.1 s and cone(P10, 24) 10 s: a base
+# of ten is mostly its table (cone(P10, k) took 10.5 s at k = 16 and 10.8 s
+# at k = 32).
 CONE_WORK_BOUND = 2**4 * 96**3
 _GRAPH_TABLE: dict = {}  # row key of (H, k) -> KL coefficients of cone(H, k)
 _BASES: dict = {}  # canonical key of H -> _ConeBase of H
+_EMPTY = Graph(0)  # the base of the braid rows
+_EMPTY_KEY = canonical_key(_EMPTY)
+
+
+def _row_key(hkey: bytes, n: int) -> bytes:
+    """The row key of the cone on n vertices over the base with key hkey."""
+    return _ROW_TAG + _count_byte(n) + hkey[1:]
 
 
 @lru_cache(maxsize=None)
@@ -214,13 +211,23 @@ class _ConeBase:
     subgraphs and the flats of every H[r] grouped by contraction and
     weighted by the colour classes of the rest, a table independent of k."""
 
-    def __init__(self, h: Graph):
+    def __init__(self, h: Graph, hkey: bytes):
         self.graph = h
+        self.key = hkey
         self.adj = h.adjacency_masks()
         self.full = (1 << h.n) - 1
         self._chrom: dict = {}
         self._classes: dict = {}
         self._table = None
+        self._terms = None
+        # rows[k] = P(cone(H, k)) and its partial sums r[k][a] = R_{k,a},
+        # g[k][a] = G_{k,a} of the module docstring, for k >= 1; built in
+        # order under the lock, from the rows of the table `memo`
+        self._lock = threading.Lock()
+        self._memo = None
+        self._rows: list = [None]
+        self._r: list = [None]
+        self._g: list = [None]
 
     def classes(self, a: int) -> tuple:
         """Entry l counts the partitions of a into l independent sets of H:
@@ -270,12 +277,79 @@ class _ConeBase:
             self._table = table
         return self._table
 
+    def terms(self) -> list:
+        """The table's entries but the finest flat's (H, 0) as (canonical key
+        of Q, Q, u, ys), with ys = [(a, [C(N, a) xs[N] for N >= a]) for each
+        a]: R_{k',a} sums falling_sum(ys[a], 0, k') P(cone(Q, u + k'))."""
+        if self._terms is None:
+            self._terms = [
+                (qkey, q, u, [
+                    (a, [[comb(n, a) * x for x in xs[n]] for n in range(a, len(xs))])
+                    for a in range(len(xs))
+                ])
+                for (qkey, u), (q, xs) in self.table().items()
+                if q.n < self.graph.n
+            ]
+        return self._terms
+
+    def row(self, k: int) -> tuple:
+        """P(cone(H, k)) for k >= 1.  The rows and their partial sums are
+        extended up to k under the lock; once _GRAPH_TABLE is replaced (as a
+        new process would start with another table) they are rebuilt from
+        the new one."""
+        with self._lock:
+            if self._memo is not _GRAPH_TABLE:
+                self._memo = _GRAPH_TABLE
+                del self._rows[1:], self._r[1:], self._g[1:]
+            while len(self._rows) <= k:
+                self._extend()
+            return self._rows[k]
+
+    def _extend(self) -> None:
+        """Row k = len(rows) with R_k and G_k; nothing is kept unless the
+        row is read off."""
+        k = len(self._rows)
+        n = self.graph.n + k
+        r = [[] for _ in range(max(len(xs) for _, xs in self.table().values()))]
+        for qkey, q, u, ys in self.terms():
+            row = _cone_row(qkey, q, u + k)
+            for a, y in ys:
+                padd_into(r[a], pmul(falling_sum(y, 0, k), row))
+        s, rs = stirling2_row(k), self._r
+        g = []
+        for a, ra in enumerate(r):
+            # R_{l,a} has degree below |H| + l/2, so G_{k,a} fits in n terms
+            acc = ra + [0] * (n - len(ra))  # S(k, k) = 1
+            for ell in range(1, k):
+                scale = s[ell]
+                for i, x in enumerate(rs[ell][a], k - ell):
+                    acc[i] += scale * x
+            g.append(acc)
+        key = _row_key(self.key, n)
+        row = (1,) if n == 1 else _GRAPH_TABLE.get(key)
+        if row is None:
+            rhs = list(g[0])  # a = 0, j = k: c(k, k) = 1
+            c, gs = stirling1_row(k), self._g
+            rise = 1  # k^(a)
+            for a, ga in enumerate(g):
+                if a:
+                    padd_into(rhs, ga, (-1) ** a * rise)
+                for j in range(1, k):
+                    padd_into(rhs, gs[j][a], (-1) ** (a + k - j) * rise * c[j])
+                rise *= k + a
+            row = _GRAPH_TABLE.setdefault(key, _solve_functional_equation(rhs, n - 1))
+        padd_into(r[0], row)
+        padd_into(g[0], row)
+        self._r.append(r)
+        self._g.append(g)
+        self._rows.append(row)
+
 
 def _cone_base(hkey: bytes, h: Graph) -> _ConeBase:
     """The shared _ConeBase of H, with hkey the canonical key of H."""
     base = _BASES.get(hkey)
     if base is None:
-        base = _BASES.setdefault(hkey, _ConeBase(h))
+        base = _BASES.setdefault(hkey, _ConeBase(h, hkey))
     return base
 
 
@@ -298,21 +372,20 @@ def _flat_groups(base: _ConeBase, k: int) -> list:
 
 
 def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
-    """KL coefficients of cone(H, k), with hkey the canonical key of H, from
-    the functional equation summed over the flat groups of cone(H, k)."""
+    """KL coefficients of cone(H, k), with hkey the canonical key of H: with
+    k = 0 from the flats of H, otherwise from the partial sums of H's base."""
     n = h.n + k
     if n == 1:
         return (1,)  # rank 0: the equation is vacuous, P = 1 by definition
-    key = _ROW_TAG + _count_byte(n) + hkey[1:]
+    key = _row_key(hkey, n)
     hit = _GRAPH_TABLE.get(key)
     if hit is not None:
         return hit
     base = _cone_base(hkey, h)
-    # rows with fewer cone vertices first, which bounds the recursion depth
-    for j in range(1, k):
-        _cone_row(hkey, base.graph, j)
+    if k:
+        return _GRAPH_TABLE.setdefault(key, base.row(k))
     rhs = [0] * n
-    for qkey, q, c, chi in _flat_groups(base, k):
+    for qkey, q, c, chi in _flat_groups(base, 0):
         if q.n + c < n:  # the finest flat carries the unknown P itself
             padd_into(rhs, pmul(chi, _cone_row(qkey, q, c)))
     coeffs = _solve_functional_equation(rhs, n - 1)
@@ -430,12 +503,19 @@ def conjecture_top_check(i: int) -> dict:
 
 def kl_cache_export() -> dict:
     """Snapshot the graph memo table as JSON-safe records (graph:<hex key>
-    mapping to decimal coefficient strings).  The braid rows of `kl --n`
-    are not persisted; rows of K_m reached as graphs (H empty) are."""
+    mapping to decimal coefficient strings).  The rows of the empty base,
+    the braid rows K_m, are not persisted, however they were reached: a
+    braid query writes no file, and no file can change a braid row."""
     return {
         "graph:" + key.hex(): [str(c) for c in coeffs]
         for key, coeffs in _GRAPH_TABLE.items()
+        if not _braid_key(key)
     }
+
+
+def _braid_key(key: bytes) -> bool:
+    """Whether a row key is that of a row of the empty base, K_m."""
+    return key[2:] == _EMPTY_KEY[1:]
 
 
 def _row_plausible(key: bytes, coeffs) -> bool:
@@ -454,11 +534,12 @@ def _row_plausible(key: bytes, coeffs) -> bool:
 
 def kl_cache_import(records: dict) -> list:
     """Load graph:<hex key> records into the graph memo table; rows already
-    known win.  Any other record, and a graph row whose key is not a cone
-    row key (such as a braid:<n> row or a whole-graph canonical key written
-    by an older version), is ignored.  A key too short for a tag and a
-    vertex count raises ValueError: no version writes one.  A cone row that
-    fails _row_plausible is skipped, and the keys of the skipped rows are
+    known win.  Any other record (such as a braid:<n> row), a graph row
+    whose key is not a cone row key (such as a whole-graph canonical key
+    written by an older version) and a row of the empty base (which older
+    versions wrote) are ignored.  A key too short for a tag and a vertex
+    count raises ValueError: no version writes one.  A cone row that fails
+    _row_plausible is skipped, and the keys of the skipped rows are
     returned."""
     skipped = []
     for key, coeffs in records.items():
@@ -466,7 +547,7 @@ def kl_cache_import(records: dict) -> list:
             raw = bytes.fromhex(key.split(":", 1)[1])
             if len(raw) < 2:
                 raise ValueError(f"malformed KL cache key {key}")
-            if not raw.startswith(_ROW_TAG):
+            if not raw.startswith(_ROW_TAG) or _braid_key(raw):
                 continue
             if _row_plausible(raw, coeffs):
                 _GRAPH_TABLE.setdefault(raw, tuple(map(int, coeffs)))

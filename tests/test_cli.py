@@ -382,11 +382,13 @@ def test_cache_persistence(tmp_path, capsys, monkeypatch):
     assert klcore.kl_cache_export() == records
 
     # a file from an older version with braid rows, one of them wrong, loads;
-    # the braid rows are ignored and every answer stays the same
-    old = dict(records, **{"braid:4": ["1", "1"], "braid:5": ["1", "7"]})
+    # the braid rows are ignored and every answer stays the same.  Older
+    # versions also wrote rows of K_m reached as graphs: a plausible but
+    # wrong row of the empty base is ignored as well
+    k5 = "graph:" + (b"K\x05" + canonical_key(Graph(0))[1:]).hex()
+    old = dict(records, **{"braid:4": ["1", "1"], "braid:5": ["1", "7"], k5: ["1", "7"]})
     cache_file.write_text(json.dumps(old))
     monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
-    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
     code, out = run_cli(capsys, "kl", "--n", "5")
     assert code == 0
     assert json.loads(out)["outputs"]["coefficients"] == ["1", "5"]

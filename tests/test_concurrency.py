@@ -11,26 +11,39 @@ from braidkl.graphmat import Graph, cone_extend
 from braidkl.klcore import d_coeff, kl_braid, kl_graphic
 
 
-def test_braid_table_concurrent_fill(monkeypatch):
-    # rows 2..90 built from an empty table, with threads switching every
-    # microsecond, so that table extensions overlap unless they are serialized
-    targets = [83, 90, 86, 81, 88, 85] * 4
-    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
-    expected = {n: kl_braid(n) for n in targets}
-    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
+def test_cone_sums_concurrent_fill(monkeypatch):
+    # braid rows 2..90 and rows of cone(P4, k) built from empty tables, with
+    # threads switching every microsecond, so that extensions of a base's
+    # rows and partial sums overlap unless they are serialized
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    targets = [("braid", n) for n in (83, 90, 86, 81, 88, 85)]
+    targets += [("p4", k) for k in (30, 24, 28, 21, 26)]
+    targets *= 4
+
+    def row(target):
+        kind, n = target
+        return kl_braid(n) if kind == "braid" else kl_graphic(cone_extend(p4, n))
+
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    monkeypatch.setattr(klcore, "_BASES", {})
+    expected = {t: row(t) for t in targets}
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    monkeypatch.setattr(klcore, "_BASES", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(kl_braid, targets, timeout=120))
+            results = list(pool.map(row, targets, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for n, poly in zip(targets, results):
-        assert poly == expected[n]
-        assert poly.coeff(1) == 2 ** (n - 1) - 1 - comb(n, 2)
-    table = klcore._BRAID
-    assert len(table) == 91  # a lost or doubled append shifts every later row
-    assert d_coeff(2, 90) == table[90][2]
+    for (kind, n), poly in zip(targets, results):
+        assert poly == expected[kind, n]
+        if kind == "braid":
+            assert poly.coeff(1) == 2 ** (n - 1) - 1 - comb(n, 2)
+    # a lost or doubled append shifts every later row and sum
+    base = klcore._BASES[klcore._EMPTY_KEY]
+    assert len(base._rows) == len(base._r) == len(base._g) == 91
+    assert d_coeff(2, 90) == base._rows[90][2]
 
 
 def test_eqkl_memo_concurrent_fill():

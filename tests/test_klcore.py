@@ -303,23 +303,28 @@ def test_flat_sum_matches_set_partition_enumeration():
             assert Poly(_flat_sum(m, ell), "t") == want
 
 
-def test_braid_rows_match_flat_sum_loop(monkeypatch):
+def test_braid_rows_match_flat_sum_loop():
     old = flat_sum_table(100)
-    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
-    for n in range(1, 101):
-        assert _braid_coeffs(n) == old[n]
+    with fresh_tables():
+        for n in range(1, 101):
+            assert _braid_coeffs(n) == old[n]
+
+
+def braid_rows(rows):
+    """Braid rows as row-table entries: row key of K_n -> row."""
+    return {klcore._row_key(klcore._EMPTY_KEY, n): rows[n] for n in range(2, len(rows))}
 
 
 def test_braid_sums_follow_a_replaced_row_table(monkeypatch):
     # a shorter table, as a reset leaves, and the full table back again
     old = flat_sum_table(40)
     _braid_coeffs(30)
-    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
     assert _braid_coeffs(12) == old[12]
-    monkeypatch.setattr(klcore, "_BRAID", old[:21])
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", braid_rows(old[:21]))
     assert _braid_coeffs(40) == old[40]
-    assert klcore._BRAID == old
-    assert len(klcore._BRAID_SUMS) == 41
+    assert klcore._GRAPH_TABLE == braid_rows(old)
+    assert len(klcore._cone_base(klcore._EMPTY_KEY, klcore._EMPTY)._g) == 41
 
 
 def test_braid_rows_match_type_indexed_sum():
@@ -442,7 +447,7 @@ def test_cone_blocks_match_first_cone_vertex_peeling():
         Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
     ]:
         memo = {}
-        base = klcore._ConeBase(h)
+        base = klcore._ConeBase(h, canonical_key(h))
         for j in range(6):
             for s in range(1 << h.n):
                 xs = [[a] for a in base.classes(s)]
@@ -460,7 +465,7 @@ def test_falling_at_matches_power_basis():
     # with xs the colour classes of h[s], against h[s]'s chromatic polynomial
     # from graphmat composed with kk t - k in the power basis
     h = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    base = klcore._ConeBase(h)
+    base = klcore._ConeBase(h, canonical_key(h))
     xs = [[3, -1], [], [0, 0, 2], [-5], [1, 4, 0, 7]]
     for k in range(9):
         for kk in range(k + 1):
@@ -500,6 +505,58 @@ def test_flat_groups_one_per_contraction():
         for qkey, q, c, chi in groups:
             total = total + Poly(pmul(chi, list(klcore._cone_row(qkey, q, c))), "t")
         assert total == cone_flat_sum(h, k), (h, k)
+
+
+_LOOP_ROWS: dict = {}
+
+
+def cone_row_loop(hkey, h, k):
+    """KL coefficients of cone(h, k) by the loop over the flat groups of
+    _flat_groups, one B_{k,k'} product per group and k', each contraction's
+    row from this loop again: the cone recursion before its partial sums,
+    kept as their oracle."""
+    n = h.n + k
+    if n == 1:
+        return (1,)
+    if (hkey, k) not in _LOOP_ROWS:
+        for j in range(1, k):  # fewer cone vertices first: a shallow recursion
+            cone_row_loop(hkey, h, j)
+        rhs = [0] * n
+        for qkey, q, c, chi in klcore._flat_groups(klcore._cone_base(hkey, h), k):
+            if q.n + c < n:  # the finest flat carries the unknown P itself
+                padd_into(rhs, pmul(chi, list(cone_row_loop(qkey, q, c))))
+        _LOOP_ROWS[hkey, k] = _solve_functional_equation(rhs, n - 1)
+    return _LOOP_ROWS[hkey, k]
+
+
+@pytest.mark.parametrize(
+    "h, top",
+    [(Graph(4, [(0, 1), (1, 2), (2, 3)]), 60), (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 40)],
+)
+def test_cone_rows_match_flat_group_loop(h, top):
+    hkey = canonical_key(h)
+    with fresh_tables():
+        got = [klcore._cone_row(hkey, h, k) for k in range(1, top + 1)]
+    assert got == [cone_row_loop(hkey, h, k) for k in range(1, top + 1)]
+
+
+@st.composite
+def cone_bases(draw):
+    """A random graph on at most 5 vertices, connected or not, less its
+    universal vertices: a base without a universal vertex."""
+    n = draw(st.integers(0, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return klcore._split_cone(Graph(n, [e for e, on in zip(pairs, flags) if on]))[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cone_bases())
+def test_cone_rows_match_flat_group_loop_on_random_bases(h):
+    hkey = canonical_key(h)
+    with fresh_tables():
+        got = [klcore._cone_row(hkey, h, k) for k in range(1, 13)]
+    assert got == [cone_row_loop(hkey, h, k) for k in range(1, 13)], h
 
 
 def test_vertex_count_beyond_key_byte_fails_fast():
@@ -637,8 +694,6 @@ def test_kl_consistency_checks_catch_a_perturbed_flat_sum(monkeypatch, row, n, s
         return real(rhs, rank)
 
     monkeypatch.setattr(klcore, "_solve_functional_equation", perturbed)
-    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
-    monkeypatch.setattr(klcore, "_BRAID_SUMS", [None, [1]])
     with fresh_tables(), pytest.raises(ArithmeticError, match=message):
         if row == "braid":
             _braid_coeffs(n)
@@ -738,16 +793,20 @@ def test_cache_roundtrip(monkeypatch):
     kl_graphic(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     records = kl_cache_export()
     assert records
-    assert all(key.startswith("graph:") for key in records)  # no braid rows
+    assert all(key.startswith("graph:") for key in records)
+    # no braid rows: no row of the empty base
+    empty = klcore._EMPTY_KEY[1:]
+    assert not [key for key in records if bytes.fromhex(key[6:])[2:] == empty]
     kl_cache_import(records)  # idempotent
     assert kl_cache_export() == records
     # the graph rows load into an empty table
     monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
     kl_cache_import(records)
     assert kl_cache_export() == records
-    # braid rows of an older file are ignored, even wrong ones
-    monkeypatch.setattr(klcore, "_BRAID", [None, (1,)])
-    kl_cache_import(dict(records, **{"braid:6": ["1", "9", "9"], "braid:9": ["1"]}))
+    # braid rows of an older file are ignored, even wrong ones, under their
+    # old name and as rows of the empty base
+    k6 = "graph:" + klcore._row_key(klcore._EMPTY_KEY, 6).hex()
+    kl_cache_import(dict(records, **{"braid:6": ["1", "9", "9"], "braid:9": ["1"], k6: ["1", "9", "9"]}))
     assert kl_cache_export() == records
-    assert klcore._BRAID == [None, (1,)]
+    assert not [key for key in klcore._GRAPH_TABLE if key[2:] == empty]
     assert kl_braid(6) == Poly([1, 16, 15], "t")

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 import braidkl.klcore as klcore
 from braidkl.graphmat import Graph
-from braidkl.verify import SUITES, _braid_residual, _graph_residual, run_suite
+from braidkl.verify import (
+    SUITES,
+    _braid_residual,
+    _braid_vs_flat_groups,
+    _graph_residual,
+    run_suite,
+)
 
 
 def test_unknown_suite_raises():
@@ -62,6 +68,22 @@ def test_braid_residual_fails_on_a_perturbed_row(monkeypatch):
     )
     assert _braid_residual(5)
     assert not _braid_residual(6)
+
+
+def test_braid_vs_graphic_fails_on_a_perturbed_sums_row(monkeypatch):
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    monkeypatch.setattr(klcore, "_BASES", {})
+    assert _braid_vs_flat_groups(8)
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    monkeypatch.setattr(klcore, "_BASES", {})
+    klcore._braid_coeffs(7)
+    # G_7 of the empty base moved in t^1 and t^6: row 8 stays consistent, and
+    # its t^1 coefficient moves by c(8, 7) = 28
+    sums = klcore._BASES[klcore._EMPTY_KEY]._g[7][0]
+    sums[1] += 1
+    sums[6] -= 1
+    assert not _braid_vs_flat_groups(8)
+    assert klcore._braid_coeffs(8)[1] == 2**7 - 1 - 28 + 28
 
 
 def test_graph_residual_fails_on_a_perturbed_row(monkeypatch):
