@@ -29,12 +29,10 @@ _EXPORTS = {
         "GradedClassFn",
         "SymFn",
         "ch",
-        "ch_inv",
         "eq_char_poly",
         "eqkl_braid",
         "eqkl_braid_bruteforce",
         "os_character",
-        "plethysm",
         "row_bound_check",
         "specht_decompose",
     ),

@@ -3,11 +3,11 @@ class functions of the symmetric group: the Fraction-valued API and the
 independent oracles, built on the integer kernel in `eqcore`.
 
 * The rational API: ClassFn and GradedClassFn (class functions, graded by
-  t), SymFn in the power-sum basis with Poly coefficients, the Frobenius
-  characteristic ch and its inverse, plethysm, and specht_decompose, which
-  divides eqcore's integer Specht sums into Fractions.  eqkl_braid and
-  char_poly_symfn wrap eqcore's class values (eqkl_values, _char_values),
-  and the Fraction plethysm is a test oracle for eqcore's integer one.
+  t), SymFn in the power-sum basis with Poly coefficients and the Frobenius
+  characteristic ch, and specht_decompose, which divides eqcore's integer
+  Specht sums into Fractions.  eqkl_braid wraps eqcore's class values
+  (eqkl_values); the Fraction plethysm that checks eqcore's integer one is
+  a test helper, outside the package.
 
 * Orlik-Solomon characters by straightening (small n): the trace of a class
   representative on the monomial basis of H^i, straightened by the
@@ -39,16 +39,16 @@ from .combinat import (
 )
 from .eqcore import EQKL_BOUND  # noqa: F401  the bound of eqkl_braid
 from .eqcore import (
-    _char_values,
     _specht_sums,
     _trimmed,
     _within_row_bound,
     eqkl_values,
+    specht_multiplicities,
 )
 from .intpoly import padd_into, pmul
 
 # polyseries loads only where the rational API builds a Poly (at_identity,
-# SymFn, char_poly_symfn).
+# SymFn).
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .polyseries import Poly
@@ -165,24 +165,11 @@ class SymFn:
                     clean[tuple(mu)] = c
         self.terms = clean
 
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
         out = dict(self.terms)
         for mu, c in other.terms.items():
             out[mu] = out[mu] + c if mu in out else c
         return SymFn(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return SymFn({mu: co * c for mu, co in self.terms.items()})
 
     def mul(self, other: "SymFn", cap: int | None = None) -> "SymFn":
         out = {}
@@ -194,25 +181,6 @@ class SymFn:
                 key = tuple(sorted(mu + nu, reverse=True))
                 prod = a * b
                 out[key] = out[key] + prod if key in out else prod
-        return SymFn(out)
-
-    def homogeneous_part(self, n: int) -> "SymFn":
-        return SymFn({mu: c for mu, c in self.terms.items() if sum(mu) == n})
-
-    def t_coeff(self, j: int) -> "SymFn":
-        return SymFn({mu: c.coeff(j) for mu, c in self.terms.items()})
-
-    def pleth_pk(self, k: int, cap: int | None = None) -> "SymFn":
-        """p_k[self]: every p_j becomes p_{jk} and t becomes t^k."""
-        from .polyseries import Poly
-
-        out = {}
-        for mu, c in self.terms.items():
-            if cap is not None and k * sum(mu) > cap:
-                continue
-            spread = [Fraction(0)] * (k * c.degree() + 1)
-            spread[::k] = c.coeffs
-            out[tuple(k * p for p in mu)] = Poly(spread, "t")
         return SymFn(out)
 
     def __eq__(self, other):
@@ -227,44 +195,6 @@ class SymFn:
 def ch(f: ClassFn) -> SymFn:
     """Frobenius characteristic: sum over mu of f(mu) p_mu / z_mu."""
     return SymFn({mu.parts: v / centralizer_order(mu) for mu, v in f.values.items()})
-
-
-def ch_inv(s: SymFn, n: int) -> ClassFn:
-    """Inverse Frobenius characteristic of a degree-n symmetric function
-    with constant (t-free) coefficients."""
-    vals = {}
-    for mu, c in s.terms.items():
-        if sum(mu) != n:
-            raise ValueError(f"term p_{mu} is not of degree {n}")
-        if c.degree() > 0:
-            raise ValueError("coefficients must be t-free for ch_inv")
-        part = Partition(mu)
-        vals[part] = c.coeff(0) * centralizer_order(part)
-    return ClassFn(n, vals)
-
-
-def plethysm(f: SymFn, g: SymFn, cap: int | None = None) -> SymFn:
-    """Plethysm f[g] in the p-basis (t in g transforms; t in f does not)."""
-    if () in g.terms:
-        raise ValueError("plethysm requires g to have no constant term")
-    pk_cache: dict = {}
-    out = SymFn()
-    for mu, c in f.terms.items():
-        prod = SymFn.one()
-        for part in mu:
-            if part not in pk_cache:
-                pk_cache[part] = g.pleth_pk(part, cap)
-            prod = prod.mul(pk_cache[part], cap)
-            if prod.is_zero():
-                break
-        out = out + prod.scale(c)
-    return out
-
-
-@lru_cache(maxsize=None)
-def h_sym(k: int) -> SymFn:
-    """Complete homogeneous symmetric function h_k = sum p_mu / z_mu."""
-    return SymFn({mu.parts: Fraction(1, centralizer_order(mu)) for mu in partitions(k)})
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +337,6 @@ def eq_char_poly(n: int) -> GradedClassFn:
     return _graded(n, _eq_char_values(n))
 
 
-@lru_cache(maxsize=None)
-def char_poly_symfn(n: int) -> SymFn:
-    """Frobenius characteristic of the graded characteristic data
-    sum_i (-1)^i [OS^i] t^(n-1-i), valid for any n: the coefficient of p_mu
-    is the class value from Lehrer's product formula (1/t) prod_i
-    prod_{k < m_i} (E_i(t) - k i) divided by z_mu.  Cross-checked against
-    the straightening path."""
-    from .polyseries import Poly
-
-    if n < 1:
-        raise ValueError("n must be positive")
-    return SymFn(
-        {
-            mu: Poly([Fraction(c, centralizer_order(Partition(mu))) for c in v], "t")
-            for mu, v in _char_values(n).items()
-        }
-    )
-
-
 def eqkl_braid(n: int) -> GradedClassFn:
     """Equivariant Kazhdan-Lusztig polynomial of the braid matroid as a
     graded class function of S_n (plethystic recursion), for
@@ -555,7 +466,5 @@ def row_bound_check(i: int, n: int) -> bool:
     two-row statement); vacuously true when the coefficient vanishes."""
     if i < 1:
         raise ValueError("i must be positive")
-    graded = eqkl_braid(n)
-    if i >= len(graded.coeffs):
-        return True
-    return _within_row_bound(specht_decompose(graded.coeffs[i]), i)
+    decs = specht_multiplicities(n, eqkl_values(n))
+    return i >= len(decs) or _within_row_bound(decs[i], i)

@@ -73,7 +73,6 @@ costs O(n^3).
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
 from math import comb
 
 from .combinat import double_factorial_odd, stirling1_row, stirling2_row
@@ -88,7 +87,7 @@ from .graphmat import (
     is_connected,
     quotient_masks,
 )
-from .intpoly import falling_factorial, falling_sum, padd_into, pmul, read_off
+from .intpoly import falling_sum, padd_into, pmul, read_off
 
 # polyseries loads only through the Poly API (kl_braid and kl_graphic),
 # which the CLI's `kl` and `e1` never call: they work on the integer rows.
@@ -188,13 +187,6 @@ _EMPTY_KEY = canonical_key(_EMPTY)
 def _row_key(hkey: bytes, n: int) -> bytes:
     """The row key of the cone on n vertices over the base with key hkey."""
     return _ROW_TAG + _count_byte(n) + hkey[1:]
-
-
-@lru_cache(maxsize=None)
-def _ff_reduced(m: int) -> tuple:
-    """(t)_m / t = (t-1)(t-2)...(t-m+1) for m >= 1: the reduced
-    characteristic polynomial of K_m."""
-    return tuple(falling_factorial(m)[1:])
 
 
 def _split_cone(g: Graph) -> tuple:

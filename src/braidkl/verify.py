@@ -301,7 +301,7 @@ def suite_properties():
     """Cross-oracle properties: braid vs generic recursion, OS dimensions,
     free-action vanishing, equivariant consistency, functional-equation
     residuals, and exact round trips."""
-    from . import combinat, eqkl, graphmat, klcore, polyseries
+    from . import combinat, eqcore, eqkl, graphmat, klcore, polyseries
     from .combinat import Partition
     from .graphmat import Graph
 
@@ -315,20 +315,18 @@ def suite_properties():
     )
     checks.append(_check("oracle-os-dimensions", os_ok, "basis counts, n <= 7"))
 
-    # each graded object is built once per n and shared by the checks below
-    char_polys = {n: eqkl.eq_char_poly(n) for n in range(1, 7)}
-    vanish_ok = all(char_polys[n].eval_t(1).is_zero() for n in range(2, 7))
+    vanish_ok = all(eqkl.eq_char_poly(n).eval_t(1).is_zero() for n in range(2, 7))
     checks.append(_check("oracle-free-action-vanishing", vanish_ok, "t=1, n in [2,6]"))
 
-    sym_ok = all(
-        eqkl.ch(char_polys[n].coeffs[k]) == eqkl.char_poly_symfn(n).t_coeff(k)
-        for n in range(1, 7)
-        for k in range(n)
-    )
+    # Lehrer's class values against the signed traces of the straightened
+    # basis: both are z_mu times the coefficient of p_mu, so this is the
+    # Frobenius characteristic check on integers
+    lehrer_ok = all(eqkl._eq_char_values(n) == eqcore._char_values(n) for n in range(1, 7))
     checks.append(
-        _check("oracle-char-poly-plethystic", sym_ok, "straightening vs flat sum, n <= 6")
+        _check("oracle-char-poly-plethystic", lehrer_ok, "straightening vs flat sum, n <= 6")
     )
 
+    # each graded object is built once per n and shared by the checks below
     braids = {n: eqkl.eqkl_braid(n) for n in range(1, 8)}
     eq_ok = all(braids[n] == eqkl.eqkl_braid_bruteforce(n) for n in range(1, 7))
     checks.append(_check("oracle-eqkl-two-paths", eq_ok, "plethystic vs brute force, n <= 6"))
@@ -414,13 +412,14 @@ def _braid_vs_flat_groups(top: int) -> bool:
 
 def _braid_residual(n: int) -> bool:
     from . import combinat, klcore
-    from .intpoly import padd_into, pmul
+    from .intpoly import falling_factorial, padd_into, pmul
 
     rhs = [0] * n
     for lam in combinat.partitions(n):
         chi = [1]
         for part in lam:
-            chi = pmul(chi, klcore._ff_reduced(part))
+            # (t)_m / t with m = part: the reduced characteristic polynomial of K_m
+            chi = pmul(chi, falling_factorial(part)[1:])
         contr = klcore._braid_coeffs(len(lam))
         padd_into(rhs, pmul(chi, contr), combinat.set_partition_count_by_type(lam))
     row = klcore._braid_coeffs(n)

@@ -29,21 +29,25 @@ from braidkl.eqkl import (
     ClassFn,
     SymFn,
     ch,
-    ch_inv,
-    char_poly_symfn,
     eq_char_poly,
     eqkl_braid,
     eqkl_braid_bruteforce,
-    h_sym,
     os_basis,
     os_character,
-    plethysm,
     row_bound_check,
     specht_decompose,
 )
 from braidkl.intpoly import padd_into, pmul
 from braidkl.klcore import d_coeff, kl_braid
 from braidkl.polyseries import Poly
+from symfn_oracle import (
+    ch_inv,
+    char_poly_symfn,
+    h_sym,
+    homogeneous_part,
+    plethysm,
+    t_coeff,
+)
 
 
 def trivial(n):
@@ -136,7 +140,7 @@ def oracle_h2_of_h2_character():
 
 def test_plethysm_h2_h2_schur_multiplicities():
     composed = plethysm(h_sym(2), h_sym(2), cap=4)
-    f = ch_inv(composed.homogeneous_part(4), 4)
+    f = ch_inv(homogeneous_part(composed, 4), 4)
     assert f == oracle_h2_of_h2_character()
     dec = specht_decompose(f)
     assert dec == {Partition((4,)): 1, Partition((2, 2)): 1}
@@ -199,7 +203,7 @@ def test_char_poly_symfn_matches_straightening():
         sym = char_poly_symfn(n)
         graded = eq_char_poly(n)
         for k in range(n):
-            assert ch(graded.coeffs[k]) == sym.t_coeff(k)
+            assert ch(graded.coeffs[k]) == t_coeff(sym, k)
 
 
 # Set-based copies of the brute-force oracle's block bookkeeping, which works
@@ -374,7 +378,7 @@ def test_char_values_identity_and_free_action():
         assert all(sum(v) == 0 for v in values.values())
 
 
-# --- the integer class-value kernel against the Fraction API ----------------
+# --- the integer class-value kernel against the Fraction plethysm -----------
 
 
 def class_values(sym):
@@ -399,10 +403,10 @@ def char_data_symfn(top):
 def test_integer_plethysm_matches_fraction_plethysm():
     g_sym = char_data_symfn(7)  # in full up to the largest cap
     for k in range(1, 5):
-        fs = [h_sym(k)] + [char_poly_symfn(k).t_coeff(j) for j in range(k)]
+        fs = [h_sym(k)] + [t_coeff(char_poly_symfn(k), j) for j in range(k)]
         for f in fs:
             for cap in range(1, 8):
-                want = class_values(plethysm(f, g_sym, cap).homogeneous_part(cap))
+                want = class_values(homogeneous_part(plethysm(f, g_sym, cap), cap))
                 got = eqcore._plethysm_part({k: class_values(f)}, cap)
                 assert got == want, (k, cap)
 
@@ -413,7 +417,7 @@ def test_integer_plethysm_sums_over_degrees():
     for n in range(1, 7):
         want = SymFn()
         for k in fs:
-            want = want + plethysm(h_sym(k), g_sym, n).homogeneous_part(n)
+            want = want + homogeneous_part(plethysm(h_sym(k), g_sym, n), n)
         assert eqcore._plethysm_part(fs, n) == class_values(want)
 
 
@@ -813,6 +817,13 @@ def test_row_bounds():
             assert row_bound_check(i, n)
     # vacuous when the coefficient is absent
     assert row_bound_check(3, 4)
+
+
+def test_row_bound_check_rejects_a_degree_or_n_out_of_range():
+    with pytest.raises(ValueError, match="i must be positive"):
+        row_bound_check(0, 4)
+    with pytest.raises(ValueError, match=f"bounded at n = {EQKL_BOUND}"):
+        row_bound_check(1, EQKL_BOUND + 1)
 
 
 def test_row_bound_two_rows_at_degree_one():

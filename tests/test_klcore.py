@@ -531,7 +531,7 @@ def cone_row_loop(hkey, h, k):
 
 @pytest.mark.parametrize(
     "h, top",
-    [(Graph(4, [(0, 1), (1, 2), (2, 3)]), 60), (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 40)],
+    [(Graph(4, [(0, 1), (1, 2), (2, 3)]), 96), (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 40)],
 )
 def test_cone_rows_match_flat_group_loop(h, top):
     hkey = canonical_key(h)
@@ -555,8 +555,8 @@ def cone_bases(draw):
 def test_cone_rows_match_flat_group_loop_on_random_bases(h):
     hkey = canonical_key(h)
     with fresh_tables():
-        got = [klcore._cone_row(hkey, h, k) for k in range(1, 13)]
-    assert got == [cone_row_loop(hkey, h, k) for k in range(1, 13)], h
+        got = [klcore._cone_row(hkey, h, k) for k in range(1, 31)]
+    assert got == [cone_row_loop(hkey, h, k) for k in range(1, 31)], h
 
 
 def test_vertex_count_beyond_key_byte_fails_fast():

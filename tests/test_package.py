@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "c1_count",
     "canonical_key",
     "ch",
-    "ch_inv",
     "char_poly",
     "class_size",
     "combinat",
@@ -60,7 +59,6 @@ PUBLIC_NAMES = [
     "mn_character",
     "os_character",
     "partitions",
-    "plethysm",
     "polyseries",
     "ratio_diagnostic",
     "row_bound_check",

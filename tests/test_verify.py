@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidkl.eqcore as eqcore
 import braidkl.klcore as klcore
 from braidkl.graphmat import Graph
 from braidkl.verify import (
@@ -68,6 +69,21 @@ def test_braid_residual_fails_on_a_perturbed_row(monkeypatch):
     )
     assert _braid_residual(5)
     assert not _braid_residual(6)
+
+
+def test_char_poly_plethystic_fails_on_a_perturbed_class_value(monkeypatch):
+    name = "oracle-char-poly-plethystic"
+    assert next(c for c in run_suite("properties") if c["name"] == name)["ok"]
+    real = eqcore._char_values
+
+    def perturbed(n):
+        values = real(n)
+        if n == 6:
+            values = {**values, (3, 2, 1): _bump_last(values[(3, 2, 1)])}
+        return values
+
+    monkeypatch.setattr(eqcore, "_char_values", perturbed)
+    assert [c["name"] for c in run_suite("properties") if not c["ok"]] == [name]
 
 
 def test_braid_vs_graphic_fails_on_a_perturbed_sums_row(monkeypatch):
