@@ -98,15 +98,12 @@ def cmd_kl(args) -> int:
     from .graphmat import load_graph
 
     if (args.n is None) == (args.graph is None):
-        print("error: give exactly one of --n or --graph", file=sys.stderr)
-        return 2
+        raise ValueError("give exactly one of --n or --graph")
     if args.n is not None:
         if args.n < 1:
-            print("error: --n must be positive", file=sys.stderr)
-            return 2
+            raise ValueError("--n must be positive")
         if args.cone:
-            print("error: --cone needs --graph", file=sys.stderr)
-            return 2
+            raise ValueError("--cone needs --graph")
         coeffs = klcore._braid_coeffs(args.n)
         inputs = {"n": str(args.n)}
     else:
@@ -179,29 +176,20 @@ def cmd_genfun(args) -> int:
 
     i, n_max = args.i, args.max_n
     if i < 0:
-        print("error: --i must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("--i must be nonnegative")
     if n_max < 1:
-        print("error: --max-n must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("--max-n must be positive")
     if i == 0 and (args.fit or args.asymptotics):
         # D_0(n) = 1: no pole in 1..2i to fit and no (2i)^n ratio to take
-        print("error: --fit and --asymptotics need --i >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--fit and --asymptotics need --i >= 1")
     if args.fit and i > klcore.FIT_BOUND:
-        print(
-            f"error: --fit at i = {i} is out of reach: "
-            f"it handles i <= {klcore.FIT_BOUND}",
-            file=sys.stderr,
+        raise ValueError(
+            f"--fit at i = {i} is out of reach: it handles i <= {klcore.FIT_BOUND}"
         )
-        return 2
     if args.format == "csv" and (args.fit or args.asymptotics):
-        print(
-            "error: --format csv prints only the dims; "
-            "it cannot carry --fit or --asymptotics",
-            file=sys.stderr,
+        raise ValueError(
+            "--format csv prints only the dims; it cannot carry --fit or --asymptotics"
         )
-        return 2
     klcore.d_coeff(i, n_max)  # the last term first: fills the table, or fails fast
     seq = [klcore.d_coeff(i, n) for n in range(1, n_max + 1)]
     if args.format == "csv":
@@ -253,17 +241,13 @@ def cmd_verify(args) -> int:
     from . import verify
 
     checks, times, check_times = [], [], []
-    try:
-        for name in verify.SUITES if args.suite == "all" else [args.suite]:
-            start = last = time.monotonic()
-            for c in verify.run_suite(name):
-                checks.append(c)
-                check_times.append(f"TIME {name}/{c['name']} {c['at'] - last:.3f}")
-                last = c["at"]
-            times.append(f"TIME {name} {time.monotonic() - start:.3f}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for name in verify.SUITES if args.suite == "all" else [args.suite]:
+        start = last = time.monotonic()
+        for c in verify.run_suite(name):
+            checks.append(c)
+            check_times.append(f"TIME {name}/{c['name']} {c['at'] - last:.3f}")
+            last = c["at"]
+        times.append(f"TIME {name} {time.monotonic() - start:.3f}")
     failed = 0
     for c in checks:
         mark = "PASS" if c["ok"] else "FAIL"

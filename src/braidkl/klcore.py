@@ -116,10 +116,6 @@ def _solve_functional_equation(rhs_proper: list, rank: int) -> tuple:
     return tuple(coeffs)
 
 
-# The braid rows are the rows of cone({}, n), at O(n^3) operations on growing
-# integers: in-process on a 2-vCPU VM rows up to 150 take 0.3-0.5 s and up to
-# 200 took 1.7 s, so larger n fail fast.
-BRAID_BOUND = 150
 # `genfun --fit` at weight i reads rows up to 2i, but its cost grows as about
 # i^8 (the fit's denominator has about 2i^2 factors): at --max-n 64 on a
 # 2-vCPU VM, i = 16 took 0.7 s, i = 24 5-7 s and i = 32 75 s, so larger i
@@ -130,11 +126,7 @@ FIT_BOUND = 24
 def _braid_coeffs(n: int) -> tuple:
     if n < 1:
         raise ValueError("n must be positive")
-    if n > BRAID_BOUND:
-        raise ValueError(
-            f"n = {n} is out of reach: the braid table handles n <= {BRAID_BOUND}"
-        )
-    return _cone_row(_EMPTY_KEY, _EMPTY, n)
+    return _cone_row(*_cone_input(_EMPTY, n))
 
 
 def kl_braid(n: int) -> Poly:
@@ -150,13 +142,6 @@ def kl_braid(n: int) -> Poly:
 # then canonical_key(H) without its tag (|H| in one byte, then H's canonical
 # adjacency bits).
 _ROW_TAG = b"K"
-# Past its base's table, cone(H, k) costs about k^3 to k^4 at fixed H, the
-# integers growing with k: in-process on a 2-vCPU VM, cone(P4, 60) took
-# 0.2 s, cone(P4, 96) 0.9 s, cone(P4, 120) 1.9 s, cone(P4, 150) 5.2 s and
-# cone(P3, 200) 4.3 s, while K_100 took 0.1 s.  Graphs on more vertices fail
-# fast, before any row is built; the bound stays until a benchmark cone job
-# can set it, below the row key's one-byte vertex count.
-VERTEX_BOUND = 100
 # The table of a cone base H is exponential in |H|: with k = 4, in-process on
 # a 2-vCPU VM, cone(P8, 4) took 0.26 s, cone(P10, 4) 4.0 s, cone(P11, 4)
 # 18 s and cone(P12, 4) 70 s, and cycles took about 0.7 of that; so a graph
@@ -164,7 +149,7 @@ VERTEX_BOUND = 100
 # off fails fast.  It sits below graphmat.CANON_BOUND, so every base that
 # passes has a canonical key.
 BASE_BOUND = 10
-# The two bounds do not compose: past its table, cone(H, k) costs about
+# BASE_BOUND does not bound the rows: past its table, cone(H, k) costs about
 # 2^|H| k^3, the rows up to k reading partial sums over up to |H| + 1
 # rising factorials and multiplying the table's entries into them.
 # In-process on a 2-vCPU VM (one session, each run killed at 60 s), cone(P4,
@@ -172,11 +157,14 @@ BASE_BOUND = 10
 # (28e6) 3.3 s, cone(P7, 64) (34e6) 3.3 s, cone(P6, 90) (47e6) 5.2 s, cone(P9,
 # 48) (57e6) 6.8 s, cone(P8, 64) (67e6) 7.0 s, cone(P7, 90) (93e6) 9.2 s,
 # cone(P10, 48) (113e6) 18 s and cone(P9, 64) (134e6) 12 s; cone(P10, 90)
-# was killed.  So a graph with 2^|H| k^3 above that of cone(P4, 96), which
-# VERTEX_BOUND admits, fails fast, until a benchmark cone job can set the
-# bound.  At the bound cone(P7, 48) took 2.1 s and cone(P10, 24) 10 s: a base
-# of ten is mostly its table (cone(P10, k) took 10.5 s at k = 16 and 10.8 s
-# at k = 32).
+# was killed.  So a graph with 2^|H| k^3 above that of cone(P4, 96) fails
+# fast, until a benchmark cone job can set the bound; it bounds the braid rows
+# (H = {}) at k <= 241 too.  At its edges, in-process on a 2-vCPU VM in one
+# session, K_241 took 2.0 s, cone(2K1, 152) 1.3 s, cone(3K1, 120) 1.1 s,
+# cone(P7, 48) 1.2 s and cone(P10, 24) 5.9 s: a base of ten is mostly its
+# table (cone(P10, 16) took 4.7 s and cone(P10, 32) 6.3 s).  Past
+# graphmat.KEY_VERTEX_LIMIT vertices a row key cannot hold the vertex count,
+# and _cone_input refuses first.
 CONE_WORK_BOUND = 2**4 * 96**3
 _GRAPH_TABLE: dict = {}  # row key of (H, k) -> KL coefficients of cone(H, k)
 _BASES: dict = {}  # canonical key of H -> _ConeBase of H
@@ -388,15 +376,12 @@ def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
 def _cone_input(gamma: Graph, k: int) -> tuple:
     """cone(gamma, k) as (canonical key of H, H, k'), without building the
     cone: gamma's universal vertices join the k new ones in k', and H is the
-    rest of gamma.  Every bound is checked here, before any row is built."""
-    n = gamma.n + k
-    if n > VERTEX_BOUND:
-        raise ValueError(
-            f"graph on {n} vertices is out of reach: "
-            f"the graphic recursion handles at most {VERTEX_BOUND}"
-        )
+    rest of gamma.  Every bound is checked here, before any row is built,
+    and the row key's one-byte vertex count before gamma is split."""
     if k < 0:
         raise ValueError("n must be nonnegative")
+    n = gamma.n + k
+    _count_byte(n)
     if n < 1:
         raise ValueError("graph must have at least one vertex")
     if not k and not is_connected(gamma):

@@ -14,7 +14,14 @@ import braidkl.cli as cli
 import braidkl.klcore as klcore
 import braidkl.verify as verify
 from braidkl.cli import main
-from braidkl.graphmat import Graph, canonical_key, cone_extend, flat_masks, quotient_masks
+from braidkl.graphmat import (
+    KEY_VERTEX_LIMIT,
+    Graph,
+    canonical_key,
+    cone_extend,
+    flat_masks,
+    quotient_masks,
+)
 
 
 def run_cli(capsys, *argv):
@@ -171,17 +178,19 @@ def test_genfun_fit_beyond_the_search(capsys, i):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["kl", "--n", "151"],
-        ["genfun", "--i", "1", "--max-n", "151"],
-        ["e1", "--i", "2", "--n", "151"],
+        ["kl", "--n", "242"],
+        ["genfun", "--i", "1", "--max-n", "242"],
+        ["e1", "--i", "2", "--n", "242"],
     ],
 )
 def test_braid_table_bound_fails_fast(capsys, argv):
+    """K_242 is the first braid row past the work bound (2^0 * 242^3)."""
     start = time.monotonic()
     assert main(argv) == 2
     assert time.monotonic() - start < 1
     captured = capsys.readouterr()
-    assert f"n <= {klcore.BRAID_BOUND}" in captured.err and captured.out == ""
+    bound = f"2^0 * 242^3 = {242**3} (the recursion handles 2^|H| k^3 <= "
+    assert bound in captured.err and captured.out == ""
 
 
 def test_genfun_fit_bound_fails_fast(capsys):
@@ -264,10 +273,10 @@ def test_e1_relative_graph(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdicts"]["euler_identity"] is True
     assert report["outputs"]["euler_rhs"] == "1"
-    # past the vertex bound of the graphic recursion: exit 2 at once
+    # past the row key's one-byte vertex count: exit 2 at once
     start = time.monotonic()
     assert main(["e1", "--i", "1", "--n", "300", "--graph", str(p)]) == 2
-    assert f"at most {klcore.VERTEX_BOUND}" in capsys.readouterr().err
+    assert f"in one byte (at most {KEY_VERTEX_LIMIT})" in capsys.readouterr().err
     assert time.monotonic() - start < 1
 
 
@@ -300,6 +309,39 @@ def test_bad_graph_file_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kl"], "give exactly one of --n or --graph"),
+        (["kl", "--n", "0"], "--n must be positive"),
+        (["kl", "--n", "5", "--cone", "3"], "--cone needs --graph"),
+        (["genfun", "--i", "-1", "--max-n", "5"], "--i must be nonnegative"),
+        (["genfun", "--i", "1", "--max-n", "0"], "--max-n must be positive"),
+        (
+            ["genfun", "--i", "0", "--max-n", "5", "--fit"],
+            "--fit and --asymptotics need --i >= 1",
+        ),
+        (
+            ["genfun", "--i", "25", "--max-n", "64", "--fit"],
+            "--fit at i = 25 is out of reach: it handles i <= 24",
+        ),
+        (
+            ["genfun", "--i", "1", "--max-n", "5", "--format", "csv", "--asymptotics"],
+            "--format csv prints only the dims; it cannot carry --fit or --asymptotics",
+        ),
+        (
+            ["verify", "--suite", "nope"],
+            "unknown suite 'nope'; choose from "
+            f"{sorted(verify.SUITES)} or 'all'",
+        ),
+    ],
+)
+def test_input_refusals_print_one_error_line(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("KL_CACHE_DIR", raising=False)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_kl_cone_needs_graph(capsys):
@@ -592,11 +634,72 @@ def test_cache_in_older_format_changes_no_answer(tmp_path, capsys, monkeypatch):
 def test_kl_cone_beyond_key_byte_fails_fast(tmp_path, capsys):
     code = main(list(_cone_query(tmp_path, cone=300)))
     assert code == 2
-    assert f"at most {klcore.VERTEX_BOUND}" in capsys.readouterr().err
+    assert f"in one byte (at most {KEY_VERTEX_LIMIT})" in capsys.readouterr().err
+
+
+def test_complete_graph_file_is_bounded_as_the_braid_row(tmp_path, capsys, monkeypatch):
+    """K_n given as a file splits into cone({}, n), the braid row, and is
+    bounded as `kl --n` is: past the work bound (K_242) and past the row
+    key's byte (256 vertices) both exit 2 at once, the latter before the
+    graph is split."""
+    k120 = tmp_path / "k120.json"
+    edges = [[u, v] for v in range(120) for u in range(v)]
+    k120.write_text(json.dumps({"n": 120, "edges": edges}))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    code, out = run_cli(capsys, "kl", "--graph", str(k120))
+    assert code == 0
+    coeffs = json.loads(out)["outputs"]["coefficients"]
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    code, out = run_cli(capsys, "kl", "--n", "120")
+    assert code == 0
+    assert json.loads(out)["outputs"]["coefficients"] == coeffs
+    path256 = tmp_path / "p256.json"
+    path256.write_text(json.dumps({"n": 256, "edges": [[v, v + 1] for v in range(255)]}))
+    start = time.monotonic()
+    assert main(["kl", "--n", "242"]) == 2
+    assert "(the recursion handles 2^|H| k^3 <= " in capsys.readouterr().err
+    assert time.monotonic() - start < 1
+
+    def no_split(g):
+        raise AssertionError("split past the key byte")
+
+    monkeypatch.setattr(klcore, "_split_cone", no_split)
+    start = time.monotonic()
+    assert main(["kl", "--graph", str(path256)]) == 2
+    byte = "graph on 256 vertices is out of reach: memo keys hold the vertex count"
+    assert byte in capsys.readouterr().err
+    assert time.monotonic() - start < 1
+
+
+def test_cone_rows_past_100_vertices_persist(tmp_path, capsys, monkeypatch):
+    """cone(3K1, 105) has 108 vertices, more than any row the cache held
+    before: it is saved, and a new process given the same cone another way
+    (one base vertex universal, listed first) reads it back unchanged."""
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    three = tmp_path / "3k1.json"
+    three.write_text(json.dumps({"n": 3, "edges": []}))
+    code, first = run_cli(capsys, "kl", "--graph", str(three), "--cone", "105")
+    assert code == 0
+    key = "graph:" + klcore._row_key(canonical_key(Graph(3)), 108).hex()
+    records = json.loads((tmp_path / "kltable.json").read_text())
+    assert records[key] == json.loads(first)["outputs"]["coefficients"]
+    relabelled = tmp_path / "w3k1.json"
+    relabelled.write_text(json.dumps({"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}))
+    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+
+    def no_row(self, k):
+        raise AssertionError("row rebuilt instead of read from the cache")
+
+    monkeypatch.setattr(klcore._ConeBase, "row", no_row)
+    code, again = run_cli(capsys, "kl", "--graph", str(relabelled), "--cone", "104")
+    assert code == 0
+    assert json.loads(again)["outputs"]["coefficients"] == records[key]
+    assert json.loads((tmp_path / "kltable.json").read_text()) == records
 
 
 def test_cone_past_the_base_bound_exits_at_once(tmp_path, capsys):
-    """cone(P12, 4) is inside the vertex bound and the canonical-key search
+    """cone(P12, 4) is inside the row key's byte and the canonical-key search
     bound, and its base table would take more than a minute."""
     graph = tmp_path / "p12.json"
     graph.write_text(json.dumps({"n": 12, "edges": [[v, v + 1] for v in range(11)]}))
@@ -610,7 +713,7 @@ def test_cone_past_the_base_bound_exits_at_once(tmp_path, capsys):
 
 
 def test_cone_past_the_joint_bound_exits_at_once(tmp_path, capsys):
-    """cone(P10, 90) is inside the vertex bound and the base bound, and ran
+    """cone(P10, 90) is inside the row key's byte and the base bound, and ran
     for more than two minutes before 2^|H| k^3 was bounded."""
     graph = tmp_path / "p10.json"
     graph.write_text(json.dumps({"n": 10, "edges": [[v, v + 1] for v in range(9)]}))
@@ -623,19 +726,46 @@ def test_cone_past_the_joint_bound_exits_at_once(tmp_path, capsys):
     assert time.monotonic() - start < 1
 
 
-@pytest.mark.parametrize("cone", [98, 250, 10**9])
+# P3's middle vertex is universal: cone(P3, k) is cone(2K1, k + 1)
+CONE_REFUSALS = {
+    98: None,
+    250: "graph is out of reach: its 251 universal vertices over the 2 others "
+    f"cost 2^2 * 251^3 = {4 * 251**3} "
+    f"(the recursion handles 2^|H| k^3 <= {klcore.CONE_WORK_BOUND})",
+    10**9: f"graph on {3 + 10**9} vertices is out of reach: memo keys hold the "
+    f"vertex count in one byte (at most {KEY_VERTEX_LIMIT})",
+}
+
+
+@pytest.mark.parametrize("cone", CONE_REFUSALS)
 def test_cone_past_the_vertex_bound_exits_at_once(tmp_path, capsys, cone):
-    """cone(P3, 98) is one vertex past the bound; 250 would run for minutes
-    and 10**9 would not fit in memory if the cone were built."""
+    """Cones over P3 past 100 vertices.  cone(P3, 98), on 101, is answered;
+    cone(P3, 250) fits the row key's byte but is past the work bound and would
+    run for minutes, and 10**9 would not fit in memory if the cone were built:
+    both exit 2 at once."""
+    refusal = CONE_REFUSALS[cone]
+    query = _cone_query(tmp_path, cone=cone)
+    e1 = ["e1", "--i", "1", "--n", str(cone), "--graph", query[2]]
+    if refusal is None:
+        code, out = run_cli(capsys, *query)
+        assert code == 0
+        c1 = int(json.loads(out)["outputs"]["coefficients"][1])
+        # t^1 counts the connected 2-block splits less the edges: a cone
+        # vertex on each side, or one side a connected set of path vertices
+        k = cone
+        assert c1 == (2 ** (k - 1) - 1) * 2**3 + 6 - (2 + 3 * k + k * (k - 1) // 2)
+        code, out = run_cli(capsys, *e1)
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdicts"] == {"euler_identity": True}
+        assert report["outputs"]["euler_rhs"] == str(c1)
+        return
     start = time.monotonic()
-    assert main(list(_cone_query(tmp_path, cone=cone))) == 2
-    err = capsys.readouterr().err
-    assert f"graph on {3 + cone} vertices is out of reach" in err
-    assert f"at most {klcore.VERTEX_BOUND}" in err
+    assert main(list(query)) == 2
+    assert refusal in capsys.readouterr().err
     assert time.monotonic() - start < 1
-    graph = _cone_query(tmp_path)[2]
-    assert main(["e1", "--i", "1", "--n", str(cone), "--graph", graph]) == 2
-    assert f"at most {klcore.VERTEX_BOUND}" in capsys.readouterr().err
+    assert main(e1) == 2
+    assert refusal in capsys.readouterr().err
     assert time.monotonic() - start < 2
 
 

@@ -559,14 +559,21 @@ def test_cone_rows_match_flat_group_loop_on_random_bases(h):
     assert got == [cone_row_loop(hkey, h, k) for k in range(1, 31)], h
 
 
-def test_vertex_count_beyond_key_byte_fails_fast():
-    # the vertex bound of the recursion sits below the key byte's limit
+def test_vertex_count_beyond_key_byte_fails_fast(monkeypatch):
+    # every row, the braid rows included, is refused past the key byte's
+    # limit before its graph is split into a base and cone vertices
+    def no_split(g):
+        raise AssertionError("split past the key byte")
+
+    monkeypatch.setattr(klcore, "_split_cone", no_split)
+    byte = rf"in one byte \(at most {graphmat.KEY_VERTEX_LIMIT}\)"
     base = Graph(3, [(0, 1), (1, 2)])
-    assert klcore.VERTEX_BOUND < graphmat.KEY_VERTEX_LIMIT
-    with pytest.raises(ValueError, match="at most 100"):
+    with pytest.raises(ValueError, match="graph on 256 vertices .*" + byte):
         d_coeff_graph(base, 1, 253)
-    with pytest.raises(ValueError, match="at most 100"):
+    with pytest.raises(ValueError, match="graph on 300 vertices .*" + byte):
         kl_graphic(complete(300))
+    with pytest.raises(ValueError, match="graph on 256 vertices .*" + byte):
+        _braid_coeffs(256)
     with pytest.raises(ValueError, match="one byte"):
         graphmat._count_byte(graphmat.KEY_VERTEX_LIMIT + 1)
 
