@@ -6,9 +6,9 @@ Reports are JSON with every exact value rendered as a decimal string
 runs; wall-clock timing is only included when --timing is passed.
 
 Each command imports the modules it uses in its own handler, so a fresh
-process loads only what its command runs.  Only `kl`, `e1` and `verify`
-read or extend klcore's graph table, so only they load and save the
-persisted table under KL_CACHE_DIR; `eqkl` and `genfun` never touch it.
+process loads only what its command runs.  The persisted table under
+KL_CACHE_DIR holds no braid row, so only a query given --graph (`kl` or
+`e1`) loads and saves it; `verify` checks the code, never the file.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from math import factorial
 
 CACHE_ENV = "KL_CACHE_DIR"
 CACHE_FILE = "kltable.json"
-CACHE_COMMANDS = ("kl", "e1", "verify")  # the users of klcore's graph table
 
 
 def _load_cache() -> dict | None:
@@ -320,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cached = args.command in CACHE_COMMANDS
+    cached = bool(getattr(args, "graph", None))
     on_disk = _load_cache() if cached else {}
     args._start = time.monotonic()
     try:

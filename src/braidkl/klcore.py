@@ -73,6 +73,7 @@ costs O(n^3).
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 from math import comb
 
 from .combinat import double_factorial_odd, stirling1_row, stirling2_row
@@ -143,8 +144,8 @@ def kl_braid(n: int) -> Poly:
 # adjacency bits).
 _ROW_TAG = b"K"
 # The table of a cone base H is exponential in |H|: with k = 4, in-process on
-# a 2-vCPU VM, cone(P8, 4) took 0.26 s, cone(P10, 4) 4.0 s, cone(P11, 4)
-# 18 s and cone(P12, 4) 70 s, and cycles took about 0.7 of that; so a graph
+# a 2-vCPU VM, cone(P8, 4) took 0.13 s, cone(P10, 4) 1.2 s, cone(P11, 4)
+# 4.1 s and cone(P12, 4) 13 s, and cycles took about as long; so a graph
 # with more than BASE_BOUND vertices left once its universal ones are split
 # off fails fast.  It sits below graphmat.CANON_BOUND, so every base that
 # passes has a canonical key.
@@ -152,22 +153,21 @@ BASE_BOUND = 10
 # BASE_BOUND does not bound the rows: past its table, cone(H, k) costs about
 # 2^|H| k^3, the rows up to k reading partial sums over up to |H| + 1
 # rising factorials and multiplying the table's entries into them.
-# In-process on a 2-vCPU VM (one session, each run killed at 60 s), cone(P4,
-# 96) (2^|H| k^3 = 14e6) took 0.9 s, cone(P5, 95) (27e6) 2.8 s, cone(P8, 48)
-# (28e6) 3.3 s, cone(P7, 64) (34e6) 3.3 s, cone(P6, 90) (47e6) 5.2 s, cone(P9,
-# 48) (57e6) 6.8 s, cone(P8, 64) (67e6) 7.0 s, cone(P7, 90) (93e6) 9.2 s,
-# cone(P10, 48) (113e6) 18 s and cone(P9, 64) (134e6) 12 s; cone(P10, 90)
-# was killed.  So a graph with 2^|H| k^3 above that of cone(P4, 96) fails
-# fast, until a benchmark cone job can set the bound; it bounds the braid rows
-# (H = {}) at k <= 241 too.  At its edges, in-process on a 2-vCPU VM in one
-# session, K_241 took 2.0 s, cone(2K1, 152) 1.3 s, cone(3K1, 120) 1.1 s,
-# cone(P7, 48) 1.2 s and cone(P10, 24) 5.9 s: a base of ten is mostly its
-# table (cone(P10, 16) took 4.7 s and cone(P10, 32) 6.3 s).  Past
+# In-process on a 2-vCPU VM (one session), cone(P4, 96) (2^|H| k^3 = 14e6)
+# took 1.2 s, cone(P5, 95) (27e6) 2.9 s, cone(P8, 48) (28e6) 1.8 s, cone(P7,
+# 64) (34e6) 2.1 s, cone(P6, 90) (47e6) 3.5 s, cone(P9, 48) (57e6) 3.8 s,
+# cone(P8, 64) (67e6) 3.7 s, cone(P7, 90) (93e6) 5.5 s, cone(P10, 48) (113e6)
+# 6.2 s and cone(P9, 64) (134e6) 7.1 s.  So a graph with 2^|H| k^3 above that
+# of cone(P4, 96) fails fast, until a benchmark cone job can set the bound;
+# it bounds the braid rows (H = {}) at k <= 241 too.  At its edges, in the
+# same session, K_241 took 2.0 s, cone(2K1, 152) 1.2 s, cone(3K1, 120) 1.0 s,
+# cone(P7, 48) 1.1 s and cone(P10, 24) 2.8 s: a base of ten is mostly its
+# table (cone(P10, 16) took 2.0 s and cone(P10, 32) 3.4 s).  Past
 # graphmat.KEY_VERTEX_LIMIT vertices a row key cannot hold the vertex count,
 # and _cone_input refuses first.
 CONE_WORK_BOUND = 2**4 * 96**3
-_GRAPH_TABLE: dict = {}  # row key of (H, k) -> KL coefficients of cone(H, k)
-_BASES: dict = {}  # canonical key of H -> _ConeBase of H
+_GRAPH_TABLE: dict = {}  # the only row store: row key of (H, k) -> P(cone(H, k))
+_BASES: dict = {}  # canonical key of H -> _ConeBase of H; emptied with _GRAPH_TABLE
 _EMPTY = Graph(0)  # the base of the braid rows
 _EMPTY_KEY = canonical_key(_EMPTY)
 
@@ -185,6 +185,15 @@ def _split_cone(g: Graph) -> tuple:
     return induced_subgraph(g, rest), g.n - len(rest)
 
 
+@lru_cache(maxsize=None)
+def _resolve_quotient(adj: tuple) -> tuple:
+    """The quotient graph with adjacency masks adj as cone(Q, u): returns
+    (canonical key of Q, Q, u).  Bases share their quotients, so each is
+    resolved once."""
+    q, u = _split_cone(Graph.from_masks(list(adj)))
+    return canonical_key(q), q, u
+
+
 class _ConeBase:
     """What the cones over one graph H (without a universal vertex) share,
     for every number of cone vertices: chromatic polynomials of induced
@@ -200,12 +209,10 @@ class _ConeBase:
         self._classes: dict = {}
         self._table = None
         self._terms = None
-        # rows[k] = P(cone(H, k)) and its partial sums r[k][a] = R_{k,a},
-        # g[k][a] = G_{k,a} of the module docstring, for k >= 1; built in
-        # order under the lock, from the rows of the table `memo`
+        # the partial sums r[k][a] = R_{k,a} and g[k][a] = G_{k,a} of the
+        # module docstring for k >= 1, built in order under the lock, each
+        # when row k lands in _GRAPH_TABLE
         self._lock = threading.Lock()
-        self._memo = None
-        self._rows: list = [None]
         self._r: list = [None]
         self._g: list = [None]
 
@@ -226,18 +233,13 @@ class _ConeBase:
         of Q, Q, u, chi) per contraction cone(Q, u), where Q has no universal
         vertex and chi sums the flats' products of reduced characteristic
         polynomials of the blocks."""
-        by_quotient: dict = {}
+        grouped: dict = {}
         for blocks in flat_masks(self.adj, r):
             chi = [1]
             for b in blocks:
                 chi = pmul(chi, self.chromatic(b)[1:])
-            q = tuple(quotient_masks(self.adj, blocks))
-            padd_into(by_quotient.setdefault(q, []), chi)
-        grouped: dict = {}
-        for q, chi in by_quotient.items():
-            h, u = _split_cone(Graph.from_masks(list(q)))
-            hkey = canonical_key(h)
-            padd_into(grouped.setdefault((hkey, u), [hkey, h, u, []])[3], chi)
+            qkey, q, u = _resolve_quotient(tuple(quotient_masks(self.adj, blocks)))
+            padd_into(grouped.setdefault((qkey, u), [qkey, q, u, []])[3], chi)
         return list(grouped.values())
 
     def table(self) -> dict:
@@ -273,22 +275,17 @@ class _ConeBase:
         return self._terms
 
     def row(self, k: int) -> tuple:
-        """P(cone(H, k)) for k >= 1.  The rows and their partial sums are
-        extended up to k under the lock; once _GRAPH_TABLE is replaced (as a
-        new process would start with another table) they are rebuilt from
-        the new one."""
+        """P(cone(H, k)) for |H| + k >= 2, read from _GRAPH_TABLE once the
+        partial sums are extended up to k under the lock."""
         with self._lock:
-            if self._memo is not _GRAPH_TABLE:
-                self._memo = _GRAPH_TABLE
-                del self._rows[1:], self._r[1:], self._g[1:]
-            while len(self._rows) <= k:
+            while len(self._r) <= k:
                 self._extend()
-            return self._rows[k]
+        return _GRAPH_TABLE[_row_key(self.key, self.graph.n + k)]
 
     def _extend(self) -> None:
-        """Row k = len(rows) with R_k and G_k; nothing is kept unless the
-        row is read off."""
-        k = len(self._rows)
+        """Row k = len(r) with R_k and G_k; nothing is kept unless the row
+        is read off."""
+        k = len(self._r)
         n = self.graph.n + k
         r = [[] for _ in range(max(len(xs) for _, xs in self.table().values()))]
         for qkey, q, u, ys in self.terms():
@@ -322,7 +319,6 @@ class _ConeBase:
         padd_into(g[0], row)
         self._r.append(r)
         self._g.append(g)
-        self._rows.append(row)
 
 
 def _cone_base(hkey: bytes, h: Graph) -> _ConeBase:
@@ -363,7 +359,7 @@ def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
         return hit
     base = _cone_base(hkey, h)
     if k:
-        return _GRAPH_TABLE.setdefault(key, base.row(k))
+        return base.row(k)
     rhs = [0] * n
     for qkey, q, c, chi in _flat_groups(base, 0):
         if q.n + c < n:  # the finest flat carries the unknown P itself

@@ -400,9 +400,8 @@ def _cone_query(tmp_path, cone=2):
     return ("kl", "--graph", str(graph), "--cone", str(cone))
 
 
-def test_cache_persistence(tmp_path, capsys, monkeypatch):
+def test_cache_persistence(tmp_path, capsys, monkeypatch, new_process):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
     query = _cone_query(tmp_path)
     code, out = run_cli(capsys, *query)
     assert code == 0
@@ -417,7 +416,7 @@ def test_cache_persistence(tmp_path, capsys, monkeypatch):
     assert json.loads(cache_file.read_text()) == records
 
     # an empty memo table, as in a new process, is filled from the file
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    new_process()
     code, out = run_cli(capsys, *query)
     assert code == 0
     assert json.loads(out)["outputs"]["coefficients"] == coeffs
@@ -430,7 +429,7 @@ def test_cache_persistence(tmp_path, capsys, monkeypatch):
     k5 = "graph:" + (b"K\x05" + canonical_key(Graph(0))[1:]).hex()
     old = dict(records, **{"braid:4": ["1", "1"], "braid:5": ["1", "7"], k5: ["1", "7"]})
     cache_file.write_text(json.dumps(old))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    new_process()
     code, out = run_cli(capsys, "kl", "--n", "5")
     assert code == 0
     assert json.loads(out)["outputs"]["coefficients"] == ["1", "5"]
@@ -438,9 +437,8 @@ def test_cache_persistence(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["outputs"]["coefficients"] == coeffs
 
 
-def test_cache_untouched_when_nothing_added(tmp_path, capsys, monkeypatch):
+def test_cache_untouched_when_nothing_added(tmp_path, capsys, monkeypatch, new_process):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
     query = _cone_query(tmp_path)
     assert run_cli(capsys, *query)[0] == 0
     cache_file = tmp_path / "kltable.json"
@@ -455,9 +453,8 @@ def test_cache_untouched_when_nothing_added(tmp_path, capsys, monkeypatch):
     assert cache_file.stat().st_ino == inode
 
 
-def test_cache_save_is_atomic(tmp_path, capsys, monkeypatch):
+def test_cache_save_is_atomic(tmp_path, capsys, monkeypatch, new_process):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
     assert run_cli(capsys, *_cone_query(tmp_path, cone=1))[0] == 0
     cache_file = tmp_path / "kltable.json"
     before = cache_file.read_bytes()
@@ -475,21 +472,19 @@ def test_cache_save_is_atomic(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["kltable.json", "kltable.json.lock", "p3.json"]
 
 
-def test_cache_save_keeps_rows_of_another_writer(tmp_path, monkeypatch):
+def test_cache_save_keeps_rows_of_another_writer(tmp_path, monkeypatch, new_process):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
     cache_file = tmp_path / "kltable.json"
-    ours = {}
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", ours)
     on_disk = cli._load_cache()
     assert on_disk == {}
     # another run, with a memo of its own, saves its rows B in the meantime
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    new_process()
     klcore.kl_graphic(cone_extend(Graph(3, [(0, 1), (1, 2)]), 2))
     rows_b = klcore.kl_cache_export()
     cli._save_cache({})
     assert json.loads(cache_file.read_text()) == rows_b
-    # then this run computes its rows A and saves
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", ours)
+    # then this run, whose memo is still empty, computes its rows A and saves
+    new_process()
     klcore.kl_graphic(cone_extend(Graph(4, [(0, 1), (2, 3)]), 2))
     rows_a = klcore.kl_cache_export()
     assert rows_a.keys() - rows_b.keys() and rows_b.keys() - rows_a.keys()
@@ -497,12 +492,11 @@ def test_cache_save_keeps_rows_of_another_writer(tmp_path, monkeypatch):
     assert json.loads(cache_file.read_text()) == {**rows_b, **rows_a}
 
 
-def test_cache_save_merge_keeps_memo_rows_and_drops_implausible(tmp_path, monkeypatch):
+def test_cache_save_merge_keeps_memo_rows_and_drops_implausible(tmp_path, monkeypatch, new_process):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
     klcore.kl_graphic(cone_extend(Graph(4, [(0, 1), (2, 3)]), 2))
     theirs = klcore.kl_cache_export()
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    new_process()
     klcore.kl_graphic(cone_extend(Graph(3, [(0, 1), (1, 2)]), 2))
     ours = klcore.kl_cache_export()
     shared = max(ours, key=lambda k: len(ours[k]))
@@ -518,7 +512,7 @@ def test_cache_save_merge_keeps_memo_rows_and_drops_implausible(tmp_path, monkey
     assert saved == {**theirs, **ours}
 
 
-def test_concurrent_cli_writers_keep_every_row(tmp_path, monkeypatch):
+def test_concurrent_cli_writers_keep_every_row(tmp_path, monkeypatch, new_process):
     bases = {
         "p4": [(0, 1), (1, 2), (2, 3)],
         "2k2": [(0, 1), (2, 3)],
@@ -527,7 +521,7 @@ def test_concurrent_cli_writers_keep_every_row(tmp_path, monkeypatch):
     }
     expected = {}
     for name, edges in bases.items():
-        monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+        new_process()
         klcore.kl_graphic(cone_extend(Graph(4, edges), 3))
         expected.update(klcore.kl_cache_export())
         (tmp_path / name).write_text(json.dumps({"n": 4, "edges": edges}))
@@ -551,7 +545,7 @@ def test_cache_unreadable_is_replaced(tmp_path, capsys, monkeypatch, content):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
     cache_file = tmp_path / "kltable.json"
     cache_file.write_text(content)
-    assert main(["kl", "--n", "5"]) == 0
+    assert main(list(_cone_query(tmp_path))) == 0
     assert "ignoring unreadable KL cache" in capsys.readouterr().err
     assert json.loads(cache_file.read_text()) == klcore.kl_cache_export()
 
@@ -559,9 +553,8 @@ def test_cache_unreadable_is_replaced(tmp_path, capsys, monkeypatch, content):
 @pytest.mark.parametrize(
     "poison", [["2", "1"], ["1", "-1"], ["1", "1", "1", "1"], [], "1", ["1", 1.0]]
 )
-def test_cache_implausible_row_is_skipped(tmp_path, capsys, monkeypatch, poison):
+def test_cache_implausible_row_is_skipped(tmp_path, capsys, monkeypatch, poison, new_process):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
     query = _cone_query(tmp_path)
     code, out = run_cli(capsys, *query)
     assert code == 0
@@ -570,7 +563,7 @@ def test_cache_implausible_row_is_skipped(tmp_path, capsys, monkeypatch, poison)
     records = json.loads(cache_file.read_text())
     # every row of the file breaks an invariant of KL polynomials
     cache_file.write_text(json.dumps({key: poison for key in records}))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    new_process()
     code = main(list(query))
     captured = capsys.readouterr()
     assert code == 0
@@ -579,9 +572,8 @@ def test_cache_implausible_row_is_skipped(tmp_path, capsys, monkeypatch, poison)
     assert json.loads(cache_file.read_text()) == records
 
 
-def test_cache_row_as_string_is_skipped_not_read_digit_by_digit(tmp_path, capsys, monkeypatch):
+def test_cache_row_as_string_is_skipped_not_read_digit_by_digit(tmp_path, capsys, monkeypatch, new_process):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
     graph = tmp_path / "p4.json"
     graph.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
     query = ("kl", "--graph", str(graph), "--cone", "2")
@@ -594,7 +586,7 @@ def test_cache_row_as_string_is_skipped_not_read_digit_by_digit(tmp_path, capsys
     (key,) = [k for k in records if bytes.fromhex(k.split(":", 1)[1])[1] == 6]
     assert records[key] == ["1", "14", "8"]
     cache_file.write_text(json.dumps(dict(records, **{key: "123"})))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    new_process()
     code = main(list(query))
     captured = capsys.readouterr()
     assert code == 0
@@ -603,9 +595,8 @@ def test_cache_row_as_string_is_skipped_not_read_digit_by_digit(tmp_path, capsys
     assert json.loads(cache_file.read_text()) == records
 
 
-def test_cache_in_older_format_changes_no_answer(tmp_path, capsys, monkeypatch):
+def test_cache_in_older_format_changes_no_answer(tmp_path, capsys, monkeypatch, new_process):
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
     query = _cone_query(tmp_path)
     code, out = run_cli(capsys, *query)
     coeffs = json.loads(out)["outputs"]["coefficients"]
@@ -622,7 +613,7 @@ def test_cache_in_older_format_changes_no_answer(tmp_path, capsys, monkeypatch):
     old = {"graph:" + canonical_key(g).hex(): ["1"] for g in graphs if g.n > 1}
     cache_file = tmp_path / "kltable.json"
     cache_file.write_text(json.dumps(old))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    new_process()
     code, out = run_cli(capsys, *query)
     assert code == 0
     assert json.loads(out)["outputs"]["coefficients"] == coeffs
@@ -637,7 +628,7 @@ def test_kl_cone_beyond_key_byte_fails_fast(tmp_path, capsys):
     assert f"in one byte (at most {KEY_VERTEX_LIMIT})" in capsys.readouterr().err
 
 
-def test_complete_graph_file_is_bounded_as_the_braid_row(tmp_path, capsys, monkeypatch):
+def test_complete_graph_file_is_bounded_as_the_braid_row(tmp_path, capsys, monkeypatch, new_process):
     """K_n given as a file splits into cone({}, n), the braid row, and is
     bounded as `kl --n` is: past the work bound (K_242) and past the row
     key's byte (256 vertices) both exit 2 at once, the latter before the
@@ -645,11 +636,10 @@ def test_complete_graph_file_is_bounded_as_the_braid_row(tmp_path, capsys, monke
     k120 = tmp_path / "k120.json"
     edges = [[u, v] for v in range(120) for u in range(v)]
     k120.write_text(json.dumps({"n": 120, "edges": edges}))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
     code, out = run_cli(capsys, "kl", "--graph", str(k120))
     assert code == 0
     coeffs = json.loads(out)["outputs"]["coefficients"]
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    new_process()
     code, out = run_cli(capsys, "kl", "--n", "120")
     assert code == 0
     assert json.loads(out)["outputs"]["coefficients"] == coeffs
@@ -671,12 +661,11 @@ def test_complete_graph_file_is_bounded_as_the_braid_row(tmp_path, capsys, monke
     assert time.monotonic() - start < 1
 
 
-def test_cone_rows_past_100_vertices_persist(tmp_path, capsys, monkeypatch):
+def test_cone_rows_past_100_vertices_persist(tmp_path, capsys, monkeypatch, new_process):
     """cone(3K1, 105) has 108 vertices, more than any row the cache held
     before: it is saved, and a new process given the same cone another way
     (one base vertex universal, listed first) reads it back unchanged."""
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
     three = tmp_path / "3k1.json"
     three.write_text(json.dumps({"n": 3, "edges": []}))
     code, first = run_cli(capsys, "kl", "--graph", str(three), "--cone", "105")
@@ -686,7 +675,7 @@ def test_cone_rows_past_100_vertices_persist(tmp_path, capsys, monkeypatch):
     assert records[key] == json.loads(first)["outputs"]["coefficients"]
     relabelled = tmp_path / "w3k1.json"
     relabelled.write_text(json.dumps({"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}))
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    new_process()
 
     def no_row(self, k):
         raise AssertionError("row rebuilt instead of read from the cache")
@@ -887,9 +876,31 @@ def test_eqkl_leaves_the_kl_cache_alone(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
     assert cache_file.read_bytes() == b"{not json"
     assert os.listdir(tmp_path) == ["kltable.json"]
-    # a command that uses the table reads the same file and warns
-    assert main(["kl", "--n", "4"]) == 0
+    # a query that uses the table reads the same file and warns
+    assert main(list(_cone_query(tmp_path))) == 0
     assert "ignoring unreadable KL cache" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kl", "--n", "4"],
+        ["e1", "--i", "2", "--n", "6"],
+        ["verify", "--suite", "paper-i1"],
+    ],
+    ids=["kl", "e1", "verify"],
+)
+def test_queries_without_graph_leave_the_kl_cache_alone(tmp_path, monkeypatch, capsys, new_process, argv):
+    """No braid row is persisted and verify checks the code, not a file:
+    an unreadable file draws no warning and is neither rewritten nor
+    locked."""
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    cache_file = tmp_path / "kltable.json"
+    cache_file.write_bytes(b"{not json")
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert cache_file.read_bytes() == b"{not json"
+    assert os.listdir(tmp_path) == ["kltable.json"]
 
 
 # Modules a verify suite has no use for; each suite imports its own.

@@ -8,10 +8,10 @@ import braidkl.eqcore as eqcore
 import braidkl.eqkl as eqkl
 import braidkl.klcore as klcore
 from braidkl.graphmat import Graph, cone_extend
-from braidkl.klcore import d_coeff, kl_braid, kl_graphic
+from braidkl.klcore import kl_braid, kl_graphic
 
 
-def test_cone_sums_concurrent_fill(monkeypatch):
+def test_cone_sums_concurrent_fill(new_process):
     # braid rows 2..90 and rows of cone(P4, k) built from empty tables, with
     # threads switching every microsecond, so that extensions of a base's
     # rows and partial sums overlap unless they are serialized
@@ -24,11 +24,8 @@ def test_cone_sums_concurrent_fill(monkeypatch):
         kind, n = target
         return kl_braid(n) if kind == "braid" else kl_graphic(cone_extend(p4, n))
 
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
-    monkeypatch.setattr(klcore, "_BASES", {})
     expected = {t: row(t) for t in targets}
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
-    monkeypatch.setattr(klcore, "_BASES", {})
+    new_process()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -40,10 +37,12 @@ def test_cone_sums_concurrent_fill(monkeypatch):
         assert poly == expected[kind, n]
         if kind == "braid":
             assert poly.coeff(1) == 2 ** (n - 1) - 1 - comb(n, 2)
-    # a lost or doubled append shifts every later row and sum
+    # a lost or doubled append shifts every later sum and the key of every
+    # later row in the table
     base = klcore._BASES[klcore._EMPTY_KEY]
-    assert len(base._rows) == len(base._r) == len(base._g) == 91
-    assert d_coeff(2, 90) == base._rows[90][2]
+    assert len(base._r) == len(base._g) == 91
+    braid = {klcore._row_key(klcore._EMPTY_KEY, n) for n in range(2, 91)}
+    assert {key for key in klcore._GRAPH_TABLE if klcore._braid_key(key)} == braid
 
 
 def test_eqkl_memo_concurrent_fill():
@@ -62,7 +61,7 @@ def test_eqkl_memo_concurrent_fill():
         assert graded == expected[n]
 
 
-def test_graph_table_concurrent_fill(monkeypatch):
+def test_graph_table_concurrent_fill(new_process):
     graphs = [
         Graph(6, [(k, (k + 1) % 6) for k in range(6)]),
         Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
@@ -74,8 +73,7 @@ def test_graph_table_concurrent_fill(monkeypatch):
     expected = [kl_graphic(g) for g in graphs]
     # empty tables, with threads switching every microsecond, so that rows
     # and per-base data are filled by overlapping threads
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
-    monkeypatch.setattr(klcore, "_BASES", {})
+    new_process()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -86,19 +84,21 @@ def test_graph_table_concurrent_fill(monkeypatch):
     assert results == expected
 
 
-def test_cone_rows_concurrent_refill(monkeypatch):
-    # the bases keep their flat tables from the sequential pass and only the
-    # rows are emptied, so overlapping threads weight the shared tables for
-    # different numbers of cone vertices at once, in no particular order
+def test_cone_rows_concurrent_refill(new_process):
+    # the bases of the sequential pass are rebuilt with their flat tables
+    # but no row or partial sum, so overlapping threads weight the shared
+    # tables for different numbers of cone vertices at once, in no
+    # particular order
     p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     graphs = [cone_extend(p4, k) for k in (9, 3, 7, 5, 8, 4)]
     graphs += [cone_extend(c5, k) for k in (6, 2, 5)]
     graphs *= 4
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
-    monkeypatch.setattr(klcore, "_BASES", {})
     expected = [kl_graphic(g) for g in graphs]
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    bases = {key: base.graph for key, base in klcore._BASES.items()}
+    new_process()
+    for key, h in bases.items():
+        klcore._cone_base(key, h).terms()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

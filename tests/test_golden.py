@@ -11,10 +11,13 @@ a deliberate, documented change of the report itself.
 
 import hashlib
 import json
+import os
 
 import pytest
 
+import braidkl.klcore as klcore
 from braidkl.cli import main
+from braidkl.graphmat import Graph, canonical_key
 
 # a triangle with a pendant vertex: 0-1-2 closed by 0-2, then 2-3
 GRAPH_G4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 2]]}
@@ -109,3 +112,22 @@ def test_report_digest(argv, digest, tmp_path, monkeypatch, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_report_ignores_a_wrong_cached_row(tmp_path, monkeypatch, capsys, new_process):
+    """K5-e and cone-path3 of the relative suite are cone(2K1, 3).  A
+    plausible but wrong row for it in the persisted table changes no byte
+    of the report, and the file is neither rewritten nor locked: verify
+    checks the code, not the file."""
+    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
+    key = "graph:" + klcore._row_key(canonical_key(Graph(2)), 5).hex()
+    cache_file = tmp_path / "kltable.json"
+    cache_file.write_text(json.dumps({key: ["1", "6"]}))  # the row is 1 + 5t
+    before = cache_file.read_bytes()
+    argv = ["verify", "--suite", "relative"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    digest = dict((tuple(a), d) for a, d in GOLDEN)[tuple(argv)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert cache_file.read_bytes() == before
+    assert os.listdir(tmp_path) == ["kltable.json"]

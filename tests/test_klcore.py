@@ -1,12 +1,11 @@
 """Kazhdan-Lusztig recursions: braid fast path, generic graphic path,
 coefficient tables, shortcuts, conjecture checker."""
 
-from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from braidkl.combinat import (
@@ -151,15 +150,9 @@ def flat_enumeration_coeffs(gamma):
     return row
 
 
-@contextmanager
-def fresh_tables():
-    """Run with empty KL memo tables, as in a new process."""
-    saved = klcore._GRAPH_TABLE, klcore._BASES
-    klcore._GRAPH_TABLE, klcore._BASES = {}, {}
-    try:
-        yield
-    finally:
-        klcore._GRAPH_TABLE, klcore._BASES = saved
+# tests that call the new_process fixture once per example, so that each
+# example starts from empty tables
+RESET_PER_EXAMPLE = [HealthCheck.function_scoped_fixture]
 
 
 def relabel(g, perm):
@@ -303,11 +296,10 @@ def test_flat_sum_matches_set_partition_enumeration():
             assert Poly(_flat_sum(m, ell), "t") == want
 
 
-def test_braid_rows_match_flat_sum_loop():
+def test_braid_rows_match_flat_sum_loop(new_process):
     old = flat_sum_table(100)
-    with fresh_tables():
-        for n in range(1, 101):
-            assert _braid_coeffs(n) == old[n]
+    for n in range(1, 101):
+        assert _braid_coeffs(n) == old[n]
 
 
 def braid_rows(rows):
@@ -315,13 +307,10 @@ def braid_rows(rows):
     return {klcore._row_key(klcore._EMPTY_KEY, n): rows[n] for n in range(2, len(rows))}
 
 
-def test_braid_sums_follow_a_replaced_row_table(monkeypatch):
-    # a shorter table, as a reset leaves, and the full table back again
+def test_braid_sums_extend_a_prefilled_row_table(new_process):
+    # rows 2..20 in the table, as an import leaves them, and no partial sum
     old = flat_sum_table(40)
-    _braid_coeffs(30)
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
-    assert _braid_coeffs(12) == old[12]
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", braid_rows(old[:21]))
+    klcore._GRAPH_TABLE.update(braid_rows(old[:21]))
     assert _braid_coeffs(40) == old[40]
     assert klcore._GRAPH_TABLE == braid_rows(old)
     assert len(klcore._cone_base(klcore._EMPTY_KEY, klcore._EMPTY)._g) == 41
@@ -533,10 +522,9 @@ def cone_row_loop(hkey, h, k):
     "h, top",
     [(Graph(4, [(0, 1), (1, 2), (2, 3)]), 96), (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 40)],
 )
-def test_cone_rows_match_flat_group_loop(h, top):
+def test_cone_rows_match_flat_group_loop(new_process, h, top):
     hkey = canonical_key(h)
-    with fresh_tables():
-        got = [klcore._cone_row(hkey, h, k) for k in range(1, top + 1)]
+    got = [klcore._cone_row(hkey, h, k) for k in range(1, top + 1)]
     assert got == [cone_row_loop(hkey, h, k) for k in range(1, top + 1)]
 
 
@@ -550,13 +538,54 @@ def cone_bases(draw):
     return klcore._split_cone(Graph(n, [e for e, on in zip(pairs, flags) if on]))[0]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(cone_bases())
-def test_cone_rows_match_flat_group_loop_on_random_bases(h):
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=RESET_PER_EXAMPLE,
+)
+@given(h=cone_bases())
+def test_cone_rows_match_flat_group_loop_on_random_bases(new_process, h):
     hkey = canonical_key(h)
-    with fresh_tables():
-        got = [klcore._cone_row(hkey, h, k) for k in range(1, 31)]
+    new_process()
+    got = [klcore._cone_row(hkey, h, k) for k in range(1, 31)]
     assert got == [cone_row_loop(hkey, h, k) for k in range(1, 31)], h
+
+
+def flats_by_labelled_quotient(base, r):
+    """The flats of H[r] grouped as before quotients were memoised: first by
+    labelled quotient, then by the canonical key and universal-vertex count
+    of each quotient's cone form."""
+    by_quotient = {}
+    for blocks in flat_masks(base.adj, r):
+        chi = [1]
+        for b in blocks:
+            chi = pmul(chi, base.chromatic(b)[1:])
+        padd_into(by_quotient.setdefault(tuple(quotient_masks(base.adj, blocks)), []), chi)
+    grouped = {}
+    for q, chi in by_quotient.items():
+        h, u = klcore._split_cone(Graph.from_masks(list(q)))
+        hkey = canonical_key(h)
+        padd_into(grouped.setdefault((hkey, u), [hkey, h, u, []])[3], chi)
+    return list(grouped.values())
+
+
+@st.composite
+def small_graphs(draw):
+    """A random graph on at most 6 vertices, connected or not."""
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, on in zip(pairs, flags) if on])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_flats_match_grouping_by_labelled_quotient(g):
+    base = klcore._ConeBase(g, canonical_key(g))
+    for r in range(base.full + 1):
+        assert base.flats(r) == flats_by_labelled_quotient(base, r), (g, r)
 
 
 def test_vertex_count_beyond_key_byte_fails_fast(monkeypatch):
@@ -609,17 +638,23 @@ def relabelled_cones(draw):
     return h, k, relabel(cone_extend(h, k), perm)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(relabelled_cones())
-def test_cone_recursion_matches_flat_enumeration(case):
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=RESET_PER_EXAMPLE,
+)
+@given(case=relabelled_cones())
+def test_cone_recursion_matches_flat_enumeration(new_process, case):
     h, k, cone = case
     assert is_connected(h)
-    with fresh_tables():
-        got = _kl_graphic_coeffs(cone)
-    with fresh_tables():
-        assert _kl_graphic_coeffs(cone_extend(h, k)) == got
-    with fresh_tables():
-        assert klcore._cone_coeffs(h, k) == got
+    new_process()
+    got = _kl_graphic_coeffs(cone)
+    new_process()
+    assert _kl_graphic_coeffs(cone_extend(h, k)) == got
+    new_process()
+    assert klcore._cone_coeffs(h, k) == got
     assert got == flat_enumeration_coeffs(cone)
 
 
@@ -642,18 +677,24 @@ def bases_that_are_not_cone_free(draw):
     return gamma, draw(st.integers(1, 4))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(bases_that_are_not_cone_free())
-def test_cone_input_resolves_bases_with_universal_vertices_or_components(case):
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=RESET_PER_EXAMPLE,
+)
+@given(case=bases_that_are_not_cone_free())
+def test_cone_input_resolves_bases_with_universal_vertices_or_components(new_process, case):
     gamma, k = case
     cone = cone_extend(gamma, k)
     assert not is_connected(gamma) or any(
         m | 1 << v == (1 << gamma.n) - 1 for v, m in enumerate(gamma.adjacency_masks())
     )
-    with fresh_tables():
-        got = klcore._cone_coeffs(gamma, k)
-    with fresh_tables():
-        assert _kl_graphic_coeffs(cone) == got
+    new_process()
+    got = klcore._cone_coeffs(gamma, k)
+    new_process()
+    assert _kl_graphic_coeffs(cone) == got
     for i in range(1, len(got) + 1):
         rep = euler_identity_graph(gamma, i, k)
         assert rep["equal"] and rep["rhs"] == (got[i] if i < len(got) else 0), (i, rep)
@@ -687,7 +728,7 @@ def test_cone_input_errors():
         (6, {1: 10**6, 4: -(10**6)}, "negative KL coefficient"),
     ],
 )
-def test_kl_consistency_checks_catch_a_perturbed_flat_sum(monkeypatch, row, n, shift, message):
+def test_kl_consistency_checks_catch_a_perturbed_flat_sum(monkeypatch, new_process, row, n, shift, message):
     """The flat sum of K_n, or of cone(P3, n - 3), shifted in some t-degrees
     before the read-off; the shifts of the last two keep the low read
     consistent and break the constant term or the sign."""
@@ -701,7 +742,7 @@ def test_kl_consistency_checks_catch_a_perturbed_flat_sum(monkeypatch, row, n, s
         return real(rhs, rank)
 
     monkeypatch.setattr(klcore, "_solve_functional_equation", perturbed)
-    with fresh_tables(), pytest.raises(ArithmeticError, match=message):
+    with pytest.raises(ArithmeticError, match=message):
         if row == "braid":
             _braid_coeffs(n)
         else:
@@ -737,11 +778,10 @@ def test_c1_count_is_linear_coefficient(g):
     assert c1_count(g) == (coeffs[1] if len(coeffs) > 1 else 0)
 
 
-def test_braid_rows_through_empty_base():
-    with fresh_tables():
-        for n in range(1, 41):
-            assert _kl_graphic_coeffs(complete(n)) == _braid_coeffs(n)
-        assert len(klcore._GRAPH_TABLE) == 39  # rows 2..40, one per n
+def test_braid_rows_through_empty_base(new_process):
+    for n in range(1, 41):
+        assert _kl_graphic_coeffs(complete(n)) == _braid_coeffs(n)
+    assert len(klcore._GRAPH_TABLE) == 39  # rows 2..40, one per n
 
 
 # --- c1 shortcut ---------------------------------------------------------------
@@ -795,7 +835,7 @@ def test_conjecture_holds_through_i20():
 # --- cache ----------------------------------------------------------------------
 
 
-def test_cache_roundtrip(monkeypatch):
+def test_cache_roundtrip(new_process):
     kl_braid(6)
     kl_graphic(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     records = kl_cache_export()
@@ -807,7 +847,7 @@ def test_cache_roundtrip(monkeypatch):
     kl_cache_import(records)  # idempotent
     assert kl_cache_export() == records
     # the graph rows load into an empty table
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
+    new_process()
     kl_cache_import(records)
     assert kl_cache_export() == records
     # braid rows of an older file are ignored, even wrong ones, under their

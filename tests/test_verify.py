@@ -86,12 +86,9 @@ def test_char_poly_plethystic_fails_on_a_perturbed_class_value(monkeypatch):
     assert [c["name"] for c in run_suite("properties") if not c["ok"]] == [name]
 
 
-def test_braid_vs_graphic_fails_on_a_perturbed_sums_row(monkeypatch):
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
-    monkeypatch.setattr(klcore, "_BASES", {})
+def test_braid_vs_graphic_fails_on_a_perturbed_sums_row(new_process):
     assert _braid_vs_flat_groups(8)
-    monkeypatch.setattr(klcore, "_GRAPH_TABLE", {})
-    monkeypatch.setattr(klcore, "_BASES", {})
+    new_process()
     klcore._braid_coeffs(7)
     # G_7 of the empty base moved in t^1 and t^6: row 8 stays consistent, and
     # its t^1 coefficient moves by c(8, 7) = 28
