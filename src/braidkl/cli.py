@@ -6,90 +6,18 @@ Reports are JSON with every exact value rendered as a decimal string
 runs; wall-clock timing is only included when --timing is passed.
 
 Each command imports the modules it uses in its own handler, so a fresh
-process loads only what its command runs.  The persisted table under
-KL_CACHE_DIR holds no braid row, so only a query given --graph (`kl` or
-`e1`) loads and saves it; `verify` checks the code, never the file.
+process loads only what its command runs.  KL rows are memoised per
+process; nothing is written to disk.
 """
 
 from __future__ import annotations
 
 import argparse
-import fcntl
 import json
 import os
 import sys
 import time
 from math import factorial
-
-CACHE_ENV = "KL_CACHE_DIR"
-CACHE_FILE = "kltable.json"
-
-
-def _load_cache() -> dict | None:
-    """Load the persisted table, if any, and return the records the file held:
-    {} when there is no file, None when it is unreadable or holds a row that
-    fails the plausibility check (such rows are skipped)."""
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return {}
-    from . import klcore
-
-    path = os.path.join(root, CACHE_FILE)
-    try:
-        with open(path) as fh:
-            records = json.load(fh)
-        if not isinstance(records, dict):
-            raise ValueError("not a JSON object")
-        skipped = klcore.kl_cache_import(records)
-    except FileNotFoundError:
-        return {}
-    except (OSError, TypeError, ValueError) as exc:
-        print(f"warning: ignoring unreadable KL cache: {exc}", file=sys.stderr)
-        return None
-    for key in skipped:
-        print(f"warning: skipping implausible KL cache row {key}", file=sys.stderr)
-    return None if skipped else records
-
-
-def _save_cache(on_disk: dict | None) -> None:
-    """Persist the graph table when it holds a row the file did not, or the
-    file was unreadable.  Writers take turns under an exclusive lock on
-    kltable.json.lock; each merges in the plausible cone rows that another
-    writer saved since this run loaded the file (the memo's row wins on a
-    conflict), so no writer drops another's rows.  The file is replaced
-    atomically, so a reader never sees a partial write."""
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return
-    from . import klcore
-
-    records = klcore.kl_cache_export()
-    if on_disk is not None and all(
-        on_disk.get(key) == coeffs for key, coeffs in records.items()
-    ):
-        return
-    path = os.path.join(root, CACHE_FILE)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(root, exist_ok=True)
-        with open(f"{path}.lock", "a") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                with open(path) as fh:
-                    current = json.load(fh)
-                if isinstance(current, dict):
-                    klcore.kl_cache_import(current)
-            except (OSError, TypeError, ValueError):
-                pass  # a missing or unreadable file is replaced by the memo
-            records = klcore.kl_cache_export()
-            with open(tmp, "w") as fh:
-                json.dump(records, fh, sort_keys=True)
-            os.replace(tmp, path)
-    except OSError as exc:
-        print(f"warning: could not persist KL cache: {exc}", file=sys.stderr)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def cmd_kl(args) -> int:
@@ -106,6 +34,8 @@ def cmd_kl(args) -> int:
         coeffs = klcore._braid_coeffs(args.n)
         inputs = {"n": str(args.n)}
     else:
+        if args.cone < 0:
+            raise ValueError("--cone must be nonnegative")
         gamma = load_graph(args.graph)
         inputs = {"graph": args.graph, "cone": str(args.cone)}
         coeffs = klcore._cone_coeffs(gamma, args.cone)
@@ -319,18 +249,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cached = bool(getattr(args, "graph", None))
-    on_disk = _load_cache() if cached else {}
     args._start = time.monotonic()
     try:
-        code = args.func(args)
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if cached:
-            _save_cache(on_disk)
-    return code
 
 
 def _entry():

@@ -203,24 +203,11 @@ def _perm_bits(gamma: Graph, perm: list) -> list:
     return bits
 
 
-KEY_VERTEX_LIMIT = 255
-
-
-def _count_byte(n: int) -> bytes:
-    """The vertex count as the one byte it takes in a memo key."""
-    if n > KEY_VERTEX_LIMIT:
-        raise ValueError(
-            f"graph on {n} vertices is out of reach: memo keys hold the vertex "
-            f"count in one byte (at most {KEY_VERTEX_LIMIT})"
-        )
-    return bytes([n])
-
-
 def _pack_key(tag: bytes, n: int, bits: list) -> bytes:
     acc = 1  # sentinel high bit keeps leading zeros
     for b in bits:
         acc = acc << 1 | b
-    return tag + _count_byte(n) + acc.to_bytes((acc.bit_length() + 7) // 8, "big")
+    return tag + bytes([n]) + acc.to_bytes((acc.bit_length() + 7) // 8, "big")
 
 
 def _twin_ids(gamma: Graph) -> list:

@@ -68,6 +68,9 @@ xs = [1], so only a = 0 remains, R_l = P_l = P(K_l) and, with S(m,m) = 1,
 
 the flat sum sum_{l<m} B_{m,l} P_l over the flats of K_m; the table up to n
 costs O(n^3).
+
+Each row is solved once per process into _GRAPH_TABLE, keyed by the
+canonical key of H and the vertex count; nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ from .combinat import double_factorial_odd, stirling1_row, stirling2_row
 from .graphmat import (
     Graph,
     _colour_classes,
-    _count_byte,
     _mask_connected,
     canonical_key,
     flat_masks,
@@ -139,10 +141,6 @@ def kl_braid(n: int) -> Poly:
     return Poly(_braid_coeffs(n), "t")
 
 
-# Row key of cone(H, k): _ROW_TAG, then the vertex count |H| + k in one byte,
-# then canonical_key(H) without its tag (|H| in one byte, then H's canonical
-# adjacency bits).
-_ROW_TAG = b"K"
 # The table of a cone base H is exponential in |H|: with k = 4, in-process on
 # a 2-vCPU VM, cone(P8, 4) took 0.13 s, cone(P10, 4) 1.2 s, cone(P11, 4)
 # 4.1 s and cone(P12, 4) 13 s, and cycles took about as long; so a graph
@@ -162,19 +160,14 @@ BASE_BOUND = 10
 # it bounds the braid rows (H = {}) at k <= 241 too.  At its edges, in the
 # same session, K_241 took 2.0 s, cone(2K1, 152) 1.2 s, cone(3K1, 120) 1.0 s,
 # cone(P7, 48) 1.1 s and cone(P10, 24) 2.8 s: a base of ten is mostly its
-# table (cone(P10, 16) took 2.0 s and cone(P10, 32) 3.4 s).  Past
-# graphmat.KEY_VERTEX_LIMIT vertices a row key cannot hold the vertex count,
-# and _cone_input refuses first.
+# table (cone(P10, 16) took 2.0 s and cone(P10, 32) 3.4 s).
 CONE_WORK_BOUND = 2**4 * 96**3
-_GRAPH_TABLE: dict = {}  # the only row store: row key of (H, k) -> P(cone(H, k))
+# The only row store, per process: (canonical key of H, |H| + k) ->
+# P(cone(H, k)).
+_GRAPH_TABLE: dict = {}
 _BASES: dict = {}  # canonical key of H -> _ConeBase of H; emptied with _GRAPH_TABLE
 _EMPTY = Graph(0)  # the base of the braid rows
 _EMPTY_KEY = canonical_key(_EMPTY)
-
-
-def _row_key(hkey: bytes, n: int) -> bytes:
-    """The row key of the cone on n vertices over the base with key hkey."""
-    return _ROW_TAG + _count_byte(n) + hkey[1:]
 
 
 def _split_cone(g: Graph) -> tuple:
@@ -280,7 +273,7 @@ class _ConeBase:
         with self._lock:
             while len(self._r) <= k:
                 self._extend()
-        return _GRAPH_TABLE[_row_key(self.key, self.graph.n + k)]
+        return _GRAPH_TABLE[self.key, self.graph.n + k]
 
     def _extend(self) -> None:
         """Row k = len(r) with R_k and G_k; nothing is kept unless the row
@@ -302,7 +295,7 @@ class _ConeBase:
                 for i, x in enumerate(rs[ell][a], k - ell):
                     acc[i] += scale * x
             g.append(acc)
-        key = _row_key(self.key, n)
+        key = self.key, n
         row = (1,) if n == 1 else _GRAPH_TABLE.get(key)
         if row is None:
             rhs = list(g[0])  # a = 0, j = k: c(k, k) = 1
@@ -353,7 +346,7 @@ def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
     n = h.n + k
     if n == 1:
         return (1,)  # rank 0: the equation is vacuous, P = 1 by definition
-    key = _row_key(hkey, n)
+    key = hkey, n
     hit = _GRAPH_TABLE.get(key)
     if hit is not None:
         return hit
@@ -372,14 +365,22 @@ def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
 def _cone_input(gamma: Graph, k: int) -> tuple:
     """cone(gamma, k) as (canonical key of H, H, k'), without building the
     cone: gamma's universal vertices join the k new ones in k', and H is the
-    rest of gamma.  Every bound is checked here, before any row is built,
-    and the row key's one-byte vertex count before gamma is split."""
+    rest of gamma.  Every bound is checked here, before any row is built."""
     if k < 0:
         raise ValueError("n must be nonnegative")
-    n = gamma.n + k
-    _count_byte(n)
-    if n < 1:
+    if gamma.n + k < 1:
         raise ValueError("graph must have at least one vertex")
+    # Every split of gamma leaves more than BASE_BOUND vertices in H or at
+    # least gamma.n - BASE_BOUND universal ones; when the latter are past the
+    # work bound, gamma is refused unsplit, since splitting a graph file on
+    # millions of vertices takes minutes.
+    if (gamma.n - BASE_BOUND) ** 3 > CONE_WORK_BOUND:
+        raise ValueError(
+            f"graph on {gamma.n} vertices is out of reach: with at most "
+            f"{BASE_BOUND} of them not universal, 2^|H| k^3 >= "
+            f"{gamma.n - BASE_BOUND}^3 (the recursion handles 2^|H| k^3 <= "
+            f"{CONE_WORK_BOUND})"
+        )
     if not k and not is_connected(gamma):
         raise ValueError(
             "disconnected graph: KL polynomials multiply over components, "
@@ -472,58 +473,3 @@ def conjecture_top_check(i: int) -> dict:
         "predicted": predicted,
         "equal": computed == predicted,
     }
-
-
-def kl_cache_export() -> dict:
-    """Snapshot the graph memo table as JSON-safe records (graph:<hex key>
-    mapping to decimal coefficient strings).  The rows of the empty base,
-    the braid rows K_m, are not persisted, however they were reached: a
-    braid query writes no file, and no file can change a braid row."""
-    return {
-        "graph:" + key.hex(): [str(c) for c in coeffs]
-        for key, coeffs in _GRAPH_TABLE.items()
-        if not _braid_key(key)
-    }
-
-
-def _braid_key(key: bytes) -> bool:
-    """Whether a row key is that of a row of the empty base, K_m."""
-    return key[2:] == _EMPTY_KEY[1:]
-
-
-def _row_plausible(key: bytes, coeffs) -> bool:
-    """A row as kl_cache_export writes it, a list of decimal-integer
-    strings, with the cheap invariants of a KL row: constant term 1, no
-    negative coefficient, degree below rank/2.  The rank is the vertex count
-    minus one, and a row key holds the vertex count in its second byte."""
-    if not coeffs or type(coeffs) is not list:
-        return False
-    if not all(type(c) is str and c.isdecimal() for c in coeffs):
-        return False  # a minus sign fails here: no coefficient is negative
-    rank = key[1] - 1
-    dmax = (rank - 1) // 2 if rank >= 1 else 0
-    return int(coeffs[0]) == 1 and len(coeffs) - 1 <= dmax
-
-
-def kl_cache_import(records: dict) -> list:
-    """Load graph:<hex key> records into the graph memo table; rows already
-    known win.  Any other record (such as a braid:<n> row), a graph row
-    whose key is not a cone row key (such as a whole-graph canonical key
-    written by an older version) and a row of the empty base (which older
-    versions wrote) are ignored.  A key too short for a tag and a vertex
-    count raises ValueError: no version writes one.  A cone row that fails
-    _row_plausible is skipped, and the keys of the skipped rows are
-    returned."""
-    skipped = []
-    for key, coeffs in records.items():
-        if key.startswith("graph:"):
-            raw = bytes.fromhex(key.split(":", 1)[1])
-            if len(raw) < 2:
-                raise ValueError(f"malformed KL cache key {key}")
-            if not raw.startswith(_ROW_TAG) or _braid_key(raw):
-                continue
-            if _row_plausible(raw, coeffs):
-                _GRAPH_TABLE.setdefault(raw, tuple(map(int, coeffs)))
-            else:
-                skipped.append(key)
-    return skipped

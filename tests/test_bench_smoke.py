@@ -23,7 +23,7 @@ def run_traced(tmp_path, argv):
     p4 = tmp_path / "p4.json"
     p4.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
     argv = [str(p4) if a == P4 else a for a in argv]
-    env = dict(os.environ, KL_CACHE_DIR=str(tmp_path / "cache"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, JOBRUN, SRC, str(tmp_path), "j0", "1", "--", *argv],
         env=env,

@@ -1,4 +1,4 @@
-"""Command-line surface: reports, exit codes, formats, cache persistence."""
+"""Command-line surface: reports, exit codes, formats."""
 
 import json
 import os
@@ -14,14 +14,7 @@ import braidkl.cli as cli
 import braidkl.klcore as klcore
 import braidkl.verify as verify
 from braidkl.cli import main
-from braidkl.graphmat import (
-    KEY_VERTEX_LIMIT,
-    Graph,
-    canonical_key,
-    cone_extend,
-    flat_masks,
-    quotient_masks,
-)
+from braidkl.graphmat import Graph, canonical_key
 
 
 def run_cli(capsys, *argv):
@@ -273,10 +266,11 @@ def test_e1_relative_graph(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdicts"]["euler_identity"] is True
     assert report["outputs"]["euler_rhs"] == "1"
-    # past the row key's one-byte vertex count: exit 2 at once
+    # K2's vertices are universal: cone(K2, 300) is the braid row K_302,
+    # past the work bound: exit 2 at once
     start = time.monotonic()
     assert main(["e1", "--i", "1", "--n", "300", "--graph", str(p)]) == 2
-    assert f"in one byte (at most {KEY_VERTEX_LIMIT})" in capsys.readouterr().err
+    assert f"2^0 * 302^3 = {302**3} (the recursion handles" in capsys.readouterr().err
     assert time.monotonic() - start < 1
 
 
@@ -336,10 +330,10 @@ def test_bad_graph_file_exits_2(tmp_path, capsys):
             "unknown suite 'nope'; choose from "
             f"{sorted(verify.SUITES)} or 'all'",
         ),
+        (["kl", "--graph", "g.json", "--cone", "-1"], "--cone must be nonnegative"),
     ],
 )
-def test_input_refusals_print_one_error_line(capsys, monkeypatch, argv, message):
-    monkeypatch.delenv("KL_CACHE_DIR", raising=False)
+def test_input_refusals_print_one_error_line(capsys, argv, message):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -400,239 +394,19 @@ def _cone_query(tmp_path, cone=2):
     return ("kl", "--graph", str(graph), "--cone", str(cone))
 
 
-def test_cache_persistence(tmp_path, capsys, monkeypatch, new_process):
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    query = _cone_query(tmp_path)
-    code, out = run_cli(capsys, *query)
-    assert code == 0
-    coeffs = json.loads(out)["outputs"]["coefficients"]
-    cache_file = tmp_path / "kltable.json"
-    records = json.loads(cache_file.read_text())
-    assert records and all(key.startswith("graph:") for key in records)
-
-    # a braid query writes no braid row
-    code, out = run_cli(capsys, "kl", "--n", "5")
-    assert code == 0
-    assert json.loads(cache_file.read_text()) == records
-
-    # an empty memo table, as in a new process, is filled from the file
-    new_process()
-    code, out = run_cli(capsys, *query)
-    assert code == 0
-    assert json.loads(out)["outputs"]["coefficients"] == coeffs
-    assert klcore.kl_cache_export() == records
-
-    # a file from an older version with braid rows, one of them wrong, loads;
-    # the braid rows are ignored and every answer stays the same.  Older
-    # versions also wrote rows of K_m reached as graphs: a plausible but
-    # wrong row of the empty base is ignored as well
-    k5 = "graph:" + (b"K\x05" + canonical_key(Graph(0))[1:]).hex()
-    old = dict(records, **{"braid:4": ["1", "1"], "braid:5": ["1", "7"], k5: ["1", "7"]})
-    cache_file.write_text(json.dumps(old))
-    new_process()
-    code, out = run_cli(capsys, "kl", "--n", "5")
-    assert code == 0
-    assert json.loads(out)["outputs"]["coefficients"] == ["1", "5"]
-    code, out = run_cli(capsys, *query)
-    assert json.loads(out)["outputs"]["coefficients"] == coeffs
-
-
-def test_cache_untouched_when_nothing_added(tmp_path, capsys, monkeypatch, new_process):
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    query = _cone_query(tmp_path)
-    assert run_cli(capsys, *query)[0] == 0
-    cache_file = tmp_path / "kltable.json"
-    # braid rows from an older version: a rewrite would drop them
-    records = json.loads(cache_file.read_text())
-    cache_file.write_text(json.dumps(dict(records, **{"braid:5": ["1", "5"]})))
-    before = cache_file.read_bytes()
-    inode = cache_file.stat().st_ino
-    for argv in (("kl", "--n", "6"), query):
-        assert run_cli(capsys, *argv)[0] == 0
-    assert cache_file.read_bytes() == before
-    assert cache_file.stat().st_ino == inode
-
-
-def test_cache_save_is_atomic(tmp_path, capsys, monkeypatch, new_process):
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    assert run_cli(capsys, *_cone_query(tmp_path, cone=1))[0] == 0
-    cache_file = tmp_path / "kltable.json"
-    before = cache_file.read_bytes()
-
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write("{")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(json, "dump", dump_then_fail)
-    # a new graph row triggers a save, which fails half-way through
-    assert main(list(_cone_query(tmp_path))) == 0
-    assert "could not persist" in capsys.readouterr().err
-    assert cache_file.read_bytes() == before
-    # no temp file is left; the writers' lock file stays
-    assert sorted(os.listdir(tmp_path)) == ["kltable.json", "kltable.json.lock", "p3.json"]
-
-
-def test_cache_save_keeps_rows_of_another_writer(tmp_path, monkeypatch, new_process):
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    cache_file = tmp_path / "kltable.json"
-    on_disk = cli._load_cache()
-    assert on_disk == {}
-    # another run, with a memo of its own, saves its rows B in the meantime
-    new_process()
-    klcore.kl_graphic(cone_extend(Graph(3, [(0, 1), (1, 2)]), 2))
-    rows_b = klcore.kl_cache_export()
-    cli._save_cache({})
-    assert json.loads(cache_file.read_text()) == rows_b
-    # then this run, whose memo is still empty, computes its rows A and saves
-    new_process()
-    klcore.kl_graphic(cone_extend(Graph(4, [(0, 1), (2, 3)]), 2))
-    rows_a = klcore.kl_cache_export()
-    assert rows_a.keys() - rows_b.keys() and rows_b.keys() - rows_a.keys()
-    cli._save_cache(on_disk)
-    assert json.loads(cache_file.read_text()) == {**rows_b, **rows_a}
-
-
-def test_cache_save_merge_keeps_memo_rows_and_drops_implausible(tmp_path, monkeypatch, new_process):
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    klcore.kl_graphic(cone_extend(Graph(4, [(0, 1), (2, 3)]), 2))
-    theirs = klcore.kl_cache_export()
-    new_process()
-    klcore.kl_graphic(cone_extend(Graph(3, [(0, 1), (1, 2)]), 2))
-    ours = klcore.kl_cache_export()
-    shared = max(ours, key=lambda k: len(ours[k]))
-    poisoned = sorted(theirs.keys() - ours.keys())[0]
-    assert ours[shared] != ["1"] and len(theirs.keys() - ours.keys()) > 1
-    # the file holds a plausible but different row for one of our keys, an
-    # implausible row, and rows of the other writer that we lack
-    other = dict(theirs, **{shared: ["1"], poisoned: ["2"]})
-    (tmp_path / "kltable.json").write_text(json.dumps(other))
-    cli._save_cache({})
-    saved = json.loads((tmp_path / "kltable.json").read_text())
-    theirs.pop(poisoned)
-    assert saved == {**theirs, **ours}
-
-
-def test_concurrent_cli_writers_keep_every_row(tmp_path, monkeypatch, new_process):
-    bases = {
-        "p4": [(0, 1), (1, 2), (2, 3)],
-        "2k2": [(0, 1), (2, 3)],
-        "c4": [(0, 1), (1, 2), (2, 3), (3, 0)],
-        "star": [(0, 1), (0, 2), (0, 3)],
-    }
-    expected = {}
-    for name, edges in bases.items():
-        new_process()
-        klcore.kl_graphic(cone_extend(Graph(4, edges), 3))
-        expected.update(klcore.kl_cache_export())
-        (tmp_path / name).write_text(json.dumps({"n": 4, "edges": edges}))
-    env = dict(os.environ, KL_CACHE_DIR=str(tmp_path / "cache"))
-    # four writers started together: each loads no file, computes its rows
-    # and saves
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-m", "braidkl", "kl", "--graph", str(tmp_path / name), "--cone", "3"],
-            env=env,
-            stdout=subprocess.DEVNULL,
-        )
-        for name in bases
-    ]
-    assert [p.wait(timeout=120) for p in procs] == [0] * len(procs)
-    assert json.loads((tmp_path / "cache" / "kltable.json").read_text()) == expected
-
-
-@pytest.mark.parametrize("content", ["[]", '{"graph:00": [null]}', "{"])
-def test_cache_unreadable_is_replaced(tmp_path, capsys, monkeypatch, content):
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    cache_file = tmp_path / "kltable.json"
-    cache_file.write_text(content)
-    assert main(list(_cone_query(tmp_path))) == 0
-    assert "ignoring unreadable KL cache" in capsys.readouterr().err
-    assert json.loads(cache_file.read_text()) == klcore.kl_cache_export()
-
-
-@pytest.mark.parametrize(
-    "poison", [["2", "1"], ["1", "-1"], ["1", "1", "1", "1"], [], "1", ["1", 1.0]]
-)
-def test_cache_implausible_row_is_skipped(tmp_path, capsys, monkeypatch, poison, new_process):
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    query = _cone_query(tmp_path)
-    code, out = run_cli(capsys, *query)
-    assert code == 0
-    coeffs = json.loads(out)["outputs"]["coefficients"]
-    cache_file = tmp_path / "kltable.json"
-    records = json.loads(cache_file.read_text())
-    # every row of the file breaks an invariant of KL polynomials
-    cache_file.write_text(json.dumps({key: poison for key in records}))
-    new_process()
-    code = main(list(query))
-    captured = capsys.readouterr()
-    assert code == 0
-    assert json.loads(captured.out)["outputs"]["coefficients"] == coeffs
-    assert captured.err.count("skipping implausible KL cache row") == len(records)
-    assert json.loads(cache_file.read_text()) == records
-
-
-def test_cache_row_as_string_is_skipped_not_read_digit_by_digit(tmp_path, capsys, monkeypatch, new_process):
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    graph = tmp_path / "p4.json"
-    graph.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
-    query = ("kl", "--graph", str(graph), "--cone", "2")
-    code, out = run_cli(capsys, *query)
-    assert code == 0
-    assert json.loads(out)["outputs"]["coefficients"] == ["1", "14", "8"]
-    cache_file = tmp_path / "kltable.json"
-    records = json.loads(cache_file.read_text())
-    # the one row on 6 vertices (second key byte) is cone(P4, 2) itself
-    (key,) = [k for k in records if bytes.fromhex(k.split(":", 1)[1])[1] == 6]
-    assert records[key] == ["1", "14", "8"]
-    cache_file.write_text(json.dumps(dict(records, **{key: "123"})))
-    new_process()
-    code = main(list(query))
-    captured = capsys.readouterr()
-    assert code == 0
-    assert json.loads(captured.out)["outputs"]["coefficients"] == ["1", "14", "8"]
-    assert f"skipping implausible KL cache row {key}" in captured.err
-    assert json.loads(cache_file.read_text()) == records
-
-
-def test_cache_in_older_format_changes_no_answer(tmp_path, capsys, monkeypatch, new_process):
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    query = _cone_query(tmp_path)
-    code, out = run_cli(capsys, *query)
-    coeffs = json.loads(out)["outputs"]["coefficients"]
-    assert coeffs == ["1", "5"]
-    # an older version keyed every graph it met by its whole canonical key:
-    # the cone and all its contractions, here each with a wrong row that
-    # passes the plausibility check
-    cone = cone_extend(Graph(3, [(0, 1), (1, 2)]), 2)
-    adj = cone.adjacency_masks()
-    graphs = {
-        Graph.from_masks(quotient_masks(adj, blocks))
-        for blocks in flat_masks(adj, (1 << cone.n) - 1)
-    }
-    old = {"graph:" + canonical_key(g).hex(): ["1"] for g in graphs if g.n > 1}
-    cache_file = tmp_path / "kltable.json"
-    cache_file.write_text(json.dumps(old))
-    new_process()
-    code, out = run_cli(capsys, *query)
-    assert code == 0
-    assert json.loads(out)["outputs"]["coefficients"] == coeffs
-    records = json.loads(cache_file.read_text())
-    assert records == klcore.kl_cache_export()
-    assert not set(records) & set(old)
-
-
 def test_kl_cone_beyond_key_byte_fails_fast(tmp_path, capsys):
+    # cone(P3, 300) is cone(2K1, 301), on 303 vertices: past the work bound
     code = main(list(_cone_query(tmp_path, cone=300)))
     assert code == 2
-    assert f"in one byte (at most {KEY_VERTEX_LIMIT})" in capsys.readouterr().err
+    assert f"2^2 * 301^3 = {4 * 301**3} (the recursion handles" in capsys.readouterr().err
 
 
 def test_complete_graph_file_is_bounded_as_the_braid_row(tmp_path, capsys, monkeypatch, new_process):
     """K_n given as a file splits into cone({}, n), the braid row, and is
-    bounded as `kl --n` is: past the work bound (K_242) and past the row
-    key's byte (256 vertices) both exit 2 at once, the latter before the
-    graph is split."""
+    bounded as `kl --n` is: past the work bound (K_242) it exits 2 at once.
+    So does a file on 256 vertices or on 10**9, before the graph is split:
+    splitting the latter would take minutes, when every split of it is out
+    of reach."""
     k120 = tmp_path / "k120.json"
     edges = [[u, v] for v in range(120) for u in range(v)]
     k120.write_text(json.dumps({"n": 120, "edges": edges}))
@@ -645,51 +419,32 @@ def test_complete_graph_file_is_bounded_as_the_braid_row(tmp_path, capsys, monke
     assert json.loads(out)["outputs"]["coefficients"] == coeffs
     path256 = tmp_path / "p256.json"
     path256.write_text(json.dumps({"n": 256, "edges": [[v, v + 1] for v in range(255)]}))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 10**9, "edges": []}))
     start = time.monotonic()
     assert main(["kl", "--n", "242"]) == 2
     assert "(the recursion handles 2^|H| k^3 <= " in capsys.readouterr().err
     assert time.monotonic() - start < 1
 
     def no_split(g):
-        raise AssertionError("split past the key byte")
+        raise AssertionError("split past the work bound")
 
     monkeypatch.setattr(klcore, "_split_cone", no_split)
-    start = time.monotonic()
-    assert main(["kl", "--graph", str(path256)]) == 2
-    byte = "graph on 256 vertices is out of reach: memo keys hold the vertex count"
-    assert byte in capsys.readouterr().err
-    assert time.monotonic() - start < 1
-
-
-def test_cone_rows_past_100_vertices_persist(tmp_path, capsys, monkeypatch, new_process):
-    """cone(3K1, 105) has 108 vertices, more than any row the cache held
-    before: it is saved, and a new process given the same cone another way
-    (one base vertex universal, listed first) reads it back unchanged."""
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    three = tmp_path / "3k1.json"
-    three.write_text(json.dumps({"n": 3, "edges": []}))
-    code, first = run_cli(capsys, "kl", "--graph", str(three), "--cone", "105")
-    assert code == 0
-    key = "graph:" + klcore._row_key(canonical_key(Graph(3)), 108).hex()
-    records = json.loads((tmp_path / "kltable.json").read_text())
-    assert records[key] == json.loads(first)["outputs"]["coefficients"]
-    relabelled = tmp_path / "w3k1.json"
-    relabelled.write_text(json.dumps({"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}))
-    new_process()
-
-    def no_row(self, k):
-        raise AssertionError("row rebuilt instead of read from the cache")
-
-    monkeypatch.setattr(klcore._ConeBase, "row", no_row)
-    code, again = run_cli(capsys, "kl", "--graph", str(relabelled), "--cone", "104")
-    assert code == 0
-    assert json.loads(again)["outputs"]["coefficients"] == records[key]
-    assert json.loads((tmp_path / "kltable.json").read_text()) == records
+    for path, n in ((path256, 256), (huge, 10**9)):
+        for cone in ("0", "1"):
+            start = time.monotonic()
+            assert main(["kl", "--graph", str(path), "--cone", cone]) == 2
+            refusal = (
+                f"graph on {n} vertices is out of reach: with at most 10 of them "
+                f"not universal, 2^|H| k^3 >= {n - 10}^3 (the recursion handles"
+            )
+            assert refusal in capsys.readouterr().err
+            assert time.monotonic() - start < 1
 
 
 def test_cone_past_the_base_bound_exits_at_once(tmp_path, capsys):
-    """cone(P12, 4) is inside the row key's byte and the canonical-key search
-    bound, and its base table would take more than a minute."""
+    """cone(P12, 4) is inside the canonical-key search bound, and its base
+    table would take more than a minute."""
     graph = tmp_path / "p12.json"
     graph.write_text(json.dumps({"n": 12, "edges": [[v, v + 1] for v in range(11)]}))
     bound = f"12 remain (the recursion handles <= {klcore.BASE_BOUND})"
@@ -702,7 +457,7 @@ def test_cone_past_the_base_bound_exits_at_once(tmp_path, capsys):
 
 
 def test_cone_past_the_joint_bound_exits_at_once(tmp_path, capsys):
-    """cone(P10, 90) is inside the row key's byte and the base bound, and ran
+    """cone(P10, 90) is inside the base bound, and ran
     for more than two minutes before 2^|H| k^3 was bounded."""
     graph = tmp_path / "p10.json"
     graph.write_text(json.dumps({"n": 10, "edges": [[v, v + 1] for v in range(9)]}))
@@ -721,17 +476,18 @@ CONE_REFUSALS = {
     250: "graph is out of reach: its 251 universal vertices over the 2 others "
     f"cost 2^2 * 251^3 = {4 * 251**3} "
     f"(the recursion handles 2^|H| k^3 <= {klcore.CONE_WORK_BOUND})",
-    10**9: f"graph on {3 + 10**9} vertices is out of reach: memo keys hold the "
-    f"vertex count in one byte (at most {KEY_VERTEX_LIMIT})",
+    10**9: f"graph is out of reach: its {10**9 + 1} universal vertices over the 2 "
+    f"others cost 2^2 * {10**9 + 1}^3 = {4 * (10**9 + 1) ** 3} "
+    f"(the recursion handles 2^|H| k^3 <= {klcore.CONE_WORK_BOUND})",
 }
 
 
 @pytest.mark.parametrize("cone", CONE_REFUSALS)
 def test_cone_past_the_vertex_bound_exits_at_once(tmp_path, capsys, cone):
     """Cones over P3 past 100 vertices.  cone(P3, 98), on 101, is answered;
-    cone(P3, 250) fits the row key's byte but is past the work bound and would
-    run for minutes, and 10**9 would not fit in memory if the cone were built:
-    both exit 2 at once."""
+    cone(P3, 250) is past the work bound and would run for minutes, and
+    10**9 would not fit in memory if the cone were built: both exit 2 at
+    once."""
     refusal = CONE_REFUSALS[cone]
     query = _cone_query(tmp_path, cone=cone)
     e1 = ["e1", "--i", "1", "--n", str(cone), "--graph", query[2]]
@@ -800,13 +556,15 @@ sys.exit(code)
 
 def _probe_env(tmp_path) -> dict:
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, KL_CACHE_DIR=str(tmp_path / "cache"))
+    env = dict(os.environ, KL_CACHE_DIR=str(tmp_path / "cache"))  # ignored
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
 
 
 def _assert_not_loaded(argv, unused, env):
-    """Run the command in a fresh process; none of `unused` may load."""
+    """Run the command in a fresh process; none of `unused` may load, nor
+    fcntl: no command locks a file."""
+    unused = (*unused, "fcntl")
     proc = subprocess.run(
         [sys.executable, "-c", LOAD_PROBE.format(unused=unused), *argv],
         env=env,
@@ -819,15 +577,13 @@ def _assert_not_loaded(argv, unused, env):
 
 
 def test_kl_loads_only_the_modules_it_uses(tmp_path):
-    """Each run is a fresh `kl` process; the cone runs write, then read, a
-    persisted table, so the cache load and save are covered too."""
+    """Each run is a fresh `kl` process."""
     env = _probe_env(tmp_path)
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
     cone = ["kl", "--graph", str(graph), "--cone", "2"]
     for argv in (["kl", "--n", "5"], cone, cone):
         _assert_not_loaded(argv, UNUSED_BY_KL, env)
-    assert (tmp_path / "cache" / "kltable.json").exists()
 
 
 def test_e1_loads_only_the_modules_it_uses(tmp_path):
@@ -868,39 +624,45 @@ def test_eqkl_loads_only_the_modules_it_uses(tmp_path):
         _assert_not_loaded(argv, unused, env)
 
 
-def test_eqkl_leaves_the_kl_cache_alone(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    cache_file = tmp_path / "kltable.json"
-    cache_file.write_bytes(b"{not json")
-    assert main(["eqkl", "--n", "5"]) == 0
-    assert capsys.readouterr().err == ""
-    assert cache_file.read_bytes() == b"{not json"
-    assert os.listdir(tmp_path) == ["kltable.json"]
-    # a query that uses the table reads the same file and warns
-    assert main(list(_cone_query(tmp_path))) == 0
-    assert "ignoring unreadable KL cache" in capsys.readouterr().err
+# cone(P3, 2) is cone(2K1, 3), whose row is 1 + 5t: a plausible but wrong
+# row for it, under the key and in the file that KL_CACHE_DIR used to hold
+WRONG_ROW = {"graph:" + (b"K\x05" + canonical_key(Graph(2))[1:]).hex(): ["1", "6"]}
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["kl", "--n", "4"],
+        ["kl", "--graph", "p3.json", "--cone", "2"],
         ["e1", "--i", "2", "--n", "6"],
+        ["e1", "--i", "1", "--n", "2", "--graph", "p3.json"],
+        ["eqkl", "--n", "5"],
         ["verify", "--suite", "paper-i1"],
     ],
-    ids=["kl", "e1", "verify"],
+    ids=["kl", "kl-graph", "e1", "e1-graph", "eqkl", "verify"],
 )
-def test_queries_without_graph_leave_the_kl_cache_alone(tmp_path, monkeypatch, capsys, new_process, argv):
-    """No braid row is persisted and verify checks the code, not a file:
-    an unreadable file draws no warning and is neither rewritten nor
-    locked."""
-    monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    cache_file = tmp_path / "kltable.json"
-    cache_file.write_bytes(b"{not json")
+def test_every_command_ignores_kl_cache_dir(tmp_path, monkeypatch, capsys, new_process, argv):
+    """KL rows live in memory only: with KL_CACHE_DIR naming a directory
+    that holds a wrong row, each command prints what it prints without the
+    variable, warns of nothing, and leaves the directory as it was."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p3.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    monkeypatch.delenv("KL_CACHE_DIR", raising=False)
     assert main(argv) == 0
-    assert capsys.readouterr().err == ""
-    assert cache_file.read_bytes() == b"{not json"
-    assert os.listdir(tmp_path) == ["kltable.json"]
+    want = capsys.readouterr().out
+    if "p3.json" in argv:
+        assert '"5"' in want and '"6"' not in want  # t^1 of cone(P3, 2)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cache_file = cache / "kltable.json"
+    cache_file.write_text(json.dumps(WRONG_ROW))
+    before = cache_file.read_bytes()
+    monkeypatch.setenv("KL_CACHE_DIR", str(cache))
+    new_process()
+    assert main(argv) == 0
+    assert capsys.readouterr() == (want, "")
+    assert os.listdir(cache) == ["kltable.json"]
+    assert cache_file.read_bytes() == before
 
 
 # Modules a verify suite has no use for; each suite imports its own.

@@ -41,8 +41,8 @@ def test_cone_sums_concurrent_fill(new_process):
     # later row in the table
     base = klcore._BASES[klcore._EMPTY_KEY]
     assert len(base._r) == len(base._g) == 91
-    braid = {klcore._row_key(klcore._EMPTY_KEY, n) for n in range(2, 91)}
-    assert {key for key in klcore._GRAPH_TABLE if klcore._braid_key(key)} == braid
+    braid = {(klcore._EMPTY_KEY, n) for n in range(2, 91)}
+    assert {key for key in klcore._GRAPH_TABLE if key[0] == klcore._EMPTY_KEY} == braid
 
 
 def test_eqkl_memo_concurrent_fill():

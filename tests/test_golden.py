@@ -15,7 +15,6 @@ import os
 
 import pytest
 
-import braidkl.klcore as klcore
 from braidkl.cli import main
 from braidkl.graphmat import Graph, canonical_key
 
@@ -104,9 +103,8 @@ GOLDEN = [
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_report_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # the graph path is echoed in the report, so it is given relative to a
-    # fixed working directory; no disk cache may take part
+    # fixed working directory
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("KL_CACHE_DIR", raising=False)
     for name, graph in GRAPH_FILES.items():
         (tmp_path / name).write_text(json.dumps(graph))
     assert main(list(argv)) == 0
@@ -116,11 +114,11 @@ def test_report_digest(argv, digest, tmp_path, monkeypatch, capsys):
 
 def test_verify_report_ignores_a_wrong_cached_row(tmp_path, monkeypatch, capsys, new_process):
     """K5-e and cone-path3 of the relative suite are cone(2K1, 3).  A
-    plausible but wrong row for it in the persisted table changes no byte
-    of the report, and the file is neither rewritten nor locked: verify
-    checks the code, not the file."""
+    plausible but wrong row for it, in the file and under the key that
+    KL_CACHE_DIR used to hold, changes no byte of the report, and the file
+    is left as it was."""
     monkeypatch.setenv("KL_CACHE_DIR", str(tmp_path))
-    key = "graph:" + klcore._row_key(canonical_key(Graph(2)), 5).hex()
+    key = "graph:" + (b"K\x05" + canonical_key(Graph(2))[1:]).hex()
     cache_file = tmp_path / "kltable.json"
     cache_file.write_text(json.dumps({key: ["1", "6"]}))  # the row is 1 + 5t
     before = cache_file.read_bytes()

@@ -28,7 +28,6 @@ from braidkl.graphmat import (
     reduced_chromatic,
 )
 from braidkl.intpoly import falling_sum, padd_into, pmul
-import braidkl.graphmat as graphmat
 import braidkl.klcore as klcore
 from braidkl.klcore import (
     _braid_coeffs,
@@ -40,8 +39,6 @@ from braidkl.klcore import (
     d_coeff,
     d_coeff_graph,
     kl_braid,
-    kl_cache_export,
-    kl_cache_import,
     kl_graphic,
 )
 from braidkl.polyseries import Poly
@@ -304,11 +301,11 @@ def test_braid_rows_match_flat_sum_loop(new_process):
 
 def braid_rows(rows):
     """Braid rows as row-table entries: row key of K_n -> row."""
-    return {klcore._row_key(klcore._EMPTY_KEY, n): rows[n] for n in range(2, len(rows))}
+    return {(klcore._EMPTY_KEY, n): rows[n] for n in range(2, len(rows))}
 
 
 def test_braid_sums_extend_a_prefilled_row_table(new_process):
-    # rows 2..20 in the table, as an import leaves them, and no partial sum
+    # rows 2..20 in the table, and no partial sum
     old = flat_sum_table(40)
     klcore._GRAPH_TABLE.update(braid_rows(old[:21]))
     assert _braid_coeffs(40) == old[40]
@@ -589,22 +586,23 @@ def test_flats_match_grouping_by_labelled_quotient(g):
 
 
 def test_vertex_count_beyond_key_byte_fails_fast(monkeypatch):
-    # every row, the braid rows included, is refused past the key byte's
-    # limit before its graph is split into a base and cone vertices
+    # every row on more than 255 vertices, the braid rows included, is past
+    # the work bound: k >= 245 once at most BASE_BOUND vertices are left
+    work = r"\(the recursion handles 2\^\|H\| k\^3 <= 14155776\)"
+    p3 = r"its 254 universal vertices over the 2 others cost 2\^2 \* 254\^3 .*"
+    with pytest.raises(ValueError, match=p3 + work):
+        d_coeff_graph(Graph(3, [(0, 1), (1, 2)]), 1, 253)
+    k256 = r"its 256 universal vertices over the 0 others cost 2\^0 \* 256\^3 .*"
+    with pytest.raises(ValueError, match=k256 + work):
+        _braid_coeffs(256)
+
+    # and a graph that large is refused before it is split
     def no_split(g):
-        raise AssertionError("split past the key byte")
+        raise AssertionError("split past the work bound")
 
     monkeypatch.setattr(klcore, "_split_cone", no_split)
-    byte = rf"in one byte \(at most {graphmat.KEY_VERTEX_LIMIT}\)"
-    base = Graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="graph on 256 vertices .*" + byte):
-        d_coeff_graph(base, 1, 253)
-    with pytest.raises(ValueError, match="graph on 300 vertices .*" + byte):
+    with pytest.raises(ValueError, match=r"graph on 300 vertices .* >= 290\^3 " + work):
         kl_graphic(complete(300))
-    with pytest.raises(ValueError, match="graph on 256 vertices .*" + byte):
-        _braid_coeffs(256)
-    with pytest.raises(ValueError, match="one byte"):
-        graphmat._count_byte(graphmat.KEY_VERTEX_LIMIT + 1)
 
 
 @pytest.mark.parametrize(
@@ -749,6 +747,18 @@ def test_kl_consistency_checks_catch_a_perturbed_flat_sum(monkeypatch, new_proce
             klcore._cone_coeffs(Graph(3, [(0, 1), (1, 2)]), n - 3)
 
 
+def test_cone_given_with_a_universal_base_vertex_reads_the_same_row(monkeypatch, new_process):
+    """cone(3K1, 105), on 108 vertices, and K_{1,3} coned by 104 are one
+    graph: the second query reads the first one's row from the table."""
+    row = klcore._cone_coeffs(Graph(3), 105)
+
+    def no_row(self, k):
+        raise AssertionError("row rebuilt instead of read from the table")
+
+    monkeypatch.setattr(klcore._ConeBase, "row", no_row)
+    assert klcore._cone_coeffs(Graph(4, [(0, 1), (0, 2), (0, 3)]), 104) is row
+
+
 def test_cone_recursion_matches_flat_enumeration_examples():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     for g in [
@@ -830,30 +840,3 @@ def test_conjecture_checker_stable():
 def test_conjecture_holds_through_i20():
     for i in range(2, 21):
         assert conjecture_top_check(i)["equal"], i
-
-
-# --- cache ----------------------------------------------------------------------
-
-
-def test_cache_roundtrip(new_process):
-    kl_braid(6)
-    kl_graphic(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    records = kl_cache_export()
-    assert records
-    assert all(key.startswith("graph:") for key in records)
-    # no braid rows: no row of the empty base
-    empty = klcore._EMPTY_KEY[1:]
-    assert not [key for key in records if bytes.fromhex(key[6:])[2:] == empty]
-    kl_cache_import(records)  # idempotent
-    assert kl_cache_export() == records
-    # the graph rows load into an empty table
-    new_process()
-    kl_cache_import(records)
-    assert kl_cache_export() == records
-    # braid rows of an older file are ignored, even wrong ones, under their
-    # old name and as rows of the empty base
-    k6 = "graph:" + klcore._row_key(klcore._EMPTY_KEY, 6).hex()
-    kl_cache_import(dict(records, **{"braid:6": ["1", "9", "9"], "braid:9": ["1"], k6: ["1", "9", "9"]}))
-    assert kl_cache_export() == records
-    assert not [key for key in klcore._GRAPH_TABLE if key[2:] == empty]
-    assert kl_braid(6) == Poly([1, 16, 15], "t")
