@@ -111,10 +111,13 @@ def cmd_genfun(args) -> int:
     if i == 0 and (args.fit or args.asymptotics):
         # D_0(n) = 1: no pole in 1..2i to fit and no (2i)^n ratio to take
         raise ValueError("--fit and --asymptotics need --i >= 1")
-    if args.fit and i > klcore.FIT_BOUND:
-        raise ValueError(
-            f"--fit at i = {i} is out of reach: it handles i <= {klcore.FIT_BOUND}"
-        )
+    if args.fit:
+        from . import specseq
+
+        if i > specseq.FIT_BOUND:
+            raise ValueError(
+                f"--fit at i = {i} is out of reach: it handles i <= {specseq.FIT_BOUND}"
+            )
     if args.format == "csv" and (args.fit or args.asymptotics):
         raise ValueError(
             "--format csv prints only the dims; it cannot carry --fit or --asymptotics"

@@ -25,8 +25,9 @@ F_1 = 1 + t g, and F_x F_y = F_{x+y} by Vandermonde's identity for falling
 factorials, so F_j = (1 + t g)^j: written in the binomial basis C(j, m),
 F_j(mu) has the coefficients t^m g^m(mu).  _char_powers gets F_j(mu) from
 F_j of mu without its largest part times one more factor, and
-_plethysm_part takes p_{1^m}[g] = g^m from it instead of multiplying by g
-m times.
+_plethysm_part takes g itself (m = 1) and p_{1^m}[g] = g^m from it instead
+of multiplying by g m times; the product formula for g alone is the oracle
+in tests/symfn_oracle.py.
 
 The recursion solves the same functional equation as the non-equivariant
 one, class by class, with the same read-off (intpoly.read_off): the top
@@ -65,21 +66,6 @@ def _trimmed(acc: dict, divisor: int = 1) -> dict:
 def _necklace(i: int) -> list:
     """The necklace polynomial E_i(t) = sum_{d | i} mobius(i/d) t^d."""
     return [0] + [mobius(i // d) if i % d == 0 else 0 for d in range(1, i + 1)]
-
-
-@lru_cache(maxsize=None)
-def _char_values(n: int) -> dict:
-    """Class values of the graded characteristic data of S_n, by Lehrer's
-    product formula (1/t) prod_i prod_{k < m_i} (E_i(t) - k i)."""
-    out = {}
-    for mu in partitions(n):
-        prod = [1]
-        for i, m in mu.multiplicities().items():
-            e = _necklace(i)
-            for k in range(m):
-                prod = pmul(prod, (e[0] - k * i, *e[1:]))
-        out[mu.parts] = tuple(prod[1:])
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -164,12 +150,13 @@ def _plethysm_part(fs: dict, n: int) -> dict:
     the characteristic data sum_r chi_{S_r}.  f_k[g] is (1/k!) sum_mu
     chi_f(mu) (k!/z_mu) prod_j p_{mu_j}[g]: the products are shared along a
     walk that extends mu one part at a time, and each k! must divide its sum
-    exactly.  Along mu = 1^m the product g^m is read from _char_powers."""
+    exactly.  g itself and, along mu = 1^m, the product g^m are read from
+    _char_powers."""
     top = max(fs)
-    # p_c[g] for c >= 2 reaches degree n from the degrees <= n // 2 of g
-    g = [{}] + [_char_values(r) for r in range(1, n // 2 + 1)]
-    pk = [None, None] + [_class_pk(g, c, n) for c in range(2, top + 1)]
     powers = [_char_powers(d) for d in range(n + 1)]
+    # p_c[g] for c >= 2 reaches degree n from the degrees <= n // 2 of g
+    g = [{}] + [powers[r][1] for r in range(1, n // 2 + 1)]
+    pk = [None, None] + [_class_pk(g, c, n) for c in range(2, top + 1)]
     acc: dict = {k: {} for k in fs}
 
     def walk(mu: tuple, prod: list, k: int, z: int) -> None:

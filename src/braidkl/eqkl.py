@@ -45,7 +45,7 @@ from .eqcore import (
     eqkl_values,
     specht_multiplicities,
 )
-from .intpoly import padd_into, pmul
+from .intpoly import padd_into, pmul, read_off
 
 # polyseries loads only where the rational API builds a Poly (at_identity,
 # SymFn).
@@ -322,7 +322,7 @@ def os_character(n: int, i: int) -> ClassFn:
     return ClassFn(n, _os_traces(n, i))
 
 
-def _eq_char_values(n: int) -> dict:
+def _eq_char_poly_values(n: int) -> dict:
     """Class values of eq_char_poly(n): class tuple -> integer coefficients
     of t^0, ..., t^(n-1)."""
     traces = [_os_traces(n, i) for i in range(n)]
@@ -334,7 +334,7 @@ def eq_char_poly(n: int) -> GradedClassFn:
     """Graded virtual character sum_i (-1)^i [OS^i] t^(n-1-i); evaluates at
     the identity to the reduced characteristic polynomial of the braid
     matroid, and to zero at t=1 (the group acts freely)."""
-    return _graded(n, _eq_char_values(n))
+    return _graded(n, _eq_char_poly_values(n))
 
 
 def eqkl_braid(n: int) -> GradedClassFn:
@@ -414,12 +414,11 @@ def _brute_values(n: int) -> dict:
 
     if n == 1:
         return {(1,): (1,)}
-    chardata = {m: _eq_char_values(m) for m in range(1, n + 1)}
+    chardata = {m: _eq_char_poly_values(m) for m in range(1, n + 1)}
     contrdata = {m: _brute_values(m) for m in range(1, n)}
     full = (1 << n) - 1
     flats = [p for p in flat_masks([full ^ 1 << v for v in range(n)], full) if len(p) < n]
     rank = n - 1
-    dmax = (rank - 1) // 2
     out = {}
     for mu in partitions(n):
         ends = itertools.accumulate(mu.parts)  # sigma's cycles, as masks
@@ -441,11 +440,7 @@ def _brute_values(n: int) -> dict:
                 loc = pmul(loc, s)
             ghat = tuple(sorted((length for _, length in orbits), reverse=True))
             padd_into(total, pmul(loc, contrdata[len(blocks)][ghat]))
-        if any(total[i] + total[rank - i] for i in range(dmax + 1)):
-            raise ArithmeticError("brute-force recursion inconsistent (low read)")
-        if any(total[dmax + 1 : rank - dmax]):
-            raise ArithmeticError("brute-force recursion inconsistent (middle)")
-        out[mu.parts] = [total[rank - i] for i in range(dmax + 1)]
+        out[mu.parts] = read_off(total, rank)
     return _trimmed(out)
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 
 def pmul(a, b) -> list:
-    """The product of two coefficient sequences, as a new list."""
+    """The product of two coefficient sequences of any number type, as a
+    new list (of zeros when either is empty)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:

@@ -69,8 +69,10 @@ xs = [1], so only a = 0 remains, R_l = P_l = P(K_l) and, with S(m,m) = 1,
 the flat sum sum_{l<m} B_{m,l} P_l over the flats of K_m; the table up to n
 costs O(n^3).
 
-Each row is solved once per process into _GRAPH_TABLE, keyed by the
-canonical key of H and the vertex count; nothing is written to disk.
+Each row P(cone(H, k)) is solved once per process and kept by the base of
+H, the one object per canonical key of H that also holds its table and
+partial sums; a contraction resolves to the base of its Q.  Nothing is
+written to disk.
 """
 
 from __future__ import annotations
@@ -119,17 +121,10 @@ def _solve_functional_equation(rhs_proper: list, rank: int) -> tuple:
     return tuple(coeffs)
 
 
-# `genfun --fit` at weight i reads rows up to 2i, but its cost grows as about
-# i^8 (the fit's denominator has about 2i^2 factors): at --max-n 64 on a
-# 2-vCPU VM, i = 16 took 0.7 s, i = 24 5-7 s and i = 32 75 s, so larger i
-# fail fast.
-FIT_BOUND = 24
-
-
 def _braid_coeffs(n: int) -> tuple:
     if n < 1:
         raise ValueError("n must be positive")
-    return _cone_row(*_cone_input(_EMPTY, n))
+    return _cone_coeffs(_EMPTY, n)
 
 
 def kl_braid(n: int) -> Poly:
@@ -162,10 +157,7 @@ BASE_BOUND = 10
 # cone(P7, 48) 1.1 s and cone(P10, 24) 2.8 s: a base of ten is mostly its
 # table (cone(P10, 16) took 2.0 s and cone(P10, 32) 3.4 s).
 CONE_WORK_BOUND = 2**4 * 96**3
-# The only row store, per process: (canonical key of H, |H| + k) ->
-# P(cone(H, k)).
-_GRAPH_TABLE: dict = {}
-_BASES: dict = {}  # canonical key of H -> _ConeBase of H; emptied with _GRAPH_TABLE
+_BASES: dict = {}  # canonical key of H -> _ConeBase of H, which holds its rows
 _EMPTY = Graph(0)  # the base of the braid rows
 _EMPTY_KEY = canonical_key(_EMPTY)
 
@@ -190,22 +182,24 @@ def _resolve_quotient(adj: tuple) -> tuple:
 class _ConeBase:
     """What the cones over one graph H (without a universal vertex) share,
     for every number of cone vertices: chromatic polynomials of induced
-    subgraphs and the flats of every H[r] grouped by contraction and
-    weighted by the colour classes of the rest, a table independent of k."""
+    subgraphs, the flats of every H[r] grouped by contraction and weighted
+    by the colour classes of the rest, a table independent of k, and the
+    rows P(cone(H, k)) themselves."""
 
-    def __init__(self, h: Graph, hkey: bytes):
+    def __init__(self, h: Graph):
         self.graph = h
-        self.key = hkey
         self.adj = h.adjacency_masks()
         self.full = (1 << h.n) - 1
         self._chrom: dict = {}
         self._classes: dict = {}
         self._table = None
         self._terms = None
+        # rows[k] = P(cone(H, k)), with row 0 solved only when asked for;
         # the partial sums r[k][a] = R_{k,a} and g[k][a] = G_{k,a} of the
-        # module docstring for k >= 1, built in order under the lock, each
-        # when row k lands in _GRAPH_TABLE
+        # module docstring for k >= 1, each kept when row k lands; all are
+        # built in order under the lock
         self._lock = threading.Lock()
+        self.rows: list = [None]
         self._r: list = [None]
         self._g: list = [None]
 
@@ -222,29 +216,29 @@ class _ConeBase:
         return hit
 
     def flats(self, r: int) -> list:
-        """The flats of H[r] grouped by contraction: one entry (canonical key
-        of Q, Q, u, chi) per contraction cone(Q, u), where Q has no universal
-        vertex and chi sums the flats' products of reduced characteristic
-        polynomials of the blocks."""
+        """The flats of H[r] grouped by contraction: one entry (base of Q, u,
+        chi) per contraction cone(Q, u), where Q has no universal vertex and
+        chi sums the flats' products of reduced characteristic polynomials
+        of the blocks."""
         grouped: dict = {}
         for blocks in flat_masks(self.adj, r):
             chi = [1]
             for b in blocks:
                 chi = pmul(chi, self.chromatic(b)[1:])
             qkey, q, u = _resolve_quotient(tuple(quotient_masks(self.adj, blocks)))
-            padd_into(grouped.setdefault((qkey, u), [qkey, q, u, []])[3], chi)
+            padd_into(grouped.setdefault((qkey, u), [_cone_base(qkey, q), u, []])[2], chi)
         return list(grouped.values())
 
     def table(self) -> dict:
-        """Maps (canonical key of Q, u) to [Q, xs]: xs[N] sums chi * a_N(S),
-        over every r and every flat of H[r] that contracts to cone(Q, u),
-        with S = V(H) - r and a_N(S) = classes(S)[N].  Built once."""
+        """Maps (base of Q, u) to xs: xs[N] sums chi * a_N(S), over every r
+        and every flat of H[r] that contracts to cone(Q, u), with
+        S = V(H) - r and a_N(S) = classes(S)[N].  Built once."""
         if self._table is None:
             table: dict = {}
             for r in range(self.full + 1):
                 classes = self.classes(self.full ^ r)
-                for qkey, q, u, chi in self.flats(r):
-                    xs = table.setdefault((qkey, u), [q, []])[1]
+                for qbase, u, chi in self.flats(r):
+                    xs = table.setdefault((qbase, u), [])
                     xs.extend([] for _ in range(len(classes) - len(xs)))
                     for n, a in enumerate(classes):
                         if a:
@@ -253,36 +247,62 @@ class _ConeBase:
         return self._table
 
     def terms(self) -> list:
-        """The table's entries but the finest flat's (H, 0) as (canonical key
-        of Q, Q, u, ys), with ys = [(a, [C(N, a) xs[N] for N >= a]) for each
-        a]: R_{k',a} sums falling_sum(ys[a], 0, k') P(cone(Q, u + k'))."""
+        """The table's entries but the finest flat's (H, 0) as (base of Q, u,
+        ys), with ys = [(a, [C(N, a) xs[N] for N >= a]) for each a]: R_{k',a}
+        sums falling_sum(ys[a], 0, k') P(cone(Q, u + k'))."""
         if self._terms is None:
             self._terms = [
-                (qkey, q, u, [
+                (qbase, u, [
                     (a, [[comb(n, a) * x for x in xs[n]] for n in range(a, len(xs))])
                     for a in range(len(xs))
                 ])
-                for (qkey, u), (q, xs) in self.table().items()
-                if q.n < self.graph.n
+                for (qbase, u), xs in self.table().items()
+                if qbase is not self
             ]
         return self._terms
 
+    def groups(self, k: int) -> list:
+        """The flats of cone(H, k) in groups, one per contraction: entries
+        (base of Q, c, chi) for the flats that contract to cone(Q, c), with
+        chi the sum of their products of the blocks' reduced characteristic
+        polynomials, the finest flat included.  With k = 0 these are the
+        flats of H; otherwise the table's entry (Q, u) goes to every
+        c = u + k', its xs[N] weighted by B_{k,k'} (k' t - k)_N."""
+        if not k:
+            return self.flats(self.full)
+        out: dict = {}
+        for kk in range(1, k + 1):
+            blocks = _flat_sum(k, kk)
+            for (qbase, u), xs in self.table().items():
+                group = out.setdefault((qbase, u + kk), [qbase, u + kk, []])
+                padd_into(group[2], pmul(falling_sum(xs, k, kk), blocks))
+        return [g for g in out.values() if any(g[2])]
+
     def row(self, k: int) -> tuple:
-        """P(cone(H, k)) for |H| + k >= 2, read from _GRAPH_TABLE once the
-        partial sums are extended up to k under the lock."""
-        with self._lock:
-            while len(self._r) <= k:
-                self._extend()
-        return _GRAPH_TABLE[self.key, self.graph.n + k]
+        """P(cone(H, k)) for |H| + k >= 1, read without the lock once it is
+        solved: row 0 from the flats of H, the others by extending the
+        partial sums up to k."""
+        rows = self.rows
+        if k >= len(rows) or rows[k] is None:
+            with self._lock:
+                if not k and rows[0] is None:
+                    rhs = [0] * self.graph.n
+                    for qbase, u, chi in self.flats(self.full):
+                        if qbase is not self:  # the finest flat carries P itself
+                            padd_into(rhs, pmul(chi, qbase.row(u)))
+                    rows[0] = _solve_functional_equation(rhs, self.graph.n - 1)
+                while len(rows) <= k:
+                    self._extend()
+        return rows[k]
 
     def _extend(self) -> None:
-        """Row k = len(r) with R_k and G_k; nothing is kept unless the row
-        is read off."""
-        k = len(self._r)
+        """Row k = len(rows) with R_k and G_k; nothing is kept unless the
+        row is read off."""
+        k = len(self.rows)
         n = self.graph.n + k
-        r = [[] for _ in range(max(len(xs) for _, xs in self.table().values()))]
-        for qkey, q, u, ys in self.terms():
-            row = _cone_row(qkey, q, u + k)
+        r = [[] for _ in range(max(len(xs) for xs in self.table().values()))]
+        for qbase, u, ys in self.terms():
+            row = qbase.row(u + k)
             for a, y in ys:
                 padd_into(r[a], pmul(falling_sum(y, 0, k), row))
         s, rs = stirling2_row(k), self._r
@@ -295,9 +315,9 @@ class _ConeBase:
                 for i, x in enumerate(rs[ell][a], k - ell):
                     acc[i] += scale * x
             g.append(acc)
-        key = self.key, n
-        row = (1,) if n == 1 else _GRAPH_TABLE.get(key)
-        if row is None:
+        if n == 1:
+            row = (1,)  # rank 0: the equation is vacuous, P = 1 by definition
+        else:
             rhs = list(g[0])  # a = 0, j = k: c(k, k) = 1
             c, gs = stirling1_row(k), self._g
             rise = 1  # k^(a)
@@ -307,63 +327,24 @@ class _ConeBase:
                 for j in range(1, k):
                     padd_into(rhs, gs[j][a], (-1) ** (a + k - j) * rise * c[j])
                 rise *= k + a
-            row = _GRAPH_TABLE.setdefault(key, _solve_functional_equation(rhs, n - 1))
+            row = _solve_functional_equation(rhs, n - 1)
         padd_into(r[0], row)
         padd_into(g[0], row)
         self._r.append(r)
         self._g.append(g)
+        self.rows.append(row)
 
 
 def _cone_base(hkey: bytes, h: Graph) -> _ConeBase:
     """The shared _ConeBase of H, with hkey the canonical key of H."""
     base = _BASES.get(hkey)
     if base is None:
-        base = _BASES.setdefault(hkey, _ConeBase(h, hkey))
+        base = _BASES.setdefault(hkey, _ConeBase(h))
     return base
 
 
-def _flat_groups(base: _ConeBase, k: int) -> list:
-    """The flats of cone(H, k) in groups, one per contraction: entries
-    (canonical key of Q, Q, c, chi) for the flats that contract to
-    cone(Q, c), with chi the sum of their products of the blocks' reduced
-    characteristic polynomials, the finest flat included.  With k = 0 these
-    are the flats of H; otherwise the table's entry (Q, u) goes to every
-    c = u + k', its xs[N] weighted by B_{k,k'} (k' t - k)_N."""
-    if not k:
-        return base.flats(base.full)
-    out: dict = {}
-    for kk in range(1, k + 1):
-        blocks = _flat_sum(k, kk)
-        for (qkey, u), (q, xs) in base.table().items():
-            group = out.setdefault((qkey, u + kk), [qkey, q, u + kk, []])
-            padd_into(group[3], pmul(falling_sum(xs, k, kk), blocks))
-    return [g for g in out.values() if any(g[3])]
-
-
-def _cone_row(hkey: bytes, h: Graph, k: int) -> tuple:
-    """KL coefficients of cone(H, k), with hkey the canonical key of H: with
-    k = 0 from the flats of H, otherwise from the partial sums of H's base."""
-    n = h.n + k
-    if n == 1:
-        return (1,)  # rank 0: the equation is vacuous, P = 1 by definition
-    key = hkey, n
-    hit = _GRAPH_TABLE.get(key)
-    if hit is not None:
-        return hit
-    base = _cone_base(hkey, h)
-    if k:
-        return base.row(k)
-    rhs = [0] * n
-    for qkey, q, c, chi in _flat_groups(base, 0):
-        if q.n + c < n:  # the finest flat carries the unknown P itself
-            padd_into(rhs, pmul(chi, _cone_row(qkey, q, c)))
-    coeffs = _solve_functional_equation(rhs, n - 1)
-    _GRAPH_TABLE[key] = coeffs
-    return coeffs
-
-
 def _cone_input(gamma: Graph, k: int) -> tuple:
-    """cone(gamma, k) as (canonical key of H, H, k'), without building the
+    """cone(gamma, k) as (base of H, k'), without building the
     cone: gamma's universal vertices join the k new ones in k', and H is the
     rest of gamma.  Every bound is checked here, before any row is built."""
     if k < 0:
@@ -399,11 +380,11 @@ def _cone_input(gamma: Graph, k: int) -> tuple:
             f"{h.n} others cost 2^{h.n} * {k}^3 = {2**h.n * k**3} "
             f"(the recursion handles 2^|H| k^3 <= {CONE_WORK_BOUND})"
         )
-    return canonical_key(h), h, k
+    return _cone_base(canonical_key(h), h), k
 
 
 def _kl_graphic_coeffs(gamma: Graph) -> tuple:
-    return _cone_row(*_cone_input(gamma, 0))
+    return _cone_coeffs(gamma, 0)
 
 
 def kl_graphic(gamma: Graph) -> Poly:
@@ -432,7 +413,8 @@ def d_coeff_graph(gamma: Graph, i: int, n: int) -> int:
 
 def _cone_coeffs(gamma: Graph, k: int) -> tuple:
     """KL coefficients of cone(gamma, k), checking every bound first."""
-    return _cone_row(*_cone_input(gamma, k))
+    base, k = _cone_input(gamma, k)
+    return base.row(k)
 
 
 def c1_count(gamma: Graph) -> int:

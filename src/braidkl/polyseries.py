@@ -18,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .intpoly import pmul
+
 
 class InsufficientDataError(ValueError):
     """A fit was requested with fewer sequence terms than the candidate
@@ -87,14 +89,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return Poly([], self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return Poly(out, self.var)
+        return Poly(pmul(self.coeffs, o.coeffs), self.var)
 
     __rmul__ = __mul__
 

@@ -42,11 +42,12 @@ the reduced characteristic polynomials read backwards with alternating
 signs, so the Betti product is (-1)^j [t^(N-b-j)] prod_B chi_B: the signs
 cancel, and with m = i-q the index is N-1-i-m, free of b.  So the ledger is
 sum_m chi[N-1-i-m] row[m] over the flats grouped by contraction (chi their
-summed products, row the contraction's KL coefficients), as klcore groups
-them; the cone resolves to its pair (H, k) once, and dim D_i of the cone is
-read from the row built for it.  The independent check, the per-block Betti
-enumeration over every connected partition, is the oracle in
-tests/test_specseq.py.
+summed products, row the contraction's KL coefficients), as the cone base
+of klcore groups them: the cone resolves once to the base of H and k, each
+contraction to the base of its Q, and every row, dim D_i of the cone's
+included, is read from the base that holds it.  The independent check, the
+per-block Betti enumeration over every connected partition, is the oracle
+in tests/test_specseq.py.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from math import comb, factorial, lcm
 
 from .combinat import stirling1_unsigned, stirling2
 from .graphmat import Graph
-from .klcore import _cone_base, _cone_input, _cone_row, _flat_groups, d_coeff
+from .klcore import _cone_input, d_coeff
 
 
 def _orbit_dim(p: int, j: int, n: int) -> int:
@@ -141,6 +142,13 @@ def form_series(form: dict, n_max: int) -> list:
 
     scale, out = _scaled_series(form, n_max)
     return [Fraction(a, scale) for a in out]
+
+
+# `genfun --fit` at weight i reads rows up to 2i, but its cost grows as about
+# i^8 (the fit's denominator has about 2i^2 factors): at --max-n 64 on a
+# 2-vCPU VM, i = 16 took 0.7 s, i = 24 5-7 s and i = 32 75 s, so larger i
+# fail fast.
+FIT_BOUND = 24
 
 
 def form_fit(form: dict) -> dict:
@@ -232,13 +240,13 @@ def euler_identity_graph(gamma: Graph, i: int, n: int) -> dict:
     equation, so lhs = rhs checks that the solve is consistent."""
     if i < 1 or n < 0:
         raise ValueError("need i >= 1 and n >= 0")
-    hkey, h, k = _cone_input(gamma, n)  # checks the bounds
-    own = _cone_row(hkey, h, k)  # builds every row the ledger reads
+    base, k = _cone_input(gamma, n)  # checks the bounds
+    own = base.row(k)  # builds every row the ledger reads
     rhs = own[i] if i < len(own) else 0
-    top = h.n + k - 1 - i
+    top = base.graph.n + k - 1 - i
     lhs = 0
-    for qkey, q, c, chi in _flat_groups(_cone_base(hkey, h), k):
-        row = _cone_row(qkey, q, c)
+    for qbase, c, chi in base.groups(k):
+        row = qbase.row(c)
         for m in range(min(i + 1, len(row), top + 1)):
             if top - m < len(chi):
                 lhs += chi[top - m] * row[m]

@@ -1,16 +1,18 @@
 """The Fraction plethysm on `eqkl.SymFn`: the inverse Frobenius
 characteristic, p_k[g], plethysm f[g], the complete homogeneous h_k, and
-Lehrer's characteristic data as a symmetric function with Poly
-coefficients.  It is the independent oracle of `eqcore`'s integer
-plethysm, which works on class values z_mu [p_mu] instead.  Test-only;
-nothing in `src/` uses it."""
+Lehrer's characteristic data, by his product formula, as class values and
+as a symmetric function with Poly coefficients.  It is the independent
+oracle of `eqcore`'s integer plethysm, which works on class values z_mu
+[p_mu] instead and reads the characteristic data off its closed-form
+powers.  Test-only; nothing in `src/` uses it."""
 
 from fractions import Fraction
 from functools import lru_cache
 
 from braidkl.combinat import Partition, centralizer_order, partitions
-from braidkl.eqcore import _char_values
+from braidkl.eqcore import _necklace
 from braidkl.eqkl import ClassFn, SymFn
+from braidkl.intpoly import pmul
 from braidkl.polyseries import Poly
 
 
@@ -73,6 +75,21 @@ def h_sym(k: int) -> SymFn:
 
 
 @lru_cache(maxsize=None)
+def char_values(n: int) -> dict:
+    """Class values of the graded characteristic data of S_n, by Lehrer's
+    product formula (1/t) prod_i prod_{k < m_i} (E_i(t) - k i)."""
+    out = {}
+    for mu in partitions(n):
+        prod = [1]
+        for i, m in mu.multiplicities().items():
+            e = _necklace(i)
+            for k in range(m):
+                prod = pmul(prod, (e[0] - k * i, *e[1:]))
+        out[mu.parts] = tuple(prod[1:])
+    return out
+
+
+@lru_cache(maxsize=None)
 def char_poly_symfn(n: int) -> SymFn:
     """Frobenius characteristic of the graded characteristic data
     sum_i (-1)^i [OS^i] t^(n-1-i): the coefficient of p_mu is the class
@@ -80,6 +97,6 @@ def char_poly_symfn(n: int) -> SymFn:
     return SymFn(
         {
             mu: Poly([Fraction(c, centralizer_order(Partition(mu))) for c in v], "t")
-            for mu, v in _char_values(n).items()
+            for mu, v in char_values(n).items()
         }
     )

@@ -12,6 +12,7 @@ import pytest
 
 import braidkl.cli as cli
 import braidkl.klcore as klcore
+import braidkl.specseq as specseq
 import braidkl.verify as verify
 from braidkl.cli import main
 from braidkl.graphmat import Graph, canonical_key
@@ -187,12 +188,12 @@ def test_braid_table_bound_fails_fast(capsys, argv):
 
 
 def test_genfun_fit_bound_fails_fast(capsys):
-    i = str(klcore.FIT_BOUND + 1)
+    i = str(specseq.FIT_BOUND + 1)
     start = time.monotonic()
     assert main(["genfun", "--i", i, "--max-n", "64", "--fit"]) == 2
     assert time.monotonic() - start < 1
     captured = capsys.readouterr()
-    assert f"i <= {klcore.FIT_BOUND}" in captured.err and captured.out == ""
+    assert f"i <= {specseq.FIT_BOUND}" in captured.err and captured.out == ""
     # without --fit only the braid table bounds i
     code, out = run_cli(capsys, "genfun", "--i", i, "--max-n", "64", "--format", "csv")
     assert code == 0
@@ -671,6 +672,15 @@ UNUSED_BY_SUITE = {
     "paper-i1": ("braidkl.eqkl", "braidkl.fsmod", "braidkl.polyseries", "dataclasses"),
     "paper-i2": ("braidkl.eqkl", "braidkl.fsmod", "braidkl.polyseries", "dataclasses"),
     "fs": ("braidkl.eqkl", "braidkl.polyseries", "braidkl.specseq", "dataclasses"),
+    "relative": ("braidkl.eqkl", "braidkl.fsmod", "braidkl.polyseries", "dataclasses"),
+    "euler": ("braidkl.eqkl", "braidkl.fsmod", "braidkl.polyseries", "dataclasses"),
+    "conjecture": (
+        "braidkl.eqkl",
+        "braidkl.fsmod",
+        "braidkl.polyseries",
+        "braidkl.specseq",
+        "dataclasses",
+    ),
 }
 
 

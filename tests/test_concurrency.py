@@ -37,18 +37,16 @@ def test_cone_sums_concurrent_fill(new_process):
         assert poly == expected[kind, n]
         if kind == "braid":
             assert poly.coeff(1) == 2 ** (n - 1) - 1 - comb(n, 2)
-    # a lost or doubled append shifts every later sum and the key of every
-    # later row in the table
+    # a lost or doubled append shifts every later sum and row
     base = klcore._BASES[klcore._EMPTY_KEY]
-    assert len(base._r) == len(base._g) == 91
-    braid = {(klcore._EMPTY_KEY, n) for n in range(2, 91)}
-    assert {key for key in klcore._GRAPH_TABLE if key[0] == klcore._EMPTY_KEY} == braid
+    assert len(base.rows) == len(base._r) == len(base._g) == 91
+    assert base.rows[0] is None and base.rows[1] == (1,)
 
 
 def test_eqkl_memo_concurrent_fill():
     targets = [8, 5, 7, 2, 6, 8, 4, 7, 3, 6] * 3
     expected = {n: eqkl.eqkl_braid(n) for n in targets}
-    for memo in (eqcore._eqkl_values, eqcore._char_values, eqcore._char_powers, eqcore._merge):
+    for memo in (eqcore._eqkl_values, eqcore._char_powers, eqcore._merge):
         memo.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

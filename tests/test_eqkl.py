@@ -43,6 +43,7 @@ from braidkl.polyseries import Poly
 from symfn_oracle import (
     ch_inv,
     char_poly_symfn,
+    char_values,
     h_sym,
     homogeneous_part,
     plethysm,
@@ -361,7 +362,7 @@ def fixed_flat_class_value(mu):
 
 def test_product_formula_matches_fixed_flat_enumeration():
     for n in range(1, 9):
-        values = eqcore._char_values(n)
+        values = char_values(n)
         for mu in partitions(n):
             assert values[mu.parts] == fixed_flat_class_value(mu), (n, mu)
 
@@ -370,7 +371,7 @@ def test_char_values_identity_and_free_action():
     # beyond the oracles' range: the identity column is the reduced
     # characteristic polynomial, and every class value vanishes at t = 1
     for n in range(2, 21):
-        values = eqcore._char_values(n)
+        values = eqcore._char_powers(n)[1]
         expect = Poly([1], "t")
         for k in range(1, n):
             expect = expect * Poly([-k, 1], "t")
@@ -432,7 +433,7 @@ def test_inexact_class_value_division_raises():
 
 def test_char_powers_match_repeated_class_mul():
     cap = 10
-    g = [{}] + [eqcore._char_values(r) for r in range(1, cap + 1)]
+    g = [{}] + [char_values(r) for r in range(1, cap + 1)]
     prod = [{(): (1,)}] + [{} for _ in range(cap)]
     for m in range(cap + 1):
         for d in range(cap + 1):
@@ -444,13 +445,13 @@ def test_char_powers_match_repeated_class_mul():
 
 def test_char_powers_first_row_is_char_values():
     for d in range(1, 21):
-        assert eqcore._char_powers(d)[1] == eqcore._char_values(d), d
+        assert eqcore._char_powers(d)[1] == char_values(d), d
 
 
 def _walk_plethysm_part(fs, n):
     """The plethystic walk with every product multiplied out by _class_mul,
     g^m along mu = 1^m included: the path the closed form replaced."""
-    g = [{}] + [eqcore._char_values(r) for r in range(1, n + 1)]
+    g = [{}] + [char_values(r) for r in range(1, n + 1)]
     top = max(fs)
     pk = [None] + [eqcore._class_pk(g, c, n) for c in range(1, top + 1)]
     acc = {k: {} for k in fs}
@@ -485,7 +486,7 @@ def test_eqkl_values_match_the_multiplied_out_walk():
 
 
 def _clear_char_memos():
-    for memo in (eqcore._char_powers, eqcore._char_values, eqcore._eqkl_values):
+    for memo in (eqcore._char_powers, eqcore._eqkl_values):
         memo.cache_clear()
 
 
@@ -604,7 +605,7 @@ def test_bruteforce_consistency_checks_catch_a_perturbed_class_value(
     """One class value of the characteristic data of S_n, at the identity
     in the given t-degree, off by one: the flat sum of the whole set moves
     in that degree alone, and the check of that degree fails."""
-    real = eqkl._eq_char_values
+    real = eqkl._eq_char_poly_values
 
     def perturbed(m):
         values = real(m)
@@ -614,7 +615,7 @@ def test_bruteforce_consistency_checks_catch_a_perturbed_class_value(
         identity[degree] += 1
         return {**values, (1,) * m: tuple(identity)}
 
-    monkeypatch.setattr(eqkl, "_eq_char_values", perturbed)
+    monkeypatch.setattr(eqkl, "_eq_char_poly_values", perturbed)
     eqkl._brute_values.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match=message):

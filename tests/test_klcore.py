@@ -299,20 +299,6 @@ def test_braid_rows_match_flat_sum_loop(new_process):
         assert _braid_coeffs(n) == old[n]
 
 
-def braid_rows(rows):
-    """Braid rows as row-table entries: row key of K_n -> row."""
-    return {(klcore._EMPTY_KEY, n): rows[n] for n in range(2, len(rows))}
-
-
-def test_braid_sums_extend_a_prefilled_row_table(new_process):
-    # rows 2..20 in the table, and no partial sum
-    old = flat_sum_table(40)
-    klcore._GRAPH_TABLE.update(braid_rows(old[:21]))
-    assert _braid_coeffs(40) == old[40]
-    assert klcore._GRAPH_TABLE == braid_rows(old)
-    assert len(klcore._cone_base(klcore._EMPTY_KEY, klcore._EMPTY)._g) == 41
-
-
 def test_braid_rows_match_type_indexed_sum():
     old = type_indexed_table(30)
     for n in range(1, 31):
@@ -433,7 +419,7 @@ def test_cone_blocks_match_first_cone_vertex_peeling():
         Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
     ]:
         memo = {}
-        base = klcore._ConeBase(h, canonical_key(h))
+        base = klcore._ConeBase(h)
         for j in range(6):
             for s in range(1 << h.n):
                 xs = [[a] for a in base.classes(s)]
@@ -451,7 +437,7 @@ def test_falling_at_matches_power_basis():
     # with xs the colour classes of h[s], against h[s]'s chromatic polynomial
     # from graphmat composed with kk t - k in the power basis
     h = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    base = klcore._ConeBase(h, canonical_key(h))
+    base = klcore._ConeBase(h)
     xs = [[3, -1], [], [0, 0, 2], [-5], [1, 4, 0, 7]]
     for k in range(9):
         for kk in range(k + 1):
@@ -484,35 +470,36 @@ def test_flat_groups_one_per_contraction():
         (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 2),
         (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 0),
     ]:
-        groups = klcore._flat_groups(klcore._cone_base(canonical_key(h), h), k)
-        keys = [(qkey, c) for qkey, _, c, _ in groups]
+        groups = klcore._cone_base(canonical_key(h), h).groups(k)
+        keys = [(qbase, c) for qbase, c, _ in groups]
         assert len(set(keys)) == len(keys)
         total = Poly([], "t")
-        for qkey, q, c, chi in groups:
-            total = total + Poly(pmul(chi, list(klcore._cone_row(qkey, q, c))), "t")
+        for qbase, c, chi in groups:
+            total = total + Poly(pmul(chi, list(qbase.row(c))), "t")
         assert total == cone_flat_sum(h, k), (h, k)
 
 
 _LOOP_ROWS: dict = {}
 
 
-def cone_row_loop(hkey, h, k):
-    """KL coefficients of cone(h, k) by the loop over the flat groups of
-    _flat_groups, one B_{k,k'} product per group and k', each contraction's
-    row from this loop again: the cone recursion before its partial sums,
-    kept as their oracle."""
-    n = h.n + k
+def cone_row_loop(base, k):
+    """KL coefficients of cone(H, k), for base the cone base of H, by the
+    loop over the base's flat groups, one B_{k,k'} product per group and k',
+    each contraction's row from this loop again: the cone recursion before
+    its partial sums, kept as their oracle."""
+    n = base.graph.n + k
     if n == 1:
         return (1,)
-    if (hkey, k) not in _LOOP_ROWS:
+    key = canonical_key(base.graph), k
+    if key not in _LOOP_ROWS:
         for j in range(1, k):  # fewer cone vertices first: a shallow recursion
-            cone_row_loop(hkey, h, j)
+            cone_row_loop(base, j)
         rhs = [0] * n
-        for qkey, q, c, chi in klcore._flat_groups(klcore._cone_base(hkey, h), k):
-            if q.n + c < n:  # the finest flat carries the unknown P itself
-                padd_into(rhs, pmul(chi, list(cone_row_loop(qkey, q, c))))
-        _LOOP_ROWS[hkey, k] = _solve_functional_equation(rhs, n - 1)
-    return _LOOP_ROWS[hkey, k]
+        for qbase, c, chi in base.groups(k):
+            if qbase.graph.n + c < n:  # the finest flat carries the unknown P itself
+                padd_into(rhs, pmul(chi, list(cone_row_loop(qbase, c))))
+        _LOOP_ROWS[key] = _solve_functional_equation(rhs, n - 1)
+    return _LOOP_ROWS[key]
 
 
 @pytest.mark.parametrize(
@@ -520,9 +507,9 @@ def cone_row_loop(hkey, h, k):
     [(Graph(4, [(0, 1), (1, 2), (2, 3)]), 96), (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 40)],
 )
 def test_cone_rows_match_flat_group_loop(new_process, h, top):
-    hkey = canonical_key(h)
-    got = [klcore._cone_row(hkey, h, k) for k in range(1, top + 1)]
-    assert got == [cone_row_loop(hkey, h, k) for k in range(1, top + 1)]
+    base = klcore._cone_base(canonical_key(h), h)
+    got = [base.row(k) for k in range(1, top + 1)]
+    assert got == [cone_row_loop(base, k) for k in range(1, top + 1)]
 
 
 @st.composite
@@ -544,10 +531,10 @@ def cone_bases(draw):
 )
 @given(h=cone_bases())
 def test_cone_rows_match_flat_group_loop_on_random_bases(new_process, h):
-    hkey = canonical_key(h)
     new_process()
-    got = [klcore._cone_row(hkey, h, k) for k in range(1, 31)]
-    assert got == [cone_row_loop(hkey, h, k) for k in range(1, 31)], h
+    base = klcore._cone_base(canonical_key(h), h)
+    got = [base.row(k) for k in range(1, 31)]
+    assert got == [cone_row_loop(base, k) for k in range(1, 31)], h
 
 
 def flats_by_labelled_quotient(base, r):
@@ -563,8 +550,8 @@ def flats_by_labelled_quotient(base, r):
     grouped = {}
     for q, chi in by_quotient.items():
         h, u = klcore._split_cone(Graph.from_masks(list(q)))
-        hkey = canonical_key(h)
-        padd_into(grouped.setdefault((hkey, u), [hkey, h, u, []])[3], chi)
+        qbase = klcore._cone_base(canonical_key(h), h)
+        padd_into(grouped.setdefault((qbase, u), [qbase, u, []])[2], chi)
     return list(grouped.values())
 
 
@@ -580,7 +567,7 @@ def small_graphs(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(small_graphs())
 def test_flats_match_grouping_by_labelled_quotient(g):
-    base = klcore._ConeBase(g, canonical_key(g))
+    base = klcore._ConeBase(g)
     for r in range(base.full + 1):
         assert base.flats(r) == flats_by_labelled_quotient(base, r), (g, r)
 
@@ -613,7 +600,7 @@ def test_joint_cone_bound(monkeypatch, h, k, admitted):
     """2^|H| k^3 is bounded by its value at cone(P4, 96); the rows are not
     built, only the check is made."""
     assert klcore.CONE_WORK_BOUND == 2**4 * 96**3
-    monkeypatch.setattr(klcore, "_cone_row", lambda hkey, base, kk: ("built", base.n, kk))
+    monkeypatch.setattr(klcore._ConeBase, "row", lambda base, kk: ("built", base.graph.n, kk))
     path = Graph(h, [(v, v + 1) for v in range(h - 1)])
     if admitted:
         assert klcore._cone_coeffs(path, k) == ("built", h, k)
@@ -749,13 +736,13 @@ def test_kl_consistency_checks_catch_a_perturbed_flat_sum(monkeypatch, new_proce
 
 def test_cone_given_with_a_universal_base_vertex_reads_the_same_row(monkeypatch, new_process):
     """cone(3K1, 105), on 108 vertices, and K_{1,3} coned by 104 are one
-    graph: the second query reads the first one's row from the table."""
+    graph: the second query reads the first one's row from its base."""
     row = klcore._cone_coeffs(Graph(3), 105)
 
-    def no_row(self, k):
-        raise AssertionError("row rebuilt instead of read from the table")
+    def no_extend(self):
+        raise AssertionError("row rebuilt instead of read from its base")
 
-    monkeypatch.setattr(klcore._ConeBase, "row", no_row)
+    monkeypatch.setattr(klcore._ConeBase, "_extend", no_extend)
     assert klcore._cone_coeffs(Graph(4, [(0, 1), (0, 2), (0, 3)]), 104) is row
 
 
@@ -791,7 +778,9 @@ def test_c1_count_is_linear_coefficient(g):
 def test_braid_rows_through_empty_base(new_process):
     for n in range(1, 41):
         assert _kl_graphic_coeffs(complete(n)) == _braid_coeffs(n)
-    assert len(klcore._GRAPH_TABLE) == 39  # rows 2..40, one per n
+    # one base, with rows 1..40, one per n (row 0 would be on no vertex)
+    assert list(klcore._BASES) == [klcore._EMPTY_KEY]
+    assert len(klcore._BASES[klcore._EMPTY_KEY].rows) == 41
 
 
 # --- c1 shortcut ---------------------------------------------------------------
