@@ -277,15 +277,16 @@ def _class_rep_perm(mu: Partition) -> tuple:
 
 @lru_cache(maxsize=None)
 def _os_traces(n: int, i: int) -> dict:
-    """Class tuple -> integer trace of its representative on H^i, from the
-    straightened monomial basis.  The three-term relation keeps the flat
-    the edges span, so sigma.m has no component on m unless sigma fixes the
-    flat of m: only the sigma-stable flats are straightened, and of those
-    only images whose maxima repeat."""
+    """Class tuple -> integer trace of its representative sigma on H^i, from
+    the straightened monomial basis, with sigma's images of the edges one
+    list indexed by edge code.  The three-term relation keeps the flat the
+    edges span, so sigma.m has no component on m unless sigma fixes the
+    flat of m: only the images of the monomials of sigma-stable flats are
+    straightened, and a basis wedge straightens to itself."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > OS_BOUND:
-        raise ValueError(f"brute-force path bounded at n = {OS_BOUND}")
+        raise ValueError(f"straightening oracle bounded at n = {OS_BOUND}")
     by_flat: dict = {}
     for mono in _monomials(n, i):
         by_flat.setdefault(_flat(n, mono), []).append(mono)
@@ -296,10 +297,10 @@ def _os_traces(n: int, i: int) -> dict:
     traces = {}
     for mu in partitions(n):
         sigma = _class_rep_perm(mu)
-        image = {}  # edge code -> code of its image under sigma
+        image = [0] * (n << 4 | n)  # edge code -> code of its image under sigma
         for (e,) in _monomials(n, 1):
-            x, y = sorted((sigma[(e & 15) - 1], sigma[(e >> 4) - 1]))
-            image[e] = y << 4 | x
+            x, y = sigma[(e & 15) - 1], sigma[(e >> 4) - 1]
+            image[e] = y << 4 | x if x < y else x << 4 | y
         tr = 0
         for flat, monos in by_flat.items():
             if not _fixes(sigma, flat):
@@ -309,9 +310,8 @@ def _os_traces(n: int, i: int) -> dict:
                 srt = tuple(sorted(raw))
                 if srt == mono:
                     tr += _sign(raw)
-                elif len({e >> 4 for e in srt}) < i:
+                else:  # a basis wedge other than mono straightens to itself
                     tr += _sign(raw) * _straighten(srt, memo).get(mono, 0)
-                # else srt is a basis wedge other than mono: no component
         traces[mu.parts] = tr
     return traces
 
@@ -372,15 +372,16 @@ def _mask_images(sigma: tuple) -> list:
 
 def _block_orbits(blocks: list, image: list):
     """(block, length) of each cycle in which the permutation with mask
-    images image permutes the blocks; None if it does not stabilize them."""
-    inside = set(blocks)
+    images image permutes the blocks; None if it does not stabilize them.
+    A flat of K_n has at most n blocks, so an image is looked up in the
+    list itself, with no set built per flat and class."""
     out, seen = [], 0
     for b in blocks:
         if b & seen:
             continue
         length, c = 1, image[b]
         while c != b:
-            if c not in inside:
+            if c not in blocks:
                 return None
             seen |= c
             length, c = length + 1, image[c]

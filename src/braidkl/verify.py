@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 
 def _check(name, ok, detail=""):
@@ -315,7 +316,10 @@ def suite_properties():
     )
     checks.append(_check("oracle-os-dimensions", os_ok, "basis counts, n <= 7"))
 
-    vanish_ok = all(eqkl.eq_char_poly(n).eval_t(1).is_zero() for n in range(2, 7))
+    # eq_char_poly(n) at t = 1, on its integer class values
+    vanish_ok = all(
+        not any(map(sum, eqkl._eq_char_poly_values(n).values())) for n in range(2, 7)
+    )
     checks.append(_check("oracle-free-action-vanishing", vanish_ok, "t=1, n in [2,6]"))
 
     # Lehrer's class values, the first power of the characteristic data,
@@ -384,10 +388,10 @@ def suite_properties():
     ortho_ok = True
     for n in range(1, 9):
         parts = combinat.partitions(n)
-        table = combinat.character_table(n)
+        cols = list(zip(*combinat.character_table(n)))
         for a, mu in enumerate(parts):
             for b in range(a, len(parts)):
-                tot = sum(row[a] * row[b] for row in table)
+                tot = sum(map(mul, cols[a], cols[b]))
                 want = combinat.centralizer_order(mu) if a == b else 0
                 if tot != want:
                     ortho_ok = False
@@ -417,37 +421,37 @@ def _braid_residual(n: int) -> bool:
     from . import combinat, klcore
     from .intpoly import falling_factorial, padd_into, pmul
 
+    # (t)_m / t, the reduced characteristic polynomial of K_m, and P(K_m)
+    reduced = [None] + [falling_factorial(m)[1:] for m in range(1, n + 1)]
+    rows = [None] + [klcore._braid_coeffs(m) for m in range(1, n + 1)]
     rhs = [0] * n
     for lam in combinat.partitions(n):
         chi = [1]
         for part in lam:
-            # (t)_m / t with m = part: the reduced characteristic polynomial of K_m
-            chi = pmul(chi, falling_factorial(part)[1:])
-        contr = klcore._braid_coeffs(len(lam))
-        padd_into(rhs, pmul(chi, contr), combinat.set_partition_count_by_type(lam))
-    row = klcore._braid_coeffs(n)
+            chi = pmul(chi, reduced[part])
+        count = combinat.set_partition_count_by_type(lam)
+        padd_into(rhs, pmul(chi, rows[len(lam)]), count)
+    row = rows[n]
     return [0] * (n - len(row)) + list(reversed(row)) == rhs
 
 
 def _graph_residual(g) -> bool:
     from . import graphmat, klcore
-    from .intpoly import padd_into, pmul
+    from .intpoly import falling_sum, padd_into, pmul
 
+    row = klcore._kl_graphic_coeffs(g)  # checks every bound first
     adj = g.adjacency_masks()
     rhs = [0] * g.n
-    chis, rows = {}, {}  # block mask -> chi, quotient adjacency -> KL row
+    classes, chis = {}, {}  # colour-class memo of adj, block mask -> chi
     for blocks in graphmat.flat_masks(adj, (1 << g.n) - 1):
         chi = [1]
         for b in blocks:
             if b not in chis:
-                block = graphmat.induced_subgraph(g, graphmat._mask_vertices(b))
-                chis[b] = graphmat.reduced_chromatic(block)
+                cs = graphmat._colour_classes(adj, b, classes)
+                chis[b] = falling_sum([[c] for c in cs])[1:]  # a block is connected
             chi = pmul(chi, chis[b])
-        q = tuple(graphmat.quotient_masks(adj, blocks))
-        if q not in rows:
-            rows[q] = klcore._kl_graphic_coeffs(graphmat.Graph.from_masks(q))
-        padd_into(rhs, pmul(chi, rows[q]))
-    row = klcore._kl_graphic_coeffs(g)
+        key, q, u = klcore._resolve_quotient(tuple(graphmat.quotient_masks(adj, blocks)))
+        padd_into(rhs, pmul(chi, klcore._cone_base(key, q).row(u)))
     return [0] * (g.n - len(row)) + list(reversed(row)) == rhs
 
 

@@ -200,11 +200,12 @@ def test_genfun_fit_bound_fails_fast(capsys):
     assert out.splitlines()[-1] == f"64,{klcore.d_coeff(int(i), 64)}"
 
 
-def test_closed_stdout_exits_quietly():
+def test_closed_stdout_exits_quietly(tmp_path):
     # the read end is closed before the report is written, as when `head`
     # has already gone
     proc = subprocess.Popen(
         [sys.executable, "-m", "braidkl", "genfun", "--i", "2", "--max-n", "30", "--fit"],
+        env=_probe_env(tmp_path),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
@@ -520,9 +521,10 @@ def test_timing_flag_adds_field(capsys):
     assert "timing_seconds" in json.loads(out)
 
 
-def test_module_entry_point():
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "braidkl", "kl", "--n", "4"],
+        env=_probe_env(tmp_path),
         capture_output=True,
         text=True,
         timeout=120,

@@ -166,7 +166,7 @@ def test_os_character_examples():
 
 
 def test_os_character_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="straightening oracle bounded at n = 8"):
         os_character(9, 1)
 
 

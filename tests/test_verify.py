@@ -110,3 +110,13 @@ def test_graph_residual_fails_on_a_perturbed_row(monkeypatch):
     )
     assert _graph_residual(Graph(5, [(k, (k + 1) % 5) for k in range(5)]))
     assert not _graph_residual(cycle)
+
+
+def test_graph_residual_fails_on_a_perturbed_contraction_row(new_process):
+    # contracting an edge of C6 gives C5: once C6's row is solved, the
+    # residual reads C5's row from C5's base
+    c6 = Graph(6, [(k, (k + 1) % 6) for k in range(6)])
+    assert _graph_residual(c6)
+    base, _ = klcore._cone_input(Graph(5, [(k, (k + 1) % 5) for k in range(5)]), 0)
+    base.rows[0] = _bump_last(base.row(0))
+    assert not _graph_residual(c6)
