@@ -86,12 +86,7 @@ def cmd_e1(args) -> int:
     else:
         rep = specseq.euler_identity(args.i, args.n)
         inputs = {"i": str(args.i), "n": str(args.n)}
-        cells = []
-        for p in range(0, 2 * args.i + 1):
-            for q in range(0, args.i + 1):
-                dim = specseq.b_dim(args.i, p, q, args.n)
-                if dim:
-                    cells.append({"p": p, "q": q, "dim": str(dim)})
+        cells = [{"p": p, "q": q, "dim": str(dim)} for p, q, dim in rep["cells"]]
     outputs = {
         "cells": cells,
         "euler_lhs": str(rep["lhs"]),

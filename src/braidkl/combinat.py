@@ -1,5 +1,6 @@
 """Exact integer combinatorics: partitions, Stirling numbers, set-partition
-counts, conjugacy-class data, and symmetric-group character values.
+counts, conjugacy-class data, and symmetric-group character values; and
+_Record, the immutable-record base of fsmod's records and polyseries.SeqTable.
 
 Everything is pure and deterministic.  Caches fill under get-or-compute, so
 concurrent use yields the same values as sequential use.
@@ -7,8 +8,46 @@ concurrent use yields the same values as sequential use.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from math import factorial
+
+
+class _Record:
+    """Immutable record over the field names in __slots__, with the equality,
+    hashing and repr of a frozen dataclass.  (A plain class, so that loading
+    fsmod or polyseries does not load dataclasses.)"""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting slots
+        return (self.__class__, self._values())
 
 
 class Partition:
@@ -92,16 +131,28 @@ def partitions(n: int) -> list:
     return list(_partition_objects(n))
 
 
-@lru_cache(maxsize=None)
+_ROWS_LOCK = threading.Lock()
+_S2_ROWS = [(1,)]
+_S1_ROWS = [(1,)]
+
+
+def _row(rows: list, n: int, weights) -> tuple:
+    """rows[n] of a Stirling triangle whose entry (m, k) is
+    w_k (m-1, k) + (m-1, k-1), with w = weights(m), built under the lock
+    from the largest row held, one row at a time, so no depth bound."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n >= len(rows):
+        with _ROWS_LOCK:
+            for m in range(len(rows), n + 1):
+                prev = rows[m - 1]
+                rows.append(tuple(w * a + b for w, a, b in zip(weights(m), prev + (0,), (0,) + prev)))
+    return rows[n]
+
+
 def stirling2_row(n: int) -> tuple:
     """(S(n,0), ..., S(n,n)), Stirling numbers of the second kind."""
-    if n == 0:
-        return (1,)
-    prev = stirling2_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        row[k] = k * (prev[k] if k < n else 0) + prev[k - 1]
-    return tuple(row)
+    return _row(_S2_ROWS, n, lambda m: range(m + 1))
 
 
 def stirling2(n: int, k: int) -> int:
@@ -113,16 +164,9 @@ def stirling2(n: int, k: int) -> int:
     return stirling2_row(n)[k]
 
 
-@lru_cache(maxsize=None)
 def stirling1_row(n: int) -> tuple:
     """(c(n,0), ..., c(n,n)), unsigned Stirling numbers of the first kind."""
-    if n == 0:
-        return (1,)
-    prev = stirling1_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        row[k] = (n - 1) * (prev[k] if k < n else 0) + prev[k - 1]
-    return tuple(row)
+    return _row(_S1_ROWS, n, lambda m: [m - 1] * (m + 1))
 
 
 def stirling1_unsigned(n: int, k: int) -> int:

@@ -248,19 +248,17 @@ def os_basis(n: int, i: int) -> tuple:
 
 
 def _flat(n: int, mono) -> tuple:
-    """The flat a coded basis wedge spans: position v-1 holds the least
-    label of the block of v.  Edges come in increasing maxima, so the
-    minimum of each edge already carries its final block when it is read."""
+    """The flat a coded basis wedge spans, as block masks (bit v-1 for label
+    v) in order of their lowest vertex, the flat_masks format.  Edges come
+    in increasing maxima, so the minimum of each edge already carries the
+    least label of its final block when it is read."""
     least = list(range(n + 1))
     for e in mono:
         least[e >> 4] = least[e & 15]
-    return tuple(least[1:])
-
-
-def _fixes(sigma: tuple, flat: tuple) -> bool:
-    """Whether sigma maps every block of the flat onto a block: it does when
-    each label lands in the block where the least label of its block lands."""
-    return all(flat[sigma[v] - 1] == flat[sigma[least - 1] - 1] for v, least in enumerate(flat))
+    blocks = [0] * (n + 1)
+    for v in range(1, n + 1):
+        blocks[least[v]] |= 1 << v - 1
+    return tuple(filter(None, blocks))
 
 
 def _class_rep_perm(mu: Partition) -> tuple:
@@ -281,7 +279,8 @@ def _os_traces(n: int, i: int) -> dict:
     the straightened monomial basis, with sigma's images of the edges one
     list indexed by edge code.  The three-term relation keeps the flat the
     edges span, so sigma.m has no component on m unless sigma fixes the
-    flat of m: only the images of the monomials of sigma-stable flats are
+    flat of m: only the images of the monomials of flats that sigma
+    stabilizes, by the brute-force oracle's _block_orbits test, are
     straightened, and a basis wedge straightens to itself."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -297,13 +296,14 @@ def _os_traces(n: int, i: int) -> dict:
     traces = {}
     for mu in partitions(n):
         sigma = _class_rep_perm(mu)
+        mask_image = _mask_images(sigma)
         image = [0] * (n << 4 | n)  # edge code -> code of its image under sigma
         for (e,) in _monomials(n, 1):
             x, y = sigma[(e & 15) - 1], sigma[(e >> 4) - 1]
             image[e] = y << 4 | x if x < y else x << 4 | y
         tr = 0
         for flat, monos in by_flat.items():
-            if not _fixes(sigma, flat):
+            if _block_orbits(flat, mask_image) is None:
                 continue
             for mono in monos:
                 raw = tuple(map(image.__getitem__, mono))

@@ -10,50 +10,12 @@ import itertools
 from fractions import Fraction
 from math import factorial, gcd
 
-from .combinat import stirling2
+from .combinat import _Record, stirling2
 
 # growth_diagnostic takes a polyseries.SeqTable but never loads the module
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .polyseries import SeqTable
-
-
-class _Record:
-    """Immutable record over the field names in __slots__, with the equality,
-    hashing and repr of a frozen dataclass.  (A plain class, as
-    polyseries.SeqTable is, so that loading this module does not load
-    dataclasses.)"""
-
-    __slots__ = ()
-
-    def _set(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({body})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not by setting slots
-        return (self.__class__, self._values())
 
 
 class Surjection(_Record):

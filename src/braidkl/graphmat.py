@@ -193,23 +193,6 @@ def induced_subgraph(gamma: Graph, vertices) -> Graph:
     )
 
 
-def _perm_bits(gamma: Graph, perm: list) -> list:
-    adj = gamma.adjacency_masks()
-    bits = []
-    for k in range(1, gamma.n):
-        vk = perm[k]
-        for i in range(k):
-            bits.append(1 if adj[perm[i]] >> vk & 1 else 0)
-    return bits
-
-
-def _pack_key(tag: bytes, n: int, bits: list) -> bytes:
-    acc = 1  # sentinel high bit keeps leading zeros
-    for b in bits:
-        acc = acc << 1 | b
-    return tag + bytes([n]) + acc.to_bytes((acc.bit_length() + 7) // 8, "big")
-
-
 def _twin_ids(gamma: Graph) -> list:
     # u, w are twins when swapping them is an automorphism: equal open
     # neighborhoods (non-adjacent) or equal closed neighborhoods (adjacent).
@@ -224,15 +207,19 @@ def _twin_ids(gamma: Graph) -> list:
     return ids
 
 
-def canonical_key(gamma: Graph) -> bytes:
-    """Lexicographically minimal adjacency encoding over all relabelings;
-    equal keys iff isomorphic.  Above CANON_BOUND vertices the search is out
-    of reach and raises ValueError."""
+def canonical_key(gamma: Graph) -> tuple:
+    """(n, bits): the adjacency bits of a relabeling, vertex k against the
+    k before it for k = 1..n-1, read as one integer, minimal over all
+    relabelings; equal keys iff isomorphic.  n fixes the bit count, so
+    numeric order is the lexicographic order the search minimises.  Above
+    CANON_BOUND vertices the search is out of reach and raises ValueError."""
     n = gamma.n
     if n > CANON_BOUND:
         raise ValueError(f"canonical key: the search handles n <= CANON_BOUND = {CANON_BOUND}")
-    if n <= 1 or gamma.is_complete() or not gamma.edges:
-        return _pack_key(b"C", n, _perm_bits(gamma, list(range(n))))
+    if n <= 1 or not gamma.edges:
+        return n, 0
+    if gamma.is_complete():
+        return n, (1 << n * (n - 1) // 2) - 1
 
     adj = gamma.adjacency_masks()
     twins = _twin_ids(gamma)
@@ -279,7 +266,10 @@ def canonical_key(gamma: Graph) -> bytes:
     dfs(False)
     if best is None:
         raise ArithmeticError("canonical search placed no labelling")
-    return _pack_key(b"C", n, best)
+    key = 0
+    for bit in best:
+        key = key << 1 | bit
+    return n, key
 
 
 def _colour_classes(adj: list, mask: int, memo: dict) -> tuple:

@@ -335,7 +335,7 @@ class _ConeBase:
         self.rows.append(row)
 
 
-def _cone_base(hkey: bytes, h: Graph) -> _ConeBase:
+def _cone_base(hkey: tuple, h: Graph) -> _ConeBase:
     """The shared _ConeBase of H, with hkey the canonical key of H."""
     base = _BASES.get(hkey)
     if base is None:

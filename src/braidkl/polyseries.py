@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .combinat import _Record
 from .intpoly import pmul
 
 
@@ -175,38 +176,14 @@ class Poly:
         return " + ".join(bits)
 
 
-class SeqTable:
+class SeqTable(_Record):
     """Exact values of a sequence on a contiguous index range.  Immutable;
-    the values are stored as a tuple of Fractions.  (A plain class rather
-    than a frozen dataclass, so that loading this module does not load
-    dataclasses.)"""
+    the values are stored as a tuple of Fractions."""
 
     __slots__ = ("start", "values")
 
     def __init__(self, start: int, values):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to SeqTable field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete SeqTable field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.start, self.values) == (other.start, other.values)
-
-    def __hash__(self):
-        return hash((self.start, self.values))
-
-    def __repr__(self):
-        return f"SeqTable(start={self.start!r}, values={self.values!r})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not by setting slots
-        return (SeqTable, (self.start, self.values))
+        self._set(start, tuple(Fraction(v) for v in values))
 
     @property
     def end(self) -> int:

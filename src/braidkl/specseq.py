@@ -218,19 +218,20 @@ def b_dim(i: int, p: int, q: int, n: int) -> int:
 
 def euler_identity(i: int, n: int) -> dict:
     """Alternating sum of the E1 cell dimensions against dim D_i(n); the
-    two must agree exactly (first-quadrant convergence in one total degree)."""
+    two must agree exactly (first-quadrant convergence in one total degree).
+    The nonzero cells come back as "cells", (p, q, dim) by p and then q.
+    dim D_i(n) is read first, so the braid bound refuses before any cell."""
     if i < 1 or n < 1:
         raise ValueError("need i >= 1 and n >= 1")
-    lhs = 0
-    for p in range(0, min(2 * i, n - 1) + 1):
-        for q in range(0, i + 1):
-            if 2 * i - p - q < 0:
-                continue
-            cell = b_dim(i, p, q, n)
-            if cell:
-                lhs += (-1) ** (p + q) * cell
     rhs = d_coeff(i, n)
-    return {"i": i, "n": n, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
+    cells = [
+        (p, q, dim)
+        for p in range(min(2 * i, n - 1) + 1)
+        for q in range(min(i, 2 * i - p) + 1)
+        if (dim := b_dim(i, p, q, n))
+    ]
+    lhs = sum((-1) ** (p + q) * dim for p, q, dim in cells)
+    return {"i": i, "n": n, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "cells": cells}
 
 
 def euler_identity_graph(gamma: Graph, i: int, n: int) -> dict:

@@ -15,7 +15,7 @@ import braidkl.klcore as klcore
 import braidkl.specseq as specseq
 import braidkl.verify as verify
 from braidkl.cli import main
-from braidkl.graphmat import Graph, canonical_key
+from braidkl.graphmat import Graph
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +260,22 @@ def test_genfun_csv(capsys):
     assert lines[6] == "6,16"
 
 
+def test_e1_past_the_braid_bound_exits_2_in_a_fresh_process(tmp_path):
+    """dim D_i(n) is read before any E1 cell, so no Stirling row past the
+    bound is built: in a fresh process, with no row cached, K_520 is refused
+    with the work-bound message."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidkl", "e1", "--i", "1", "--n", "520"],
+        env=_probe_env(tmp_path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"2^0 * 520^3 = {520**3} (the recursion handles" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_e1_relative_graph(tmp_path, capsys):
     p = tmp_path / "edge.json"
     p.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
@@ -396,7 +412,7 @@ def _cone_query(tmp_path, cone=2):
     return ("kl", "--graph", str(graph), "--cone", str(cone))
 
 
-def test_kl_cone_beyond_key_byte_fails_fast(tmp_path, capsys):
+def test_kl_cone_past_the_work_bound_fails_fast(tmp_path, capsys):
     # cone(P3, 300) is cone(2K1, 301), on 303 vertices: past the work bound
     code = main(list(_cone_query(tmp_path, cone=300)))
     assert code == 2
@@ -629,7 +645,7 @@ def test_eqkl_loads_only_the_modules_it_uses(tmp_path):
 
 # cone(P3, 2) is cone(2K1, 3), whose row is 1 + 5t: a plausible but wrong
 # row for it, under the key and in the file that KL_CACHE_DIR used to hold
-WRONG_ROW = {"graph:" + (b"K\x05" + canonical_key(Graph(2))[1:]).hex(): ["1", "6"]}
+WRONG_ROW = {"graph:4b050202": ["1", "6"]}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Combinatorial primitives against independent brute-force oracles."""
 
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -21,6 +23,7 @@ from braidkl.combinat import (
     stirling1_unsigned,
     stirling2,
 )
+from test_cli import _probe_env
 
 
 # --- oracles -------------------------------------------------------------
@@ -356,6 +359,25 @@ def test_double_factorial():
 def test_bell_from_stirling_rows():
     for n in range(13):
         assert bell(n) == sum(stirling2(n, k) for k in range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "check",
+    ["stirling2(600, 2) == 2**599 - 1", "stirling1_unsigned(600, 599) == comb(600, 2)"],
+)
+def test_large_stirling_row_in_a_fresh_interpreter(tmp_path, check):
+    """With no row cached, row 600 is built up from row 0 without a call per
+    row; a recursion per row overflowed the stack near n = 490."""
+    code = f"from math import comb\nfrom braidkl.combinat import stirling1_unsigned, stirling2\nprint({check})"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_probe_env(tmp_path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_mobius_values_and_divisor_sums():

@@ -727,17 +727,23 @@ def _blocks(n, edges):
 
 
 def test_flat_and_fixes_match_the_set_partition_definition():
+    """_flat gives the blocks of the flat as masks in order of their lowest
+    vertex, and _block_orbits on sigma's mask images finds sigma stable on
+    the flat exactly when sigma maps its blocks onto blocks."""
     for n in range(1, 7):
         for i in range(n):
             for mono in os_basis(n, i):
                 flat = eqkl._flat(n, _code(mono))
                 blocks = _blocks(n, mono)
-                assert {frozenset(v for v in range(1, n + 1) if flat[v - 1] == r)
-                        for r in flat} == blocks
+                assert list(flat) == sorted(flat, key=lambda b: b & -b)
+                assert len(flat) == len(blocks)
+                assert {frozenset(v for v in range(1, n + 1) if b >> v - 1 & 1)
+                        for b in flat} == blocks
                 for mu in partitions(n):
                     sigma = eqkl._class_rep_perm(mu)
                     moved = {frozenset(sigma[v - 1] for v in b) for b in blocks}
-                    assert eqkl._fixes(sigma, flat) == (moved == blocks)
+                    stable = eqkl._block_orbits(flat, eqkl._mask_images(sigma)) is not None
+                    assert stable == (moved == blocks)
 
 
 def test_moved_flat_contributes_nothing_to_the_trace():
@@ -750,8 +756,9 @@ def test_moved_flat_contributes_nothing_to_the_trace():
             memo = {}
             for mu in partitions(n):
                 sigma = eqkl._class_rep_perm(mu)
+                mask_image = eqkl._mask_images(sigma)
                 for mono in os_basis(n, i):
-                    if eqkl._fixes(sigma, eqkl._flat(n, _code(mono))):
+                    if eqkl._block_orbits(eqkl._flat(n, _code(mono)), mask_image) is not None:
                         continue
                     moved += 1
                     srt, _ = _image(sigma, mono)

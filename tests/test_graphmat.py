@@ -244,6 +244,30 @@ def test_canonical_key_isomorphism_invariance():
             assert canonical_key(relabel(g, perm)) == base
 
 
+def test_canonical_key_takes_one_value_per_isomorphism_class():
+    """Over every labelled graph on n <= 5 vertices, equal keys iff
+    isomorphic: the classes, orbits of edge sets under relabelling, number
+    1, 1, 2, 4, 11 and 34 for n = 0..5, and the keys as many.  The empty and
+    complete graphs, whose keys are not searched for, are among them."""
+    for n, count in enumerate([1, 1, 2, 4, 11, 34]):
+        pairs = list(itertools.combinations(range(n), 2))
+        index = {e: j for j, e in enumerate(pairs)}
+        orbit = {}  # edge mask -> the least mask of its class
+        for mask in range(1 << len(pairs)):
+            if mask in orbit:
+                continue
+            edges = [e for j, e in enumerate(pairs) if mask >> j & 1]
+            for p in itertools.permutations(range(n)):
+                image = sum(1 << index[tuple(sorted((p[u], p[v])))] for u, v in edges)
+                orbit[image] = mask
+        assert len(set(orbit.values())) == count
+        keys = {}
+        for mask, cls in orbit.items():
+            g = Graph(n, [e for j, e in enumerate(pairs) if mask >> j & 1])
+            assert keys.setdefault(canonical_key(g), cls) == cls, (n, g)
+        assert len(keys) == count
+
+
 def test_canonical_key_fallback_above_bound():
     big = path(13)
     with pytest.raises(ValueError, match="CANON_BOUND = 12"):

@@ -572,7 +572,7 @@ def test_flats_match_grouping_by_labelled_quotient(g):
         assert base.flats(r) == flats_by_labelled_quotient(base, r), (g, r)
 
 
-def test_vertex_count_beyond_key_byte_fails_fast(monkeypatch):
+def test_graph_past_the_work_bound_fails_fast(monkeypatch):
     # every row on more than 255 vertices, the braid rows included, is past
     # the work bound: k >= 245 once at most BASE_BOUND vertices are left
     work = r"\(the recursion handles 2\^\|H\| k\^3 <= 14155776\)"

@@ -177,6 +177,20 @@ def test_euler_identity_grid():
             assert euler_identity(i, n)["equal"], (i, n)
 
 
+def test_euler_identity_cells_are_the_nonzero_b_dims():
+    for i in range(1, 4):
+        for n in range(1, 13):
+            rep = euler_identity(i, n)
+            want = [
+                (p, q, b_dim(i, p, q, n))
+                for p in range(2 * i + 1)
+                for q in range(i + 1)
+                if b_dim(i, p, q, n)
+            ]
+            assert rep["cells"] == want, (i, n)
+            assert sum((-1) ** (p + q) * dim for p, q, dim in want) == rep["lhs"], (i, n)
+
+
 def test_euler_identity_graph_examples():
     assert euler_identity_graph(Graph(0), 1, 4)["lhs"] == euler_identity(1, 4)["lhs"]
     rep = euler_identity_graph(Graph(1), 1, 3)
