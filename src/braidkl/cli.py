@@ -58,7 +58,7 @@ def cmd_eqkl(args) -> int:
                 "degree": i,
                 "dimension": str(identity[i] if i < len(identity) else 0),
                 "specht_multiplicities": {
-                    ",".join(map(str, lam.parts)): str(m) for lam, m in dec.items()
+                    ",".join(map(str, lam)): str(m) for lam, m in dec.items()
                 },
             }
         )

@@ -50,77 +50,66 @@ class _Record:
         return (self.__class__, self._values())
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integer parts."""
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integer parts: it equals and
+    hashes as the plain tuple, and orders graded reverse-lexicographically."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        for i, p in enumerate(parts):
+    def __new__(cls, parts=()):
+        self = super().__new__(cls, map(int, parts))
+        for i, p in enumerate(self):
             if p < 1:
                 raise ValueError("partition parts must be positive")
-            if i and parts[i - 1] < p:
+            if i and self[i - 1] < p:
                 raise ValueError("partition parts must be weakly decreasing")
-        self.parts = parts
+        return self
+
+    @property
+    def parts(self) -> tuple:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
+        return sum(self)
 
     def _key(self):
-        # graded reverse-lexicographic: (3) before (2,1) before (1,1,1)
-        return (self.n, tuple(-p for p in self.parts))
+        # (3) before (2,1) before (1,1,1); a plain tuple is keyed the same way
+        return (sum(self), tuple(-p for p in self))
 
     def __lt__(self, other):
-        return self._key() < other._key()
+        return Partition._key(self) < Partition._key(other)
 
     def __le__(self, other):
-        return self._key() <= other._key()
+        return Partition._key(self) <= Partition._key(other)
+
+    def __gt__(self, other):
+        return Partition._key(self) > Partition._key(other)
+
+    def __ge__(self, other):
+        return Partition._key(self) >= Partition._key(other)
 
     def multiplicities(self) -> dict:
         m = {}
-        for p in self.parts:
+        for p in self:
             m[p] = m.get(p, 0) + 1
         return m
 
     def __repr__(self):
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
 
 @lru_cache(maxsize=None)
 def _partition_tuples(n: int, maxpart: int) -> tuple:
+    """The partitions of n with parts <= maxpart, largest first part first;
+    valid by construction, so built past Partition's checks."""
     if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _partition_tuples(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _partition_objects(n: int) -> tuple:
-    return tuple(Partition(t) for t in _partition_tuples(n, n if n else 1))
+        return (tuple.__new__(Partition),)
+    return tuple(
+        tuple.__new__(Partition, (first, *rest))
+        for first in range(min(n, maxpart), 0, -1)
+        for rest in _partition_tuples(n - first, first)
+    )
 
 
 def partitions(n: int) -> list:
@@ -128,7 +117,7 @@ def partitions(n: int) -> list:
     list of Partition objects built once per n and shared between calls."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_partition_objects(n))
+    return list(_partition_tuples(n, n))
 
 
 _ROWS_LOCK = threading.Lock()
@@ -197,11 +186,11 @@ def mobius(n: int) -> int:
 
 def set_partition_count_by_type(lam: Partition) -> int:
     """Number of set partitions of [n] whose block-size multiset is lam."""
-    if not lam.parts:
+    if not lam:
         raise ValueError("type must be nonempty")
     n = lam.n
     denom = 1
-    for p in lam.parts:
+    for p in lam:
         denom *= factorial(p)
     for m in lam.multiplicities().values():
         denom *= factorial(m)
@@ -236,18 +225,13 @@ def _beads(lam: tuple) -> int:
     return sum(1 << (p + L - 1 - i) for i, p in enumerate(lam))
 
 
-@lru_cache(maxsize=None)
-def _mn(beads: int, mu: tuple) -> int:
-    # Murnaghan-Nakayama over border strips on the beta-set: removing a strip
-    # of size k moves a bead b to an empty b - k, with sign (-1)^(number of
-    # beads strictly between).  An empty row is a bead at 0 below the others;
-    # shifting such beads off keeps one key per partition.
-    if not mu:
-        return 0 if beads else 1
-    k = mu[0]
-    rest = mu[1:]
+def _strips(beads: int, k: int):
+    """Murnaghan-Nakayama on the beta-set: (beads', sign) for each border
+    strip of size k.  Removing one moves a bead b to an empty b - k, with
+    sign (-1)^(number of beads strictly between).  An empty row is a bead at
+    0 below the others; shifting such beads off keeps one key per
+    partition."""
     gap = (1 << (k - 1)) - 1
-    total = 0
     # the beads b >= k with b - k empty
     movable = (beads & ~(beads << k)) >> k
     while movable:
@@ -255,26 +239,40 @@ def _mn(beads: int, mu: tuple) -> int:
         movable ^= low
         new = beads ^ (low | low << k)
         new >>= (new ^ (new + 1)).bit_length() - 1  # trailing ones off
-        value = _mn(new, rest)
-        if value:
-            between = beads >> low.bit_length() & gap
-            total += -value if between.bit_count() & 1 else value
-    return total
+        between = beads >> low.bit_length() & gap
+        yield new, -1 if between.bit_count() & 1 else 1
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
-    """Irreducible character value chi^lam(mu) by the Murnaghan-Nakayama rule."""
+    """Irreducible character value chi^lam(mu) by the Murnaghan-Nakayama rule,
+    walking mu's parts over a dict of the bead states reached."""
     if lam.n != mu.n:
         raise ValueError("lam and mu must be partitions of the same n")
-    return _mn(_beads(lam.parts), mu.parts)
+    states = {_beads(lam): 1}
+    for k in mu:
+        reached = {}
+        for beads, value in states.items():
+            for new, sign in _strips(beads, k):
+                reached[new] = reached.get(new, 0) + sign * value
+        states = reached
+    return states.get(0, 0)
 
 
 @lru_cache(maxsize=None)
 def character_table(n: int) -> tuple:
     """The irreducible characters of S_n: entry [a][b] is chi^lam(mu) for
-    lam = partitions(n)[a] and mu = partitions(n)[b]."""
-    parts = [p.parts for p in partitions(n)]
-    return tuple(tuple(_mn(_beads(lam), mu) for mu in parts) for lam in parts)
+    lam = partitions(n)[a] and mu = partitions(n)[b].  The column of each
+    suffix nu of some mu is built from the column of nu without its largest
+    part, shorter suffixes first."""
+    parts = partitions(n)
+    beads = [[_beads(lam) for lam in partitions(m)] for m in range(n + 1)]
+    columns = {(): {0: 1}}  # nu -> beads of a partition of |nu| -> chi(nu)
+    for nu in sorted({mu[j:] for mu in parts for j in range(len(mu))}, key=len):
+        below = columns[nu[1:]]
+        columns[nu] = {
+            b: sum(s * below[c] for c, s in _strips(b, nu[0])) for b in beads[sum(nu)]
+        }
+    return tuple(tuple(columns[mu][b] for mu in parts) for b in beads[n])
 
 
 def double_factorial_odd(m: int) -> int:

@@ -81,7 +81,7 @@ def _char_powers(d: int) -> tuple:
         return ({(): (1,)},)
     rows = [{} for _ in range(d + 1)]
     for mu in partitions(d):
-        i, rest = mu.parts[0], mu.parts[1:]
+        i, rest = mu[0], mu[1:]
         below = _char_powers(d - i)
         e = _necklace(i)
         ki = rest.count(i) * i
@@ -99,7 +99,7 @@ def _char_powers(d: int) -> tuple:
             while c and not c[-1]:
                 c.pop()
             if c[m:]:
-                rows[m][mu.parts] = tuple(c[m:])
+                rows[m][mu] = tuple(c[m:])
     return tuple(rows)
 
 
@@ -186,7 +186,7 @@ def _eqkl_values(n: int) -> dict:
     if n == 1:
         return {(1,): (1,)}
     flats = _plethysm_part({k: _eqkl_values(k) for k in range(1, n)}, n)
-    out = {mu.parts: read_off(flats.get(mu.parts, ()), n - 1) for mu in partitions(n)}
+    out = {mu: read_off(flats.get(mu, ()), n - 1) for mu in partitions(n)}
     return _trimmed(out)
 
 
@@ -211,11 +211,7 @@ def _specht_sums(n: int, values: dict) -> dict:
     dropped and lam runs in partitions(n) order.  Each sum is n! times the
     multiplicity of the Specht module of lam."""
     parts = partitions(n)
-    weights = [
-        (b, class_size(mu) * values[mu.parts])
-        for b, mu in enumerate(parts)
-        if values.get(mu.parts)
-    ]
+    weights = [(b, class_size(mu) * values[mu]) for b, mu in enumerate(parts) if values.get(mu)]
     out = {}
     for lam, row in zip(parts, character_table(n)):
         tot = sum(w * row[b] for b, w in weights)

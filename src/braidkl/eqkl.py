@@ -72,7 +72,7 @@ class ClassFn:
         return self.values[mu]
 
     def dim(self) -> Fraction:
-        return self.values[Partition((1,) * self.n)] if self.n else Fraction(1)
+        return self.values[(1,) * self.n] if self.n else Fraction(1)
 
     def __add__(self, other):
         if not isinstance(other, ClassFn) or other.n != self.n:
@@ -109,7 +109,7 @@ class ClassFn:
         return self.n == other.n and self.values == other.values
 
     def __repr__(self):
-        shown = {tuple(mu.parts): v for mu, v in sorted(self.values.items())}
+        shown = {tuple(mu): v for mu, v in sorted(self.values.items())}
         return f"ClassFn({self.n}, {shown})"
 
 
@@ -194,7 +194,7 @@ class SymFn:
 
 def ch(f: ClassFn) -> SymFn:
     """Frobenius characteristic: sum over mu of f(mu) p_mu / z_mu."""
-    return SymFn({mu.parts: v / centralizer_order(mu) for mu, v in f.values.items()})
+    return SymFn({mu: v / centralizer_order(mu) for mu, v in f.values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def _class_rep_perm(mu: Partition) -> tuple:
     image of v (1-based labels, cycles on consecutive integers)."""
     sigma = list(range(1, mu.n + 1))
     start = 0
-    for part in mu.parts:
+    for part in mu:
         for off in range(part):
             sigma[start + off] = start + 1 + (off + 1) % part
         start += part
@@ -312,7 +312,7 @@ def _os_traces(n: int, i: int) -> dict:
                     tr += _sign(raw)
                 else:  # a basis wedge other than mono straightens to itself
                     tr += _sign(raw) * _straighten(srt, memo).get(mono, 0)
-        traces[mu.parts] = tr
+        traces[mu] = tr
     return traces
 
 
@@ -422,8 +422,8 @@ def _brute_values(n: int) -> dict:
     rank = n - 1
     out = {}
     for mu in partitions(n):
-        ends = itertools.accumulate(mu.parts)  # sigma's cycles, as masks
-        cycles = [(1 << e) - (1 << e - p) for p, e in zip(mu.parts, ends)]
+        ends = itertools.accumulate(mu)  # sigma's cycles, as masks
+        cycles = [(1 << e) - (1 << e - p) for p, e in zip(mu, ends)]
         image = _mask_images(_class_rep_perm(mu))
         spread: dict = {}  # block -> its trace factor, t spread to t^length
         total = [0] * (rank + 1)
@@ -441,7 +441,7 @@ def _brute_values(n: int) -> dict:
                 loc = pmul(loc, s)
             ghat = tuple(sorted((length for _, length in orbits), reverse=True))
             padd_into(total, pmul(loc, contrdata[len(blocks)][ghat]))
-        out[mu.parts] = read_off(total, rank)
+        out[mu] = read_off(total, rank)
     return _trimmed(out)
 
 
@@ -452,7 +452,7 @@ def specht_decompose(f: ClassFn) -> dict:
     """Multiplicities <f, chi^lam> for every irreducible; zeros dropped."""
     # eqcore's integer sums over the common denominator of the values
     den = lcm(*(v.denominator for v in f.values.values()))
-    sums = _specht_sums(f.n, {mu.parts: int(v * den) for mu, v in f.values.items()})
+    sums = _specht_sums(f.n, {mu: int(v * den) for mu, v in f.values.items()})
     return {lam: Fraction(tot, factorial(f.n) * den) for lam, tot in sums.items()}
 
 

@@ -211,15 +211,16 @@ def canonical_key(gamma: Graph) -> tuple:
     """(n, bits): the adjacency bits of a relabeling, vertex k against the
     k before it for k = 1..n-1, read as one integer, minimal over all
     relabelings; equal keys iff isomorphic.  n fixes the bit count, so
-    numeric order is the lexicographic order the search minimises.  Above
-    CANON_BOUND vertices the search is out of reach and raises ValueError."""
+    numeric order is the lexicographic order the search minimises.  The empty
+    and complete graphs are keyed in closed form; any other graph above
+    CANON_BOUND vertices is out of the search's reach and raises ValueError."""
     n = gamma.n
-    if n > CANON_BOUND:
-        raise ValueError(f"canonical key: the search handles n <= CANON_BOUND = {CANON_BOUND}")
     if n <= 1 or not gamma.edges:
         return n, 0
     if gamma.is_complete():
         return n, (1 << n * (n - 1) // 2) - 1
+    if n > CANON_BOUND:
+        raise ValueError(f"canonical key: the search handles n <= CANON_BOUND = {CANON_BOUND}")
 
     adj = gamma.adjacency_masks()
     twins = _twin_ids(gamma)

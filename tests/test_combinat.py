@@ -1,6 +1,8 @@
 """Combinatorial primitives against independent brute-force oracles."""
 
+import copy
 import itertools
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -139,16 +141,59 @@ def test_partitions_are_built_once_per_n_in_the_same_order():
         first, second = partitions(n), partitions(n)
         assert [p.parts for p in first] == list(oracle_partition_tuples(n, n))
         assert first == [Partition(t) for t in oracle_partition_tuples(n, n)]
+        assert all(type(p) is Partition for p in first)
         assert first is not second and all(a is b for a, b in zip(first, second))
         first.clear()  # each call gets a list of its own
         assert partitions(n) == second
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^partition parts must be weakly decreasing$"):
         Partition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^partition parts must be positive$"):
         Partition((2, 0))
+    with pytest.raises(ValueError, match="^partition parts must be weakly decreasing$"):
+        Partition((1, 2, 0))
+
+
+def test_partition_is_the_tuple_of_its_parts():
+    lam = Partition([2, 1, 1])
+    assert isinstance(lam, tuple)
+    assert lam == (2, 1, 1) and (2, 1, 1) == lam and lam != (2, 1)
+    assert hash(lam) == hash((2, 1, 1))
+    assert {(2, 1, 1): "x"}[lam] == "x" and {lam: "y"}[(2, 1, 1)] == "y"
+    assert len(lam) == 3 and list(lam) == [2, 1, 1] and lam[0] == 2 and lam[1:] == (1, 1)
+    assert type(lam.parts) is tuple and lam.parts == (2, 1, 1)
+    assert lam.n == 4 and lam.multiplicities() == {2: 1, 1: 2}
+    assert Partition() == () and Partition().n == 0
+
+
+def test_partition_order_is_graded_reverse_lexicographic():
+    # across n the size decides; within one n the larger first part comes first
+    graded = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 2)]
+    chain = [Partition(t) for t in graded]
+    for a, x in enumerate(chain):
+        for b, y in enumerate(chain):
+            assert (x < y, x <= y, x > y, x >= y) == (a < b, a <= b, a > b, a >= b), (x, y)
+    # lexicographic tuple order would put (1, 1) before (2,), (2, 2) before
+    # (3, 1) and (1, 1, 1, 1) before (3,)
+    assert Partition((2,)) < Partition((1, 1)) and Partition((1, 1)) > Partition((2,))
+    assert Partition((3, 1)) <= Partition((2, 2)) and Partition((2, 2)) >= Partition((3, 1))
+    ones = Partition((1, 1, 1, 1))
+    assert ones > Partition((3,)) and not Partition((3,)) >= ones
+    assert sorted(reversed(chain)) == chain
+
+
+def test_partition_round_trips_and_repr():
+    lam = Partition([3, 1])
+    for copied in (
+        pickle.loads(pickle.dumps(lam)),
+        pickle.loads(pickle.dumps(lam, protocol=0)),
+        copy.copy(lam),
+        copy.deepcopy(lam),
+    ):
+        assert type(copied) is Partition and copied == lam
+    assert repr(lam) == "Partition([3, 1])" and repr(Partition()) == "Partition([])"
 
 
 # --- Stirling numbers ----------------------------------------------------
@@ -335,6 +380,25 @@ def test_character_table_matches_tuple_recursion():
         assert character_table(n) == tuple(
             tuple(tuple_mn(lam, mu) for mu in parts) for lam in parts
         )
+
+
+def test_large_mn_character_in_a_fresh_interpreter(tmp_path):
+    """The walk over mu's parts makes no call per part; a recursion per part
+    overflowed the stack near n = 900."""
+    code = (
+        "from braidkl.combinat import Partition, mn_character\n"
+        "row, column = Partition([900]), Partition([1] * 900)\n"
+        "print(mn_character(row, column) == 1, mn_character(column, row) == -1)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_probe_env(tmp_path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True\n"
 
 
 def test_mn_size_mismatch():

@@ -274,6 +274,15 @@ def test_canonical_key_fallback_above_bound():
         canonical_key(big)
 
 
+def test_closed_form_keys_past_the_bound():
+    assert canonical_key(Graph(14)) == (14, 0)
+    assert canonical_key(complete(14)) == (14, 2**91 - 1)
+    with pytest.raises(
+        ValueError, match=r"^canonical key: the search handles n <= CANON_BOUND = 12$"
+    ):
+        canonical_key(path(13))
+
+
 # --- Betti numbers ---------------------------------------------------------------
 
 
