@@ -1,6 +1,6 @@
 """Simple labeled graphs and their matroid-side combinatorics: the cone
-construction, reduced characteristic polynomials, canonical forms for the KL
-row keys, and configuration-space Betti numbers.
+construction, reduced characteristic polynomials, canonical keys for the KL
+rows by individualisation-refinement, and configuration-space Betti numbers.
 
 A flat of the graphic matroid is a connected partition of the vertex set,
 held as a list of block bit masks in order of their lowest vertex:
@@ -24,6 +24,9 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .polyseries import Poly
 
+# The key search prunes by twins, not by automorphisms, so a complete
+# multipartite graph with equal parts has factorially many leaves: on a
+# 2-vCPU VM, K_{2x6} took 35 ms and K_{2x8} (16 vertices) 2.3 s.
 CANON_BOUND = 12
 
 
@@ -207,13 +210,34 @@ def _twin_ids(gamma: Graph) -> list:
     return ids
 
 
+def _refine(adj: list, cells: list) -> list:
+    """Colour refinement of an ordered partition, a list of vertex masks:
+    each cell splits by its vertices' neighbour counts in all the cells, in
+    increasing order of counts, until none splits.  It reads no label."""
+    while True:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            parts: dict = {}
+            for v in _mask_vertices(cell):
+                counts = tuple((adj[v] & c).bit_count() for c in cells)
+                parts[counts] = parts.get(counts, 0) | 1 << v
+            out += [parts[counts] for counts in sorted(parts)]
+        if len(out) == len(cells):
+            return cells
+        cells = out
+
+
 def canonical_key(gamma: Graph) -> tuple:
-    """(n, bits): the adjacency bits of a relabeling, vertex k against the
-    k before it for k = 1..n-1, read as one integer, minimal over all
-    relabelings; equal keys iff isomorphic.  n fixes the bit count, so
-    numeric order is the lexicographic order the search minimises.  The empty
-    and complete graphs are keyed in closed form; any other graph above
-    CANON_BOUND vertices is out of the search's reach and raises ValueError."""
+    """(n, bits): the adjacency bits of a vertex order, vertex k against the
+    k before it for k = 1..n-1, read as one integer, minimal over the leaves
+    of an individualisation-refinement search (McKay and Piperno, J. Symbolic
+    Comput. 60, 2014), not over all relabelings; equal keys iff isomorphic.
+    n fixes the bit count.  The empty and complete graphs are keyed in closed
+    form; any other graph above CANON_BOUND vertices is out of the search's
+    reach and raises ValueError."""
     n = gamma.n
     if n <= 1 or not gamma.edges:
         return n, 0
@@ -224,53 +248,29 @@ def canonical_key(gamma: Graph) -> tuple:
 
     adj = gamma.adjacency_masks()
     twins = _twin_ids(gamma)
-    degs = [m.bit_count() for m in adj]
-    order = sorted(range(n), key=lambda v: (-degs[v], v))
-    best: list | None = None
-    placed: list = []
-    cur: list = []
+    leaves: list = []
 
-    def dfs(tight: bool) -> bool:
-        nonlocal best
-        k = len(placed)
-        if k == n:
-            if best is None or not tight:
-                best = cur.copy()
-                return True
-            return False
-        updated = False
-        seen = set()
-        for v in order:
-            if v in placed:
-                continue
-            chunk = tuple(1 if adj[p] >> v & 1 else 0 for p in placed)
-            profile = (chunk, twins[v])
-            if profile in seen:
-                continue
-            seen.add(profile)
-            child_tight = False
-            if best is not None:
-                ref = tuple(best[len(cur) : len(cur) + k])
-                if tight:
-                    if chunk > ref:
-                        continue
-                    child_tight = chunk == ref
-            placed.append(v)
-            cur.extend(chunk)
-            if dfs(child_tight):
-                updated = True
-                tight = True
-            placed.pop()
-            del cur[len(cur) - k :]
-        return updated
+    def search(cells: list) -> None:
+        # One branch per twin class: a swap of two twins in one cell fixes
+        # the node, so their branches reach the same leaves.
+        cells = _refine(adj, cells)
+        j = next((j for j, cell in enumerate(cells) if cell & (cell - 1)), None)
+        if j is None:
+            order = [cell.bit_length() - 1 for cell in cells]
+            bits = 0
+            for k, v in enumerate(order):
+                for u in order[:k]:
+                    bits = bits << 1 | adj[u] >> v & 1
+            leaves.append(bits)
+            return
+        tried = set()
+        for v in _mask_vertices(cells[j]):
+            if twins[v] not in tried:
+                tried.add(twins[v])
+                search(cells[:j] + [1 << v, cells[j] ^ 1 << v] + cells[j + 1 :])
 
-    dfs(False)
-    if best is None:
-        raise ArithmeticError("canonical search placed no labelling")
-    key = 0
-    for bit in best:
-        key = key << 1 | bit
-    return n, key
+    search([(1 << n) - 1])
+    return n, min(leaves)
 
 
 def _colour_classes(adj: list, mask: int, memo: dict) -> tuple:

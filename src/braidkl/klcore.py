@@ -137,8 +137,8 @@ def kl_braid(n: int) -> Poly:
 
 
 # The table of a cone base H is exponential in |H|: with k = 4, in-process on
-# a 2-vCPU VM, cone(P8, 4) took 0.13 s, cone(P10, 4) 1.2 s, cone(P11, 4)
-# 4.1 s and cone(P12, 4) 13 s, and cycles took about as long; so a graph
+# a 2-vCPU VM, cone(P8, 4) took 0.16-0.18 s, cone(P10, 4) 1.1-1.5 s, cone(P11,
+# 4) 3.3-3.8 s, cone(P12, 4) 12-14 s and cone(C12, 4) 8-9 s; so a graph
 # with more than BASE_BOUND vertices left once its universal ones are split
 # off fails fast.  It sits below graphmat.CANON_BOUND, so every base that
 # passes has a canonical key.

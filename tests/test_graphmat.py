@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from braidkl.combinat import bell, stirling1_unsigned
 from braidkl.intpoly import falling_factorial, falling_sum, pmul
 from braidkl.graphmat import (
+    CANON_BOUND,
     CHROMATIC_BOUND,
     Graph,
     _chromatic,
@@ -245,11 +246,12 @@ def test_canonical_key_isomorphism_invariance():
 
 
 def test_canonical_key_takes_one_value_per_isomorphism_class():
-    """Over every labelled graph on n <= 5 vertices, equal keys iff
+    """Over every labelled graph on n <= 6 vertices, equal keys iff
     isomorphic: the classes, orbits of edge sets under relabelling, number
-    1, 1, 2, 4, 11 and 34 for n = 0..5, and the keys as many.  The empty and
-    complete graphs, whose keys are not searched for, are among them."""
-    for n, count in enumerate([1, 1, 2, 4, 11, 34]):
+    1, 1, 2, 4, 11, 34 and 156 for n = 0..6, and the keys as many.  The
+    empty and complete graphs, whose keys are not searched for, are among
+    them."""
+    for n, count in enumerate([1, 1, 2, 4, 11, 34, 156]):
         pairs = list(itertools.combinations(range(n), 2))
         index = {e: j for j, e in enumerate(pairs)}
         orbit = {}  # edge mask -> the least mask of its class
@@ -266,6 +268,63 @@ def test_canonical_key_takes_one_value_per_isomorphism_class():
             g = Graph(n, [e for j, e in enumerate(pairs) if mask >> j & 1])
             assert keys.setdefault(canonical_key(g), cls) == cls, (n, g)
         assert len(keys) == count
+
+
+def disjoint_cycles(*sizes):
+    edges, start = [], 0
+    for size in sizes:
+        edges += [(start + k, start + (k + 1) % size) for k in range(size)]
+        start += size
+    return Graph(start, edges)
+
+
+def box(g, h):
+    """The Cartesian product g □ h, vertex (a, b) numbered a * h.n + b."""
+    edges = [(a * h.n + b, c * h.n + b) for a, c in g.edges for b in range(h.n)]
+    edges += [(a * h.n + b, a * h.n + d) for b, d in h.edges for a in range(g.n)]
+    return Graph(g.n * h.n, edges)
+
+
+def multipartite(*parts):
+    side = [i for i, size in enumerate(parts) for _ in range(size)]
+    pairs = itertools.combinations(range(len(side)), 2)
+    return Graph(len(side), [(u, v) for u, v in pairs if side[u] != side[v]])
+
+
+def test_canonical_key_on_graphs_that_colour_refinement_cannot_split():
+    """Regular and highly symmetric graphs, on which colour refinement
+    alone leaves every vertex in one cell, so the key rests on the
+    individualisation step: each key survives 20 relabellings and takes
+    under a second, the nine 2-regular graphs on 12 vertices get nine keys,
+    and the prism C6 □ K2 is told from the Moebius ladder on 12 vertices."""
+    petersen = Graph(10, list(cycle(5).edges) + [(5 + k, 5 + (k + 2) % 5) for k in range(5)]
+                     + [(k, k + 5) for k in range(5)])
+    icosahedron = Graph(12, [(0, k) for k in range(1, 6)] + [(11, k) for k in range(6, 11)]
+                        + [(1 + k, 1 + (k + 1) % 5) for k in range(5)]
+                        + [(6 + k, 6 + (k + 1) % 5) for k in range(5)]
+                        + [(1 + k, 6 + k) for k in range(5)]
+                        + [(1 + k, 6 + (k + 4) % 5) for k in range(5)])
+    crown = Graph(12, [(i, 6 + j) for i in range(6) for j in range(6) if i != j])
+    prism = box(cycle(6), complete(2))
+    family = [cycle(12), disjoint_cycles(6, 6), petersen, icosahedron,
+              box(complete(3), complete(4)), prism, box(cycle(4), cycle(3)), crown,
+              multipartite(2, 2, 2, 2, 2), multipartite(2, 2, 2, 2, 2, 2),
+              multipartite(3, 3, 3, 3), multipartite(6, 6),
+              Graph(12, [(2 * k, 2 * k + 1) for k in range(6)]), disjoint_cycles(3, 3, 3, 3)]
+    rng = random.Random(32)
+    for g in family:
+        start = time.monotonic()
+        key = canonical_key(g)
+        assert time.monotonic() - start < 1.0, g
+        for _ in range(20):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_key(relabel(g, perm)) == key, g
+    cycle_types = [(12,), (9, 3), (8, 4), (7, 5), (6, 6), (6, 3, 3), (5, 4, 3),
+                   (4, 4, 4), (3, 3, 3, 3)]
+    assert len({canonical_key(disjoint_cycles(*t)) for t in cycle_types}) == 9
+    moebius = Graph(12, list(cycle(12).edges) + [(k, k + 6) for k in range(6)])
+    assert canonical_key(prism) != canonical_key(moebius)
 
 
 def test_canonical_key_fallback_above_bound():
@@ -496,7 +555,7 @@ def test_flat_masks_yields_each_connected_partition_once(g):
 
 
 @GRAPH_SETTINGS
-@given(graphs(), st.randoms(use_true_random=False))
+@given(graphs(max_n=CANON_BOUND), st.randoms(use_true_random=False))
 def test_canonical_key_ignores_labelling(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
